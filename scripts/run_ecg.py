@@ -15,16 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from nnops import (
-    Domain,
-    OperatorSpec,
-    QuadratureRule,
-    cell_averages_sampled,
-    eval_grid,
-    load_signal_csv,
-    make_kernel,
-    normalize_to_unit,
-)
+from nnops import Domain, load_signal_csv, make_kernel, normalize_to_unit
+from nnops.experiments import ecg_smooth
 
 DEFAULT_INPUT = Path(__file__).resolve().parent.parent / "data" / "ecg_synthetic.csv"
 
@@ -45,15 +37,9 @@ def main() -> int:
     if len(signal) % 2:
         raise SystemExit("need an even number of samples for pairwise means")
 
-    n = len(signal) // 2
-    kernel = make_kernel("logistic", scale=args.scale)
-    data = cell_averages_sampled(signal, n, QuadratureRule("pairmean"))
-
     xs = np.linspace(domain.a, domain.b, args.grid)
     out = {"input": signal(xs)}
-    for fam in ("maxmin", "maxprod"):
-        spec = OperatorSpec(fam, "kantorovich", n, domain, kernel)
-        out[f"kant_{fam}"] = eval_grid(spec, data, xs)
+    out.update(ecg_smooth(signal, make_kernel("logistic", scale=args.scale), xs))
 
     print("x,input,kant_maxmin,kant_maxprod")
     for i, x in enumerate(xs):

@@ -15,7 +15,6 @@ from .kernels import (
     eval_kernel,
     eval_sigmoid,
     fit_decay_constants,
-    kernel_from_json,
     kernel_to_json,
     make_kernel,
     partition_of_unity_defect,

@@ -15,6 +15,14 @@ import sys
 
 import numpy as np
 
+from .experiments import (
+    TABLE_FAMILIES,
+    denoise_curves,
+    denoise_sweep,
+    error_table,
+    node_data,
+    rate_sweep,
+)
 from .kernels import (
     Kernel,
     absolute_moment,
@@ -23,25 +31,16 @@ from .kernels import (
     make_kernel,
     phi_floor,
 )
-from .metrics import (
-    lp_error,
-    make_error_report,
-    rate_exponent_holder,
-    report_to_json,
-    sup_error,
-)
+from .metrics import report_to_json
 from .operators import (
     Domain,
     OperatorSpec,
     ZeroDenominatorError,
     eval_grid,
     node_bounds,
-    sample_node_values,
 )
-from .quadrature import QuadratureRule, cell_averages_exact, cell_averages_sampled
+from .quadrature import QuadratureRule
 from .signals import (
-    PiecewiseConstant,
-    Signal,
     add_gaussian_noise,
     holder_test_function,
     load_signal_csv,
@@ -75,30 +74,16 @@ def _parse_domain(text: str) -> Domain:
 
 
 def _parse_fn(text: str):
-    """Named test function -> callable with values in [0, 1]."""
+    """Named test function -> (callable with values in [0, 1], its Hoelder
+    order, or None for the discontinuous step)."""
     if text == "step":
-        return step_test_function()
+        return step_test_function(), None
     if text == "identity":
-        return holder_test_function(1.0)
+        return holder_test_function(1.0), 1.0
     if text.startswith("lipschitz:"):
-        return holder_test_function(float(text.split(":", 1)[1]))
+        beta = float(text.split(":", 1)[1])
+        return holder_test_function(beta), beta
     raise ValueError(f"unknown function {text!r}; use step, identity or lipschitz:<beta>")
-
-
-def _node_data(f, spec: OperatorSpec, rule: QuadratureRule | None):
-    """Node data for a named function, picking an exact-grade default rule."""
-    if spec.mode == "sampling":
-        return sample_node_values(f, spec)
-    if isinstance(f, PiecewiseConstant) and (rule is None or rule.kind == "exact"):
-        return cell_averages_exact(f, spec.domain, spec.n)
-    if rule is None or rule.kind == "exact":
-        # aligned trapezoid sub-samples integrate smooth functions to near
-        # machine accuracy (exactly, for affine pieces)
-        rule = QuadratureRule("trapezoid", 64)
-    if isinstance(f, Signal):
-        return cell_averages_sampled(f, spec.n, rule)
-    aligned = sample_function(f, spec.domain, spec.n * rule.refinement + 1)
-    return cell_averages_sampled(aligned, spec.n, rule)
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -151,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="L^p errors of the three Kantorovich operators on the step function")
     _add_shared(p)
     p.add_argument("--n-list", default="10,30,90,150,500")
-    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--p", type=float, default=1.0,
+                   help="norm order, or 'inf' for the sup norm")
     p.add_argument("--grid", type=int, default=100_000, help="norm quadrature cells")
     p.set_defaults(func=cmd_error_table)
 
@@ -161,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="kantorovich", choices=("sampling", "kantorovich"))
     p.add_argument("--fn", default="identity", help="step|identity|lipschitz:<beta>")
     p.add_argument("--n-list", default="25,50,100,200,400")
-    p.add_argument("--p", default="inf", help="norm order, or 'inf' for the sup norm")
+    p.add_argument("--p", type=float, default=math.inf,
+                   help="norm order, or 'inf' for the sup norm (default)")
     p.add_argument("--grid", type=int, default=10_000)
     p.set_defaults(func=cmd_rate)
 
@@ -171,6 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2000, help="operator order")
     p.add_argument("--sigma", type=float, default=0.05, help="noise standard deviation")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seeds", type=int, default=1,
+                   help="L1 sweep over noise seeds seed..seed+K-1 (built-in step only)")
     p.add_argument("--samples", type=int, default=None,
                    help="built-in signal sample count (default n * refinement)")
     p.add_argument("--input", default=None, help="CSV signal instead of the built-in step")
@@ -200,8 +189,8 @@ def cmd_approximate(args) -> int:
     if args.input:
         f = load_signal_csv(args.input, column="value", domain=domain)
     else:
-        f = _parse_fn(args.fn)
-    data = _node_data(f, spec, rule)
+        f, _ = _parse_fn(args.fn)
+    data = node_data(f, spec, rule)
     xs = np.linspace(domain.a, domain.b, args.grid)
     fx = np.asarray(f(xs), dtype=float)
     kx = eval_grid(spec, data, xs)
@@ -219,79 +208,39 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_error_table(args) -> int:
-    domain = _parse_domain(args.domain)
     kernel = _parse_kernel(args.kernel, args.scale, args.alpha)
     n_values = [int(t) for t in args.n_list.split(",")]
-    f = step_test_function()
-    families = ("linear", "maxmin", "maxprod")
-    table: dict[int, dict[str, float]] = {}
-    for n in n_values:
-        data = cell_averages_exact(f, domain, n)
-        table[n] = {}
-        for family in families:
-            spec = OperatorSpec(family, "kantorovich", n, domain, kernel)
-            table[n][family] = lp_error(
-                lambda xs, s=spec, d=data: eval_grid(s, d, xs),
-                f, args.p, domain, args.grid,
-            )
+    table = error_table(kernel, n_values, args.p, _parse_domain(args.domain), args.grid)
     # aligned text view on stderr; stdout stays machine readable
     print(f"{'n':>6} {'linear':>10} {'maxmin':>10} {'maxprod':>10}", file=sys.stderr)
-    for n in n_values:
-        row = table[n]
-        print(f"{n:>6} {row['linear']:>10.4f} {row['maxmin']:>10.4f} "
-              f"{row['maxprod']:>10.4f}", file=sys.stderr)
+    for n, errs in table.rows():
+        print(f"{n:>6} " + " ".join(f"{e:>10.4f}" for e in errs), file=sys.stderr)
+    rates = [table.reports[fam].fitted_rate for fam in TABLE_FAMILIES]
+    if None not in rates:
+        print(f"{'rate':>6} " + " ".join(f"{r:>10.3f}" for r in rates), file=sys.stderr)
     if args.json:
         payload = {
-            "p": args.p,
+            "p": "inf" if math.isinf(args.p) else args.p,
             "kernel": args.kernel,
-            "n_values": n_values,
-            "errors": {fam: [table[n][fam] for n in n_values] for fam in families},
+            "n_values": list(table.n_values),
+            "errors": {fam: list(r.errors) for fam, r in table.reports.items()},
         }
         return _emit(json.dumps(payload) + "\n", args.out)
-    lines = ["n,linear,maxmin,maxprod"]
-    lines += [
-        f"{n},{table[n]['linear']:.17g},{table[n]['maxmin']:.17g},"
-        f"{table[n]['maxprod']:.17g}"
-        for n in n_values
-    ]
+    lines = ["n," + ",".join(TABLE_FAMILIES)]
+    lines += [f"{n}," + ",".join(f"{e:.17g}" for e in errs) for n, errs in table.rows()]
     return _emit("\n".join(lines) + "\n", args.out)
 
 
-def cmd_rate(args, errors_override=None) -> int:
-    """Fit the empirical convergence exponent over a sweep of n.
-
-    ``errors_override`` is a test hook: a precomputed error list that skips
-    the operator evaluation but exercises the fitting and reporting path.
-    """
-    domain = _parse_domain(args.domain)
-    kernel = _parse_kernel(args.kernel, args.scale, args.alpha)
-    n_values = [int(t) for t in args.n_list.split(",")]
-    p = math.inf if args.p == "inf" else float(args.p)
-    f = _parse_fn(args.fn)
-
-    if errors_override is not None:
-        errors = [float(e) for e in errors_override]
-    else:
-        errors = []
-        for n in n_values:
-            spec = OperatorSpec(args.family, args.mode, n, domain, kernel)
-            data = _node_data(f, spec, None)
-            op = lambda xs, s=spec, d=data: eval_grid(s, d, xs)
-            if math.isinf(p):
-                errors.append(sup_error(op, f, domain, args.grid))
-            else:
-                errors.append(lp_error(op, f, p, domain, args.grid))
-
-    report = make_error_report(
-        f"{args.family}/{args.mode} kernel={args.kernel}", p, n_values, errors
+def cmd_rate(args) -> int:
+    """Fit the empirical convergence exponent over a sweep of n."""
+    f, beta = _parse_fn(args.fn)
+    sweep = rate_sweep(
+        f"{args.family}/{args.mode} kernel={args.kernel}", f, args.family, args.mode,
+        _parse_kernel(args.kernel, args.scale, args.alpha), _parse_domain(args.domain),
+        [int(t) for t in args.n_list.split(",")], args.p, args.grid, beta,
     )
-    theoretical = None
-    if args.fn == "identity":
-        theoretical = -rate_exponent_holder(kernel.alpha, 1.0)
-    elif args.fn.startswith("lipschitz:"):
-        theoretical = -rate_exponent_holder(kernel.alpha, float(args.fn.split(":")[1]))
-    payload = json.loads(report_to_json(report))
-    payload["theoretical_exponent"] = theoretical
+    payload = json.loads(report_to_json(sweep.report))
+    payload["theoretical_exponent"] = sweep.theoretical_exponent
     return _emit(json.dumps(payload) + "\n", args.out)
 
 
@@ -314,34 +263,24 @@ def cmd_denoise(args) -> int:
     noisy = add_gaussian_noise(signal, args.sigma, args.seed)
 
     n = len(noisy) // 2 if rule.kind == "pairmean" and args.input else args.n
-    kant_data = cell_averages_sampled(noisy, n, rule)
-    specs = {
-        "kant_maxmin": OperatorSpec("maxmin", "kantorovich", n, domain, kernel),
-        "samp_maxmin": OperatorSpec("maxmin", "sampling", n, domain, kernel),
-        "kant_maxprod": OperatorSpec("maxprod", "kantorovich", n, domain, kernel),
-    }
-    datas = {
-        "kant_maxmin": kant_data,
-        "samp_maxmin": sample_node_values(noisy, specs["samp_maxmin"]),
-        "kant_maxprod": kant_data,
-    }
     xs = np.linspace(domain.a, domain.b, args.grid)
     columns = {"x": xs, "noisy": noisy(xs)}
-    for name, spec in specs.items():
-        columns[name] = eval_grid(spec, datas[name], xs)
+    columns.update(denoise_curves(noisy, n, kernel, rule, xs))
 
     distances = None
     if clean is not None:
-        distances = {
-            name: lp_error(
-                lambda v, s=specs[name], d=datas[name]: eval_grid(s, d, v),
-                clean, 1.0, domain, args.grid,
-            )
-            for name in specs
-        }
-        for name, dist in distances.items():
-            print(f"L1 distance to clean reference, {name}: {dist:.6f}",
-                  file=sys.stderr)
+        seeds = range(args.seed, args.seed + args.seeds)
+        sweep = denoise_sweep(signal, clean, n, kernel, rule, args.sigma, seeds,
+                              args.grid)
+        distances = {name: l1[0] for name, l1 in sweep.l1.items()}
+        print("L1 distance to clean reference", file=sys.stderr)
+        print(f"{'seed':>5}" + "".join(f"{name:>13}" for name in sweep.l1),
+              file=sys.stderr)
+        for i, seed in enumerate(sweep.seeds):
+            cells = "".join(f"{l1[i]:>13.6f}" for l1 in sweep.l1.values())
+            print(f"{seed:>5}{cells}", file=sys.stderr)
+        print(f"Kantorovich max-min beat sampling max-min: "
+              f"won {sweep.wins}/{len(sweep.seeds)} seeds", file=sys.stderr)
 
     if args.json:
         payload: dict = {"n": n}

@@ -1,0 +1,185 @@
+"""The experiments, one implementation each, as pure functions.
+
+:func:`error_table` (the L^p error table of the Kantorovich families on the
+step function), :func:`denoise_sweep` (L1 distances of the denoising
+operators over noise seeds) and :func:`rate_sweep` (errors of one operator
+over n) return frozen dataclasses; :func:`denoise_curves` and
+:func:`ecg_smooth` return operator outputs on a grid.  The CLI, the scripts
+and the acceptance tests only parse arguments and format these results.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .kernels import Kernel
+from .metrics import (
+    ErrorReport,
+    lp_error,
+    make_error_report,
+    rate_exponent_holder,
+    sup_error,
+)
+from .operators import Domain, NodeData, OperatorSpec, eval_grid, sample_node_values
+from .quadrature import QuadratureRule, cell_averages_exact, cell_averages_sampled
+from .signals import (
+    PiecewiseConstant,
+    Signal,
+    add_gaussian_noise,
+    sample_function,
+    step_test_function,
+)
+
+#: column order of the error table
+TABLE_FAMILIES = ("linear", "maxmin", "maxprod")
+
+
+def _norm_error(g, f, p: float, domain: Domain, grid_points: int) -> float:
+    """The one norm step of every experiment: p = inf is the sup norm."""
+    if math.isinf(p):
+        return sup_error(g, f, domain, grid_points)
+    return lp_error(g, f, p, domain, grid_points)
+
+
+def _operator(spec: OperatorSpec, data: NodeData):
+    """The operator as a callable on grids, the form the norms take."""
+    return functools.partial(eval_grid, spec, data)
+
+
+def node_data(f, spec: OperatorSpec, rule: QuadratureRule | None = None) -> NodeData:
+    """Node data of ``f`` for ``spec``; without a rule, an exact-grade one.
+
+    Piecewise-constant functions get exact cell averages; other callables
+    get aligned trapezoid sub-samples, which integrate smooth functions to
+    near machine accuracy (exactly, for affine pieces).
+    """
+    if spec.mode == "sampling":
+        return sample_node_values(f, spec)
+    if isinstance(f, PiecewiseConstant) and (rule is None or rule.kind == "exact"):
+        return cell_averages_exact(f, spec.domain, spec.n)
+    if rule is None or rule.kind == "exact":
+        rule = QuadratureRule("trapezoid", 64)
+    if isinstance(f, Signal):
+        return cell_averages_sampled(f, spec.n, rule)
+    aligned = sample_function(f, spec.domain, spec.n * rule.refinement + 1)
+    return cell_averages_sampled(aligned, spec.n, rule)
+
+
+@dataclass(frozen=True)
+class ErrorTable:
+    """Per-family errors over ``n_values`` and fitted rates, keyed by family."""
+
+    n_values: tuple[int, ...]
+    reports: dict[str, ErrorReport]
+
+    def rows(self):
+        """Yield (n, errors in TABLE_FAMILIES order) for each n."""
+        for i, n in enumerate(self.n_values):
+            yield n, tuple(self.reports[fam].errors[i] for fam in TABLE_FAMILIES)
+
+
+def error_table(kernel: Kernel, n_values, p: float, domain: Domain,
+                grid_points: int) -> ErrorTable:
+    """L^p errors of the three Kantorovich operators on the step function
+    from exact cell averages; a family's rate is fitted once 3+ n exist."""
+    f = step_test_function()
+    errors: dict[str, list[float]] = {fam: [] for fam in TABLE_FAMILIES}
+    for n in n_values:
+        data = cell_averages_exact(f, domain, n)
+        for fam in TABLE_FAMILIES:
+            op = _operator(OperatorSpec(fam, "kantorovich", n, domain, kernel), data)
+            errors[fam].append(_norm_error(op, f, p, domain, grid_points))
+    return ErrorTable(tuple(n_values), {
+        fam: make_error_report(f"{fam}/kantorovich", p, n_values, errs)
+        for fam, errs in errors.items()
+    })
+
+
+def _denoise_operators(noisy: Signal, n: int, kernel: Kernel, rule: QuadratureRule):
+    """Kantorovich max-min, sampling max-min and Kantorovich max-product; the
+    Kantorovich pair shares one set of cell averages."""
+    def spec(family, mode):
+        return OperatorSpec(family, mode, n, noisy.domain, kernel)
+
+    kant = cell_averages_sampled(noisy, n, rule)
+    samp = spec("maxmin", "sampling")
+    return {
+        "kant_maxmin": _operator(spec("maxmin", "kantorovich"), kant),
+        "samp_maxmin": _operator(samp, sample_node_values(noisy, samp)),
+        "kant_maxprod": _operator(spec("maxprod", "kantorovich"), kant),
+    }
+
+
+def denoise_curves(noisy: Signal, n: int, kernel: Kernel, rule: QuadratureRule,
+                   xs) -> dict[str, np.ndarray]:
+    """Outputs of the three denoising operators at the points ``xs``."""
+    ops = _denoise_operators(noisy, n, kernel, rule)
+    return {name: op(xs) for name, op in ops.items()}
+
+
+@dataclass(frozen=True)
+class DenoiseSweep:
+    """L1 distance to the clean signal of each denoising operator, per seed."""
+
+    seeds: tuple[int, ...]
+    l1: dict[str, tuple[float, ...]]  # kant_maxmin, samp_maxmin, kant_maxprod
+
+    @property
+    def wins(self) -> int:
+        """Seeds on which Kantorovich max-min is at least as close as
+        sampling max-min."""
+        pairs = zip(self.l1["kant_maxmin"], self.l1["samp_maxmin"])
+        return sum(k <= s for k, s in pairs)
+
+
+def denoise_sweep(base: Signal, clean, n: int, kernel: Kernel, rule: QuadratureRule,
+                  sigma: float, seeds, grid_points: int) -> DenoiseSweep:
+    """Add N(0, sigma^2) noise to ``base`` with each seed and measure how
+    close each denoising operator comes to ``clean`` in L1."""
+    if not seeds:
+        raise ValueError("need at least one noise seed")
+    l1: dict[str, list[float]] = {}
+    for seed in seeds:
+        noisy = add_gaussian_noise(base, sigma, seed)
+        for name, op in _denoise_operators(noisy, n, kernel, rule).items():
+            l1.setdefault(name, []).append(
+                _norm_error(op, clean, 1.0, base.domain, grid_points))
+    return DenoiseSweep(tuple(seeds), {name: tuple(v) for name, v in l1.items()})
+
+
+@dataclass(frozen=True)
+class RateSweep:
+    """Errors of one operator over n, and the exponent the theory predicts
+    (None when the function's Hoelder order is not known)."""
+
+    report: ErrorReport
+    theoretical_exponent: float | None
+
+
+def rate_sweep(label: str, f, family: str, mode: str, kernel: Kernel, domain: Domain,
+               n_values, p: float, grid_points: int, beta: float | None) -> RateSweep:
+    """Error of the ``family``/``mode`` operator on ``f`` at each n, reported
+    under ``label`` with the fitted log-log rate and, for a Hoelder-``beta``
+    function, the theoretical exponent -(1+alpha) beta / (1+alpha+beta)."""
+    errors = []
+    for n in n_values:
+        spec = OperatorSpec(family, mode, n, domain, kernel)
+        op = _operator(spec, node_data(f, spec))
+        errors.append(_norm_error(op, f, p, domain, grid_points))
+    theoretical = None if beta is None else -rate_exponent_holder(kernel.alpha, beta)
+    return RateSweep(make_error_report(label, p, n_values, errors), theoretical)
+
+
+def ecg_smooth(signal: Signal, kernel: Kernel, xs) -> dict[str, np.ndarray]:
+    """Half-rate smoothing of a trace with an even number of samples: the
+    means of consecutive sample pairs are the Kantorovich cell averages of
+    the max-min and max-product operators of order len(signal) / 2."""
+    n = len(signal) // 2
+    data = cell_averages_sampled(signal, n, QuadratureRule("pairmean"))
+    specs = {f"kant_{fam}": OperatorSpec(fam, "kantorovich", n, signal.domain, kernel)
+             for fam in ("maxmin", "maxprod")}
+    return {name: eval_grid(spec, data, xs) for name, spec in specs.items()}

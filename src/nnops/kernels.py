@@ -278,20 +278,3 @@ def kernel_to_json(k: Kernel) -> str:
         scale=k.scale, alpha=k.alpha, decay_M=k.decay_m, decay_L=k.decay_l
     )
     return json.dumps(payload)
-
-
-def kernel_from_json(text: str) -> Kernel:
-    """Rebuild a kernel from :func:`kernel_to_json` output (no refitting)."""
-    payload = json.loads(text)
-    variant = payload["variant"]
-    sig = Sigmoid(variant, payload.get("gamma", 1.0))
-    scale = payload["scale"]
-    support = (-1.5 / scale, 1.5 / scale) if variant in COMPACT_VARIANTS else None
-    return Kernel(
-        sigmoid=sig,
-        scale=scale,
-        alpha=payload["alpha"],
-        decay_m=payload["decay_M"],
-        decay_l=payload["decay_L"],
-        support=support,
-    )

@@ -7,7 +7,6 @@ and theoretical bound evaluations share one vocabulary.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -32,6 +31,8 @@ def lp_error(g, h, p: float, domain: Domain, grid_points: int = 100_000) -> floa
     """
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
+    if math.isinf(p):
+        raise ValueError("p = inf is the sup norm; use sup_error")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     xs = _midpoint_grid(domain, grid_points)
@@ -270,35 +271,3 @@ def report_to_json(report: ErrorReport) -> str:
             "fitted_rate": report.fitted_rate,
         }
     )
-
-
-def report_from_json(text: str) -> ErrorReport:
-    d = json.loads(text)
-    p = math.inf if d["p"] == "inf" else float(d["p"])
-    return ErrorReport(
-        d["operator"], p, tuple(d["n_values"]), tuple(d["errors"]), d["fitted_rate"]
-    )
-
-
-def report_to_csv(report: ErrorReport) -> str:
-    buf = io.StringIO()
-    buf.write("n,error\n")
-    for n, e in zip(report.n_values, report.errors):
-        buf.write(f"{n},{e:.17g}\n")
-    return buf.getvalue()
-
-
-def report_from_csv(text: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Parse ``n,error`` rows back into (n_values, errors)."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines and lines[0].lower().startswith("n,"):
-        lines = lines[1:]
-    ns, es = [], []
-    for i, ln in enumerate(lines):
-        parts = ln.split(",")
-        try:
-            ns.append(int(parts[0]))
-            es.append(float(parts[1]))
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"bad report row {i}: {ln!r}") from exc
-    return tuple(ns), tuple(es)

@@ -18,7 +18,6 @@ constants exactly.  The max/min families are nonlinear and not homogeneous.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -302,36 +301,3 @@ def brute_force_eval(spec: OperatorSpec, data: NodeData, x: float) -> float:
         if term > best:
             best = term
     return best
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip for node data
-
-
-def node_data_to_csv(data: NodeData) -> str:
-    """Serialize node data as ``k,value`` rows (17 significant digits)."""
-    buf = io.StringIO()
-    buf.write("k,value\n")
-    for k, v in zip(data.ks, data.values):
-        buf.write(f"{k},{v:.17g}\n")
-    return buf.getvalue()
-
-
-def node_data_from_csv(text: str) -> NodeData:
-    """Parse :func:`node_data_to_csv` output back into node data."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines and lines[0].lower().startswith("k,"):
-        lines = lines[1:]
-    if not lines:
-        raise ValueError("no node rows in CSV")
-    ks, vs = [], []
-    for i, ln in enumerate(lines):
-        parts = ln.split(",")
-        try:
-            ks.append(int(parts[0]))
-            vs.append(float(parts[1]))
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"bad node row {i}: {ln!r}") from exc
-    if ks != list(range(ks[0], ks[0] + len(ks))):
-        raise ValueError("node indices must be consecutive")
-    return NodeData(ks[0], ks[-1], np.array(vs))

@@ -47,14 +47,12 @@ def cell_averages_exact(f: PiecewiseConstant, domain: Domain, n: int) -> NodeDat
     """
     k_lo, k_hi = node_bounds("kantorovich", n, domain)
     edges = np.array((domain.a, *f.breakpoints, domain.b))
-    vals = np.array(f.values)
-    out = np.empty(k_hi - k_lo + 1)
-    for i, k in enumerate(range(k_lo, k_hi + 1)):
-        lo, hi = k / n, (k + 1) / n
-        o_lo = np.maximum(lo, edges[:-1])
-        o_hi = np.minimum(hi, edges[1:])
-        overlap = np.clip(o_hi - o_lo, 0.0, None)
-        out[i] = (overlap * vals).sum() / (hi - lo)
+    ks = np.arange(k_lo, k_hi + 1)
+    lo, hi = ks[:, None] / n, (ks[:, None] + 1) / n  # (cells, 1)
+    o_lo = np.maximum(lo, edges[:-1])  # (cells, pieces)
+    o_hi = np.minimum(hi, edges[1:])
+    overlap = np.clip(o_hi - o_lo, 0.0, None)
+    out = (overlap * np.array(f.values)).sum(axis=1) / (hi - lo)[:, 0]
     return NodeData(k_lo, k_hi, np.clip(out, 0.0, 1.0))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -63,22 +62,6 @@ class PiecewiseConstant:
         idx = np.searchsorted(np.array(self.breakpoints), xa, side="left")
         out = np.array(self.values)[idx]
         return float(out) if np.ndim(x) == 0 else out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "domain": [self.domain.a, self.domain.b],
-                "breakpoints": list(self.breakpoints),
-                "values": list(self.values),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "PiecewiseConstant":
-        d = json.loads(text)
-        return PiecewiseConstant(
-            Domain(*d["domain"]), tuple(d["breakpoints"]), tuple(d["values"])
-        )
 
 
 def step_test_function() -> PiecewiseConstant:
@@ -161,7 +144,10 @@ def load_signal_csv(path, column=0, domain: Domain = Domain(0.0, 1.0)) -> Signal
 
     ``column`` selects the value column by integer index or, when the file
     has a header row, by name.  Rows are taken in file order and placed on a
-    uniform grid over ``domain``; no resampling is performed.
+    uniform grid over ``domain``; no resampling is performed.  A cell that
+    does not parse or holds nan/inf raises :class:`SignalParseError` naming
+    its row and column, since one non-finite node value poisons every output
+    of the max families.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -193,11 +179,16 @@ def load_signal_csv(path, column=0, domain: Domain = Domain(0.0, 1.0)) -> Signal
         if col >= len(row):
             raise SignalParseError(f"{path}: row {i} has no column {col}")
         try:
-            values.append(float(row[col]))
+            value = float(row[col])
         except ValueError:
             raise SignalParseError(
                 f"{path}: row {i}, column {col}: cannot parse {row[col]!r}"
             ) from None
+        if not math.isfinite(value):
+            raise SignalParseError(
+                f"{path}: row {i}, column {col}: non-finite value {row[col]!r}"
+            )
+        values.append(value)
     if len(values) < 2:
         raise TooFewSamplesError(f"{path}: need at least 2 rows, got {len(values)}")
     return Signal(domain, np.array(values))

@@ -22,10 +22,7 @@ from nnops import (
     OperatorSpec,
     QuadratureRule,
     absolute_moment,
-    add_gaussian_noise,
     brute_force_eval,
-    cell_averages_exact,
-    cell_averages_sampled,
     eval_grid,
     eval_kernel,
     eval_operator,
@@ -39,12 +36,12 @@ from nnops import (
     partition_of_unity_defect,
     phi_floor,
     sample_function,
-    sample_node_values,
     step_test_function,
     sup_error,
     sup_error_bound,
 )
 from nnops.cli import main as cli_main
+from nnops.experiments import TABLE_FAMILIES, denoise_sweep, error_table
 
 UNIT = Domain(0.0, 1.0)
 
@@ -63,20 +60,12 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def error_matrix(step):
+def error_matrix():
     """Measured L1 errors of the three Kantorovich operators, with timing."""
     kernel = make_kernel("tanh")
     t0 = time.time()
-    matrix: dict[int, dict[str, float]] = {}
-    for n in PUBLISHED_L1:
-        data = cell_averages_exact(step, UNIT, n)
-        matrix[n] = {}
-        for family in ("linear", "maxmin", "maxprod"):
-            spec = OperatorSpec(family, "kantorovich", n, UNIT, kernel)
-            matrix[n][family] = lp_error(
-                lambda xs, s=spec, d=data: eval_grid(s, d, xs),
-                step, 1.0, UNIT, 100_000,
-            )
+    table = error_table(kernel, tuple(PUBLISHED_L1), 1.0, UNIT, 100_000)
+    matrix = {n: dict(zip(TABLE_FAMILIES, errs)) for n, errs in table.rows()}
     return matrix, time.time() - t0
 
 
@@ -358,28 +347,16 @@ def test_criterion_7_denoising_advantage(step):
     kernel = make_kernel("logistic", scale=0.1)
     base = sample_function(step, UNIT, n * refinement)
     rule = QuadratureRule("riemann", refinement)
-    spec_k = OperatorSpec("maxmin", "kantorovich", n, UNIT, kernel)
-    spec_f = OperatorSpec("maxmin", "sampling", n, UNIT, kernel)
-
-    wins = 0
-    pairs = []
-    for seed in range(20):
-        noisy = add_gaussian_noise(base, sigma, seed)
-        data_k = cell_averages_sampled(noisy, n, rule)
-        data_f = sample_node_values(noisy, spec_f)
-        err_k = lp_error(lambda xs: eval_grid(spec_k, data_k, xs), step, 1.0,
-                         UNIT, 2000)
-        err_f = lp_error(lambda xs: eval_grid(spec_f, data_f, xs), step, 1.0,
-                         UNIT, 2000)
-        wins += err_k <= err_f
-        pairs.append((err_k, err_f))
+    sweep = denoise_sweep(base, step, n, kernel, rule, sigma, range(20), 2000)
+    wins = sweep.wins
     elapsed = time.time() - t0
     _report(
         "denoising-advantage",
         wins >= 18 and elapsed < 120.0,
         f"Kantorovich max-min won {wins}/20 seeds "
-        f"(mean {np.mean([p[0] for p in pairs]):.4f} vs "
-        f"{np.mean([p[1] for p in pairs]):.4f}), {elapsed:.1f}s",
+        f"(mean {np.mean(sweep.l1['kant_maxmin']):.4f} vs "
+        f"{np.mean(sweep.l1['samp_maxmin']):.4f}; "
+        f"max-product {np.mean(sweep.l1['kant_maxprod']):.4f}), {elapsed:.1f}s",
     )
 
 

@@ -16,12 +16,14 @@ from nnops import (
     cell_averages_sampled,
     eval_grid,
     load_signal_csv,
+    make_error_report,
     make_kernel,
+    rate_exponent_holder,
     step_test_function,
+    sup_error,
     write_signal_csv,
 )
-from nnops.cli import build_parser, cmd_rate, main
-from nnops.metrics import report_from_csv
+from nnops.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "approximate_golden.csv"
 
@@ -120,6 +122,15 @@ class TestApproximate:
         s = load_signal_csv(p, column="Kf")
         assert len(s) == 60
 
+    def test_non_finite_input_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("x,value\n0,0.1\n0.5,nan\n1,0.3\n")
+        code, out, err = run(capsys, "approximate", "--n", "2", "--input", str(p),
+                             "--quad", "riemann:1", "--grid", "5")
+        assert code == 2
+        assert out == ""
+        assert "row 1, column 1" in err
+
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "approximate", "--n", "10", "--fn", "step",
                            "--grid", "8", "--json")
@@ -151,13 +162,28 @@ class TestErrorTable:
             assert all(e > 0 for e in errs)
             assert errs[0] > errs[1] > errs[2]
 
-    def test_csv_parses_back_through_report_loader(self, capsys):
-        code, out, _ = run(capsys, "error-table", "--n-list", "10,30",
-                           "--grid", "5000")
+    def test_p_inf_is_sup_norm(self, capsys):
+        code, out, _ = run(capsys, "error-table", "--p", "inf",
+                           "--n-list", "10,30", "--grid", "1000")
         assert code == 0
-        ns, es = report_from_csv(out)
-        assert ns == (10, 30)
-        assert len(es) == 2
+        step, unit, tanh = step_test_function(), Domain(0.0, 1.0), make_kernel("tanh")
+        for ln in out.strip().splitlines()[1:]:
+            n, *vals = ln.split(",")
+            data = cell_averages_exact(step, unit, int(n))
+            for family, got in zip(("linear", "maxmin", "maxprod"), vals):
+                spec = OperatorSpec(family, "kantorovich", int(n), unit, tanh)
+                want = sup_error(lambda xs: eval_grid(spec, data, xs), step, unit, 1000)
+                assert float(got) == want
+
+    def test_rate_row_on_stderr(self, capsys):
+        code, _, err = run(capsys, "error-table", "--n-list", "10,20,40",
+                           "--grid", "2000")
+        assert code == 0
+        assert err.splitlines()[-1].split()[0] == "rate"
+        code, _, err = run(capsys, "error-table", "--n-list", "40,20,10",
+                           "--grid", "2000")
+        assert code == 2
+        assert "increasing" in err
 
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "error-table", "--n-list", "10",
@@ -169,16 +195,12 @@ class TestErrorTable:
 
 
 class TestRate:
-    def test_injected_errors_hook(self, capsys):
-        parser = build_parser()
-        args = parser.parse_args(["rate", "--fn", "identity",
-                                  "--n-list", "10,20,40,80"])
+    def test_report_fit_and_theoretical_exponent(self):
         ns = np.array([10.0, 20.0, 40.0, 80.0])
-        code = cmd_rate(args, errors_override=list(2.0 * ns**-0.75))
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["fitted_rate"] == pytest.approx(-0.75, abs=1e-9)
-        assert payload["theoretical_exponent"] == pytest.approx(-2.0 / 3.0, abs=1e-12)
+        report = make_error_report("maxmin/kantorovich", math.inf, ns, 2.0 * ns**-0.75)
+        assert report.fitted_rate == pytest.approx(-0.75, abs=1e-9)
+        alpha = make_kernel("tanh").alpha
+        assert -rate_exponent_holder(alpha, 1.0) == pytest.approx(-2.0 / 3.0, abs=1e-12)
 
     def test_identity_sweep(self, capsys):
         code, out, _ = run(capsys, "rate", "--fn", "identity",
@@ -190,13 +212,13 @@ class TestRate:
         assert payload["theoretical_exponent"] == pytest.approx(-2.0 / 3.0)
 
     def test_lipschitz_theoretical_exponent(self, capsys):
-        parser = build_parser()
-        args = parser.parse_args(["rate", "--fn", "lipschitz:0.5",
-                                  "--n-list", "10,20,40"])
-        code = cmd_rate(args, errors_override=[0.3, 0.2, 0.15])
+        code, out, _ = run(capsys, "rate", "--fn", "lipschitz:0.5",
+                           "--n-list", "10,20,40", "--grid", "200")
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(out)
         assert payload["theoretical_exponent"] == pytest.approx(-0.4, abs=1e-12)
+        assert payload["n_values"] == [10, 20, 40]
+        assert payload["fitted_rate"] < 0.0
 
 
 class TestDenoise:
@@ -209,6 +231,19 @@ class TestDenoise:
         assert lines[0] == "x,noisy,kant_maxmin,samp_maxmin,kant_maxprod"
         assert len(lines) == 101
         assert "kant_maxmin" in err  # distance summary on stderr
+
+    def test_seed_sweep(self, capsys):
+        argv = ["denoise", "--n", "200", "--sigma", "0.05", "--kernel", "logistic",
+                "--scale", "0.1", "--grid", "100", "--seed", "4"]
+        code, out, err = run(capsys, *argv, "--seeds", "3")
+        assert code == 0
+        assert out == run(capsys, *argv)[1]  # stdout: the curves of --seed only
+        rows = [ln.split() for ln in err.splitlines() if ln[:5].strip().isdigit()]
+        assert [int(r[0]) for r in rows] == [4, 5, 6]
+        assert all(len(r) == 4 and all(0.0 < float(v) < 1.0 for v in r[1:])
+                   for r in rows)
+        wins = sum(float(r[1]) <= float(r[2]) for r in rows)
+        assert f"won {wins}/3 seeds" in err
 
     def test_sigma_zero_reduces_to_noiseless(self, capsys):
         code, out, _ = run(capsys, "denoise", "--n", "100", "--sigma", "0",

@@ -17,7 +17,6 @@ from nnops import (
     node_range,
     sample_node_values,
 )
-from nnops.operators import node_data_from_csv, node_data_to_csv
 
 TANH = make_kernel("tanh")
 RAMP = make_kernel("ramp")
@@ -165,13 +164,6 @@ class TestNodeData:
         data = NodeData(0, 2, np.array([0.1, 0.2, 0.3]))
         with pytest.raises(ValueError):
             data.values[0] = 0.9
-
-    def test_csv_round_trip(self):
-        rng = np.random.default_rng(1)
-        data = NodeData(-3, 8, rng.uniform(0, 1, 12))
-        back = node_data_from_csv(node_data_to_csv(data))
-        assert (back.k_lo, back.k_hi) == (-3, 8)
-        assert np.array_equal(back.values, data.values)
 
     def test_sampling_values_from_function(self):
         spec = _spec(mode="sampling", n=4)

@@ -9,10 +9,23 @@ from nnops import (
     SignalTooCoarseError,
     cell_averages_exact,
     cell_averages_sampled,
+    node_bounds,
     sample_function,
 )
 
 UNIT = Domain(0.0, 1.0)
+
+
+def _per_cell_loop(f, domain, n):
+    """Reference: the overlap formula of cell_averages_exact, one cell at a time."""
+    k_lo, k_hi = node_bounds("kantorovich", n, domain)
+    edges = np.array((domain.a, *f.breakpoints, domain.b))
+    out = np.empty(k_hi - k_lo + 1)
+    for i, k in enumerate(range(k_lo, k_hi + 1)):
+        lo, hi = k / n, (k + 1) / n
+        overlap = np.clip(np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1]), 0.0, None)
+        out[i] = (overlap * np.array(f.values)).sum() / (hi - lo)
+    return np.clip(out, 0.0, 1.0)
 
 
 class TestExactCellAverages:
@@ -33,6 +46,30 @@ class TestExactCellAverages:
         f = PiecewiseConstant(UNIT, (), (0.42,))
         data = cell_averages_exact(f, UNIT, 7)
         np.testing.assert_allclose(data.values, 0.42, atol=1e-15)
+
+    def test_domain_off_the_node_lattice(self, step):
+        # n*a = 0.091 is not an integer: nodes k = 1..5, cells [k/7, (k+1)/7]
+        data = cell_averages_exact(step, Domain(0.013, 0.97), 7)
+        assert (data.k_lo, data.k_hi) == (1, 5)
+        want = [
+            7 * (0.2 * (0.2 - 1 / 7) + 0.9 * (2 / 7 - 0.2)),  # 0.62
+            0.9,
+            (0.9 + 0.3) / 2,  # the jump at 0.5 halves [3/7, 4/7]
+            0.3,
+            7 * (0.3 * (0.8 - 5 / 7) + 0.6 * (6 / 7 - 0.8)),  # 0.42
+        ]
+        np.testing.assert_allclose(data.values, want, atol=1e-15)
+        np.testing.assert_allclose(data.values, [0.62, 0.9, 0.6, 0.3, 0.42], atol=1e-12)
+
+    def test_bitwise_equal_to_per_cell_loop(self, step):
+        rng = np.random.default_rng(5)
+        many = PiecewiseConstant(UNIT, tuple(np.linspace(0.01, 0.99, 40)),
+                                 tuple(rng.uniform(0, 1, 41)))
+        for f in (step, many):
+            for domain in (UNIT, Domain(0.013, 0.97)):
+                for n in (7, 10, 30, 150, 2000):
+                    got = cell_averages_exact(f, domain, n)
+                    assert np.array_equal(got.values, _per_cell_loop(f, domain, n))
 
     def test_matches_midpoint_quadrature_oracle(self, step):
         # dense midpoint sums converge to the closed-form overlap averages
