@@ -54,6 +54,7 @@ from .quadrature import (
     SignalTooCoarseError,
     cell_averages_exact,
     cell_averages_sampled,
+    pairmean_order,
 )
 from .signals import (
     DegenerateRangeError,

@@ -39,11 +39,13 @@ from .operators import (
     eval_grid,
     node_bounds,
 )
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, pairmean_order
 from .signals import (
+    Signal,
     add_gaussian_noise,
     holder_test_function,
     load_signal_csv,
+    normalize_to_unit,
     sample_function,
     step_test_function,
 )
@@ -86,6 +88,18 @@ def _parse_fn(text: str):
     raise ValueError(f"unknown function {text!r}; use step, identity or lipschitz:<beta>")
 
 
+def _load_input(path: str, domain: Domain) -> Signal:
+    """The ``--input`` trace, mapped onto [0, 1] by :func:`normalize_to_unit`
+    (offset and gain on stderr) if any sample lies outside."""
+    signal = load_signal_csv(path, column="value", domain=domain)
+    if signal.samples.min() < 0.0 or signal.samples.max() > 1.0:
+        signal = normalize_to_unit(signal)
+        offset, gain = signal.normalization
+        print(f"normalized {path} to [0, 1]: value = offset + gain * sample, "
+              f"offset={offset:.17g} gain={gain:.17g}", file=sys.stderr)
+    return signal
+
+
 def _emit(text: str, out: str | None) -> int:
     if out:
         with open(out, "w") as fh:
@@ -93,6 +107,18 @@ def _emit(text: str, out: str | None) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _emit_columns(args, columns: dict, **meta) -> int:
+    """Equal-length columns as CSV with 17 significant digits or, with
+    ``--json``, as one object of ``meta`` and a list per column."""
+    if args.json:
+        payload = dict(meta)
+        payload.update((name, np.asarray(col).tolist()) for name, col in columns.items())
+        return _emit(json.dumps(payload) + "\n", args.out)
+    lines = [",".join(columns)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns.values())]
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -160,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=1,
                    help="L1 sweep over noise seeds seed..seed+K-1 (built-in step only)")
-    p.add_argument("--samples", type=int, default=None,
-                   help="built-in signal sample count (default n * refinement)")
     p.add_argument("--input", default=None, help="CSV signal instead of the built-in step")
     p.add_argument("--grid", type=int, default=2000, help="output grid points")
     p.add_argument("--quad", default="riemann:16")
@@ -186,25 +210,12 @@ def cmd_approximate(args) -> int:
     kernel = _parse_kernel(args.kernel, args.scale, args.alpha)
     spec = OperatorSpec(args.family, args.mode, args.n, domain, kernel)
     rule = _parse_quad(args.quad) if args.quad else None
-    if args.input:
-        f = load_signal_csv(args.input, column="value", domain=domain)
-    else:
-        f, _ = _parse_fn(args.fn)
+    f = _load_input(args.input, domain) if args.input else _parse_fn(args.fn)[0]
     data = node_data(f, spec, rule)
     xs = np.linspace(domain.a, domain.b, args.grid)
     fx = np.asarray(f(xs), dtype=float)
-    kx = eval_grid(spec, data, xs)
-    if args.json:
-        payload = {
-            "operator": spec.describe(),
-            "x": xs.tolist(),
-            "f": fx.tolist(),
-            "Kf": kx.tolist(),
-        }
-        return _emit(json.dumps(payload) + "\n", args.out)
-    lines = ["x,f,Kf"]
-    lines += [f"{x:.17g},{a:.17g},{b:.17g}" for x, a, b in zip(xs, fx, kx)]
-    return _emit("\n".join(lines) + "\n", args.out)
+    return _emit_columns(args, {"x": xs, "f": fx, "Kf": eval_grid(spec, data, xs)},
+                         operator=spec.describe())
 
 
 def cmd_error_table(args) -> int:
@@ -226,9 +237,8 @@ def cmd_error_table(args) -> int:
             "errors": {fam: list(r.errors) for fam, r in table.reports.items()},
         }
         return _emit(json.dumps(payload) + "\n", args.out)
-    lines = ["n," + ",".join(TABLE_FAMILIES)]
-    lines += [f"{n}," + ",".join(f"{e:.17g}" for e in errs) for n, errs in table.rows()]
-    return _emit("\n".join(lines) + "\n", args.out)
+    errors = {fam: table.reports[fam].errors for fam in TABLE_FAMILIES}
+    return _emit_columns(args, {"n": table.n_values, **errors})
 
 
 def cmd_rate(args) -> int:
@@ -249,30 +259,31 @@ def cmd_denoise(args) -> int:
     kernel = _parse_kernel(args.kernel, args.scale, args.alpha)
     rule = _parse_quad(args.quad)
 
-    clean = None
+    clean, n = None, args.n
     if args.input:
-        signal = load_signal_csv(args.input, column="value", domain=domain)
+        signal = _load_input(args.input, domain)
+        if rule.kind == "pairmean":
+            n = pairmean_order(len(signal), domain)
     else:
         clean = step_test_function()
         if rule.kind == "pairmean":
-            k_lo, k_hi = node_bounds("kantorovich", args.n, domain)
+            k_lo, k_hi = node_bounds("kantorovich", n, domain)
             samples = 2 * (k_hi - k_lo + 1)
         else:
-            samples = args.samples or args.n * rule.refinement
+            samples = n * rule.refinement
         signal = sample_function(clean, domain, samples)
     noisy = add_gaussian_noise(signal, args.sigma, args.seed)
 
-    n = len(noisy) // 2 if rule.kind == "pairmean" and args.input else args.n
     xs = np.linspace(domain.a, domain.b, args.grid)
     columns = {"x": xs, "noisy": noisy(xs)}
     columns.update(denoise_curves(noisy, n, kernel, rule, xs))
 
-    distances = None
+    meta: dict = {"n": n}
     if clean is not None:
         seeds = range(args.seed, args.seed + args.seeds)
         sweep = denoise_sweep(signal, clean, n, kernel, rule, args.sigma, seeds,
                               args.grid)
-        distances = {name: l1[0] for name, l1 in sweep.l1.items()}
+        meta["l1_distances"] = {name: l1[0] for name, l1 in sweep.l1.items()}
         print("L1 distance to clean reference", file=sys.stderr)
         print(f"{'seed':>5}" + "".join(f"{name:>13}" for name in sweep.l1),
               file=sys.stderr)
@@ -281,18 +292,7 @@ def cmd_denoise(args) -> int:
             print(f"{seed:>5}{cells}", file=sys.stderr)
         print(f"Kantorovich max-min beat sampling max-min: "
               f"won {sweep.wins}/{len(sweep.seeds)} seeds", file=sys.stderr)
-
-    if args.json:
-        payload: dict = {"n": n}
-        payload.update((k, np.asarray(v).tolist()) for k, v in columns.items())
-        if distances is not None:
-            payload["l1_distances"] = distances
-        return _emit(json.dumps(payload) + "\n", args.out)
-    names = list(columns)
-    lines = [",".join(names)]
-    for row in zip(*(columns[name] for name in names)):
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return _emit("\n".join(lines) + "\n", args.out)
+    return _emit_columns(args, columns, **meta)
 
 
 def main(argv=None) -> int:

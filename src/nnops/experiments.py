@@ -3,9 +3,9 @@
 :func:`error_table` (the L^p error table of the Kantorovich families on the
 step function), :func:`denoise_sweep` (L1 distances of the denoising
 operators over noise seeds) and :func:`rate_sweep` (errors of one operator
-over n) return frozen dataclasses; :func:`denoise_curves` and
-:func:`ecg_smooth` return operator outputs on a grid.  The CLI, the scripts
-and the acceptance tests only parse arguments and format these results.
+over n) return frozen dataclasses; :func:`denoise_curves` returns operator
+outputs on a grid.  The CLI and the acceptance tests only parse arguments and
+format these results.
 """
 
 from __future__ import annotations
@@ -173,13 +173,3 @@ def rate_sweep(label: str, f, family: str, mode: str, kernel: Kernel, domain: Do
     theoretical = None if beta is None else -rate_exponent_holder(kernel.alpha, beta)
     return RateSweep(make_error_report(label, p, n_values, errors), theoretical)
 
-
-def ecg_smooth(signal: Signal, kernel: Kernel, xs) -> dict[str, np.ndarray]:
-    """Half-rate smoothing of a trace with an even number of samples: the
-    means of consecutive sample pairs are the Kantorovich cell averages of
-    the max-min and max-product operators of order len(signal) / 2."""
-    n = len(signal) // 2
-    data = cell_averages_sampled(signal, n, QuadratureRule("pairmean"))
-    specs = {f"kant_{fam}": OperatorSpec(fam, "kantorovich", n, signal.domain, kernel)
-             for fam in ("maxmin", "maxprod")}
-    return {name: eval_grid(spec, data, xs) for name, spec in specs.items()}

@@ -17,6 +17,21 @@ from .kernels import DegenerateKernelError, Kernel, phi_floor
 from .operators import Domain
 
 
+def _check_grid(grid_points: int) -> None:
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+
+
+def _positive_floor(kernel: Kernel, what: str) -> float:
+    """phi(2), which the bounds divide by; compact kernels have phi(2) = 0."""
+    floor = phi_floor(kernel)
+    if floor <= 0.0:
+        raise DegenerateKernelError(
+            f"{what} needs phi(2) > 0; compact kernels at this scale have phi(2) = 0"
+        )
+    return floor
+
+
 def _midpoint_grid(domain: Domain, grid_points: int) -> np.ndarray:
     return domain.a + (np.arange(grid_points) + 0.5) * (domain.width / grid_points)
 
@@ -33,8 +48,7 @@ def lp_error(g, h, p: float, domain: Domain, grid_points: int = 100_000) -> floa
         raise ValueError(f"p must be >= 1, got {p}")
     if math.isinf(p):
         raise ValueError("p = inf is the sup norm; use sup_error")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    _check_grid(grid_points)
     xs = _midpoint_grid(domain, grid_points)
     diff = np.abs(np.asarray(g(xs), dtype=float) - np.asarray(h(xs), dtype=float))
     return float((diff**p).sum() * (domain.width / grid_points)) ** (1.0 / p)
@@ -42,8 +56,7 @@ def lp_error(g, h, p: float, domain: Domain, grid_points: int = 100_000) -> floa
 
 def sup_error(g, h, domain: Domain, grid_points: int = 10_000) -> float:
     """Max of |g - h| over the inclusive uniform grid."""
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    _check_grid(grid_points)
     xs = np.linspace(domain.a, domain.b, grid_points)
     diff = np.abs(np.asarray(g(xs), dtype=float) - np.asarray(h(xs), dtype=float))
     return float(diff.max())
@@ -55,6 +68,7 @@ def modulus_of_continuity(
     """Largest oscillation sup |f(x) - f(y)| over grid pairs with |x-y| <= delta."""
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
+    _check_grid(grid_points)
     xs = np.linspace(domain.a, domain.b, grid_points)
     fs = np.asarray(f(xs), dtype=float)
     h = domain.width / (grid_points - 1)
@@ -101,12 +115,7 @@ def sup_error_bound(
     """
     if delta_n <= 0.0:
         raise ValueError(f"delta_n must be positive, got {delta_n}")
-    floor = phi_floor(kernel)
-    if floor <= 0.0:
-        raise DegenerateKernelError(
-            "sup_error_bound needs phi(2) > 0; compact kernels at this scale "
-            "have phi(2) = 0"
-        )
+    floor = _positive_floor(kernel, "sup_error_bound")
     omega_n = modulus_of_continuity(f, 1.0 / n, domain, grid_points)
     omega_d = modulus_of_continuity(f, delta_n, domain, grid_points)
     tail = moment / (floor * (n * delta_n) ** (1.0 + kernel.alpha))
@@ -134,9 +143,7 @@ def kfunctional_constants(
     """
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    floor = phi_floor(kernel)
-    if floor <= 0.0:
-        raise DegenerateKernelError("K-functional constants need phi(2) > 0")
+    floor = _positive_floor(kernel, "kfunctional_constants")
     alpha = kernel.alpha
     width = domain.width
     a_val = (2.0 * kernel.decay_m / (alpha * floor) + 2.0) ** (1.0 / p) + width ** (
@@ -160,9 +167,7 @@ def alternative_b(
     non-constant (g_prime_sup > 0): ((1/2 + max(1, m/(phi(2) |g'|))) w^(1/p)) / A."""
     if g_prime_sup <= 0.0:
         raise ValueError("alternative B needs a non-constant minimizer")
-    floor = phi_floor(kernel)
-    if floor <= 0.0:
-        raise DegenerateKernelError("alternative B needs phi(2) > 0")
+    floor = _positive_floor(kernel, "alternative_b")
     top = (0.5 + max(1.0, moment / (floor * g_prime_sup))) * domain.width ** (1.0 / p)
     return top / constants.A
 

@@ -28,8 +28,9 @@ from .kernels import Kernel, eval_kernel
 FAMILIES = ("linear", "maxprod", "maxmin")
 MODES = ("sampling", "kantorovich")
 
-#: grid chunk size for vectorized evaluation (bounds the weight-matrix memory)
-_CHUNK = 4096
+#: weight-matrix elements per chunk of vectorized evaluation; a chunk holds
+#: max(1, _CHUNK // nodes) grid rows, so its memory is bounded for any n
+_CHUNK = 2**16
 
 
 class EmptyRangeError(ValueError):
@@ -52,8 +53,8 @@ class Domain:
     b: float
 
     def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError(f"domain requires a < b, got [{self.a}, {self.b}]")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"domain requires finite a < b, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:
@@ -100,8 +101,8 @@ class NodeData:
                 f"need {expected} node values for k in {self.k_lo}..{self.k_hi}, "
                 f"got {len(values)}"
             )
-        if len(values) and (values.min() < 0.0 or values.max() > 1.0):
-            raise ValueError("node values must lie in [0, 1]")
+        if len(values) and not (values.min() >= 0.0 and values.max() <= 1.0):
+            raise ValueError("node values must lie in [0, 1]")  # NaN fails too
 
     @property
     def ks(self) -> np.ndarray:
@@ -191,14 +192,8 @@ def _check_data(spec: OperatorSpec, data: NodeData) -> None:
 
 
 def eval_operator(spec: OperatorSpec, data: NodeData, x: float) -> float:
-    """Evaluate the operator at a single point x in [a, b]."""
-    d = spec.domain
-    if not d.a <= x <= d.b:
-        raise ValueError(f"x={x} outside the domain [{d.a}, {d.b}]")
-    _check_data(spec, data)
-    xs = np.array([float(x)])
-    w = eval_kernel(spec.kernel, spec.n * xs[:, None] - data.ks[None, :])
-    return float(_combine(spec, data.values, w, xs)[0])
+    """Evaluate the operator at a single point x in [a, b]: a one-point grid."""
+    return float(eval_grid(spec, data, [float(x)])[0])
 
 
 def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:
@@ -211,17 +206,17 @@ def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1:
         raise ValueError("grid must be one-dimensional")
-    if len(xs) == 0:
-        return np.empty(0)
     d = spec.domain
-    if xs.min() < d.a or xs.max() > d.b:
-        i = int(np.flatnonzero((xs < d.a) | (xs > d.b))[0])
+    inside = (xs >= d.a) & (xs <= d.b)  # NaN is outside
+    if not inside.all():
+        i = int(np.flatnonzero(~inside)[0])
         raise ValueError(f"grid[{i}]={xs[i]} outside the domain [{d.a}, {d.b}]")
     _check_data(spec, data)
     ks = data.ks
+    rows = max(1, _CHUNK // len(ks))
     out = np.empty(len(xs))
-    for start in range(0, len(xs), _CHUNK):
-        sl = slice(start, min(start + _CHUNK, len(xs)))
+    for start in range(0, len(xs), rows):
+        sl = slice(start, start + rows)
         w = eval_kernel(spec.kernel, spec.n * xs[sl, None] - ks[None, :])
         out[sl] = _combine(spec, data.values, w, xs[sl], offset=start)
     return out

@@ -5,16 +5,18 @@ Three sources of Kantorovich information:
 * exact piecewise integration for analytic piecewise-constant test functions,
 * refined Riemann / trapezoid sums over sub-samples of a sampled signal,
 * the pairwise mean of two consecutive samples (the half-rate shortcut used
-  for ECG traces, where the operator order is half the sample count).
+  for ECG traces, where the operator order is :func:`pairmean_order`, half
+  the sample count on the unit interval).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Domain, NodeData, node_bounds
+from .operators import Domain, EmptyRangeError, NodeData, node_bounds
 from .signals import PiecewiseConstant, Signal
 
 RULE_KINDS = ("exact", "riemann", "trapezoid", "pairmean")
@@ -56,6 +58,23 @@ def cell_averages_exact(f: PiecewiseConstant, domain: Domain, n: int) -> NodeDat
     return NodeData(k_lo, k_hi, np.clip(out, 0.0, 1.0))
 
 
+def pairmean_order(num_samples: int, domain: Domain) -> int:
+    """Order of the pairmean rule for ``num_samples`` samples on ``domain``:
+    the smallest n with exactly half as many Kantorovich cells as samples."""
+    cells, odd = divmod(num_samples, 2)
+    w = domain.width
+    # order n has floor(n b) - ceil(n a) cells, which lies in (n w - 2, n w]
+    for n in range(max(1, math.floor(cells / w) - 1), math.ceil((cells + 2) / w) + 2):
+        try:
+            k_lo, k_hi = node_bounds("kantorovich", n, domain)
+        except EmptyRangeError:
+            continue
+        if not odd and k_hi - k_lo + 1 == cells:
+            return n
+    raise ValueError(f"pairwise-mean: no order n has 2 samples per Kantorovich cell "
+                     f"on [{domain.a}, {domain.b}]; got {num_samples} samples")
+
+
 def cell_averages_sampled(s: Signal, n: int, rule: QuadratureRule) -> NodeData:
     """Approximate cell averages of a sampled signal.
 
@@ -67,7 +86,7 @@ def cell_averages_sampled(s: Signal, n: int, rule: QuadratureRule) -> NodeData:
     """
     if rule.kind == "exact":
         raise ValueError("the exact rule needs an analytic piecewise function")
-    if s.samples.min() < 0.0 or s.samples.max() > 1.0:
+    if not (s.samples.min() >= 0.0 and s.samples.max() <= 1.0):  # NaN fails too
         raise ValueError("signal values must lie in [0, 1]; normalize_to_unit first")
     k_lo, k_hi = node_bounds("kantorovich", n, s.domain)
     ks = np.arange(k_lo, k_hi + 1)

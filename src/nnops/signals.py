@@ -50,7 +50,7 @@ class PiecewiseConstant:
         object.__setattr__(self, "values", vals)
         if len(vals) != len(bps) + 1:
             raise ValueError("need exactly one value per piece")
-        if any(v < 0.0 or v > 1.0 for v in vals):
+        if not all(0.0 <= v <= 1.0 for v in vals):  # NaN fails too
             raise ValueError("piece values must lie in [0, 1]")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
@@ -89,6 +89,8 @@ class Signal:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or len(samples) < 2:
             raise TooFewSamplesError("a signal needs at least 2 samples")
+        if not np.isfinite(samples).all():
+            raise ValueError("signal samples must be finite")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -113,8 +115,8 @@ def add_gaussian_noise(s: Signal, sigma: float, seed: int) -> Signal:
     valid operator input; for sigma around 0.05 it touches only the samples
     already near 0 or 1.
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
         return Signal(s.domain, s.samples, s.normalization)
     rng = np.random.default_rng(seed)

@@ -18,6 +18,7 @@ from nnops import (
     load_signal_csv,
     make_error_report,
     make_kernel,
+    normalize_to_unit,
     rate_exponent_holder,
     step_test_function,
     sup_error,
@@ -26,6 +27,7 @@ from nnops import (
 from nnops.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "approximate_golden.csv"
+ECG = Path(__file__).resolve().parent.parent / "data" / "ecg_synthetic.csv"
 
 
 def run(capsys, *argv):
@@ -102,18 +104,6 @@ class TestApproximate:
         for ln in out.strip().splitlines()[1:]:
             assert float(ln.split(",")[2]) == pytest.approx(0.55, abs=1e-12)
 
-    def test_empty_range_exits_2(self, capsys):
-        code, _, err = run(capsys, "approximate", "--n", "1",
-                           "--domain", "0.3,0.9", "--fn", "step", "--grid", "10")
-        assert code == 2
-        assert "EmptyRange" in err
-
-    def test_zero_denominator_exits_3(self, capsys):
-        code, _, err = run(capsys, "approximate", "--n", "4", "--kernel", "ramp",
-                           "--domain", "0.05,0.95", "--fn", "step", "--grid", "10")
-        assert code == 3
-        assert "ZeroDenominator" in err
-
     def test_csv_parses_back_through_loader(self, capsys, tmp_path):
         p = tmp_path / "out.csv"
         code, _, _ = run(capsys, "approximate", "--n", "10", "--fn", "step",
@@ -122,14 +112,19 @@ class TestApproximate:
         s = load_signal_csv(p, column="Kf")
         assert len(s) == 60
 
-    def test_non_finite_input_exits_2(self, capsys, tmp_path):
-        p = tmp_path / "nan.csv"
-        p.write_text("x,value\n0,0.1\n0.5,nan\n1,0.3\n")
+    def test_out_of_range_input_normalized(self, capsys, tmp_path):
+        raw = np.array([-0.4, 1.1, 0.2, 0.5, 2.6, -0.1, 0.7, 0.3])
+        p = tmp_path / "raw.csv"
+        write_signal_csv(Signal(Domain(0.0, 1.0), raw), p)
         code, out, err = run(capsys, "approximate", "--n", "2", "--input", str(p),
-                             "--quad", "riemann:1", "--grid", "5")
-        assert code == 2
-        assert out == ""
-        assert "row 1, column 1" in err
+                             "--quad", "riemann:4", "--grid", "8")
+        assert code == 0
+        assert "offset=-0.40000000000000002 gain=3" in err
+        # the output grid is the sample grid, so column f is the mapped trace
+        f = [float(ln.split(",")[1]) for ln in out.splitlines()[1:]]
+        want = normalize_to_unit(Signal(Domain(0.0, 1.0), raw)).samples
+        np.testing.assert_array_equal(f, want)
+        assert want.min() == 0.0 and want.max() == 1.0
 
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "approximate", "--n", "10", "--fn", "step",
@@ -262,22 +257,43 @@ class TestDenoise:
 
     def test_pairmean_input_halves_node_count(self, capsys, tmp_path):
         rng = np.random.default_rng(12)
-        samples = rng.uniform(0.2, 0.8, 80)
-        p = tmp_path / "sig.csv"
-        write_signal_csv(Signal(Domain(0.0, 1.0), samples), p)
-        code, out, _ = run(capsys, "denoise", "--input", str(p),
-                           "--quad", "pairmean", "--sigma", "0",
-                           "--grid", "20", "--json")
+        # (domain, samples, order): on [0.3, 0.9] n = 10 has the 6 cells 3..8
+        for a, b, size, n in ((0.0, 1.0, 80, 40), (0.3, 0.9, 12, 10)):
+            domain = Domain(a, b)
+            sig = Signal(domain, rng.uniform(0.2, 0.8, size))
+            p = tmp_path / "sig.csv"
+            write_signal_csv(sig, p)
+            code, out, err = run(capsys, "denoise", "--input", str(p),
+                                 "--quad", "pairmean", "--sigma", "0",
+                                 "--domain", f"{a},{b}", "--grid", "20", "--json")
+            assert code == 0, err
+            payload = json.loads(out)
+            assert payload["n"] == n
+            # the operator applied is the half-rate Kantorovich max-min
+            data = cell_averages_sampled(sig, n, QuadratureRule("pairmean"))
+            spec = OperatorSpec("maxmin", "kantorovich", n, domain, make_kernel("tanh"))
+            want = eval_grid(spec, data, np.array(payload["x"]))
+            np.testing.assert_allclose(payload["kant_maxmin"], want, atol=1e-12)
+
+    def test_ecg_recipe(self, capsys):
+        """Pairwise-mean smoothing of the bundled ECG fixture, the paper's last
+        application: the half-rate Kantorovich operators of a wide logistic
+        kernel, printed bit for bit as the library computes them."""
+        code, out, _ = run(capsys, "denoise", "--input", str(ECG), "--quad", "pairmean",
+                           "--sigma", "0", "--kernel", "logistic", "--scale", "2",
+                           "--grid", "1600")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["n"] == 40
-        # the operator applied is the half-rate Kantorovich max-min
-        sig = Signal(Domain(0.0, 1.0), samples)
-        data = cell_averages_sampled(sig, 40, QuadratureRule("pairmean"))
-        spec = OperatorSpec("maxmin", "kantorovich", 40, Domain(0.0, 1.0),
-                            make_kernel("tanh"))
-        want = eval_grid(spec, data, np.array(payload["x"]))
-        np.testing.assert_allclose(payload["kant_maxmin"], want, atol=1e-12)
+        lines = out.splitlines()
+        assert lines[0] == "x,noisy,kant_maxmin,samp_maxmin,kant_maxprod"
+        cols = np.array([[float(t) for t in ln.split(",")] for ln in lines[1:]]).T
+        assert cols.shape == (5, 1600)
+        signal = load_signal_csv(ECG, column="value")
+        data = cell_averages_sampled(signal, 800, QuadratureRule("pairmean"))
+        kernel = make_kernel("logistic", scale=2.0)
+        np.testing.assert_array_equal(cols[1], signal(cols[0]))
+        for col, family in ((cols[2], "maxmin"), (cols[4], "maxprod")):
+            spec = OperatorSpec(family, "kantorovich", 800, Domain(0.0, 1.0), kernel)
+            np.testing.assert_array_equal(col, eval_grid(spec, data, cols[0]))
 
 
 class TestMainEntry:
@@ -297,3 +313,54 @@ class TestMainEntry:
             _, out1, _ = run(capsys, *argv)
             _, out2, _ = run(capsys, *argv)
             assert out1 == out2, argv
+
+
+#: CSV inputs of the exit-code table, written to the test's temporary directory
+INPUTS = {
+    "nan.csv": "x,value\n0,0.1\n0.5,nan\n1,0.3\n",
+    "odd.csv": "x,value\n" + "".join(f"{i / 4},0.5\n" for i in range(5)),
+    "eight.csv": "x,value\n" + "".join(f"{i / 7},0.5\n" for i in range(8)),
+    "raw.csv": "x,value\n" + "".join(f"{i / 7},{v}\n" for i, v in
+                                     enumerate((-3, 1, 4, -1, 5, 9, -2, 6))),
+}
+
+
+@pytest.mark.parametrize("argv, code, fragment", [
+    pytest.param(["approximate", "--n", "1", "--domain", "0.3,0.9", "--fn", "step",
+                  "--grid", "10"], 2, "EmptyRange", id="empty-range"),
+    pytest.param(["approximate", "--n", "4", "--kernel", "ramp", "--domain",
+                  "0.05,0.95", "--fn", "step", "--grid", "10"], 3, "ZeroDenominator",
+                 id="zero-denominator"),
+    pytest.param(["approximate", "--n", "2", "--input", "{dir}/nan.csv",
+                  "--quad", "riemann:1", "--grid", "5"], 2, "row 1, column 1",
+                 id="non-finite-input"),
+    pytest.param(["approximate", "--n", "10", "--input", "{dir}/missing.csv"], 2,
+                 "missing.csv", id="missing-input"),
+    pytest.param(["approximate", "--n", "10", "--kernel", "bogus"], 2, "bogus",
+                 id="unknown-kernel"),
+    pytest.param(["approximate", "--n", "10", "--domain", "0,inf"], 2, "finite",
+                 id="infinite-domain"),
+    pytest.param(["denoise", "--n", "50", "--sigma", "nan", "--grid", "5"], 2, "sigma",
+                 id="nan-sigma"),
+    pytest.param(["denoise", "--n", "50", "--seeds", "0", "--grid", "5"], 2,
+                 "at least one noise seed", id="zero-seeds"),
+    pytest.param(["denoise", "--input", "{dir}/raw.csv", "--quad", "pairmean",
+                  "--sigma", "0.05", "--grid", "5"], 0, "offset=-3 gain=12",
+                 id="out-of-range-input-normalized"),
+    pytest.param(["denoise", "--input", "{dir}/odd.csv", "--quad", "pairmean",
+                  "--sigma", "0", "--grid", "5"], 2, "got 5 samples",
+                 id="pairmean-odd-length"),
+    pytest.param(["denoise", "--input", "{dir}/eight.csv", "--quad", "pairmean",
+                  "--sigma", "0", "--domain", "0,3", "--grid", "5"], 2,
+                 "[0.0, 3.0]", id="pairmean-no-order-fits"),
+    pytest.param(["rate", "--n-list", "40,20,10", "--grid", "200"], 2, "increasing",
+                 id="decreasing-n-list"),
+])
+def test_exit_codes(capsys, tmp_path, argv, code, fragment):
+    """Each row: argv -> documented exit code (0, 2 validation, 3 numeric),
+    and a fragment of stderr; a failed run writes nothing to stdout."""
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    got, out, err = run(capsys, *(a.replace("{dir}", str(tmp_path)) for a in argv))
+    assert (got, fragment in err) == (code, True), err
+    assert got == 0 or out == ""

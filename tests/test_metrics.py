@@ -135,6 +135,12 @@ class TestModulusOfContinuity:
         with pytest.raises(ValueError):
             modulus_of_continuity(_const(0.0), 0.0, UNIT)
 
+    def test_grid_points_below_two_rejected(self):
+        with pytest.raises(ValueError, match="grid_points"):
+            modulus_of_continuity(_const(0.0), 0.1, UNIT, grid_points=1)
+        with pytest.raises(ValueError, match="grid_points"):
+            sup_error_bound(_const(0.0), 10, 0.1, TANH, 1.0, UNIT, grid_points=1)
+
 
 class TestRateExponents:
     def test_lipschitz_alpha_one(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,14 @@ def _spec(family="maxmin", mode="kantorovich", n=10, domain=UNIT, kernel=TANH):
 def _const_data(spec, c):
     k_lo, k_hi = node_range(spec)
     return NodeData(k_lo, k_hi, np.full(k_hi - k_lo + 1, c))
+
+
+class TestDomain:
+    @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+                                      (0.0, np.nan)])
+    def test_non_finite_endpoint_rejected(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            Domain(a, b)
 
 
 class TestNodeRange:
@@ -119,11 +129,32 @@ class TestEvalGrid:
             loop = np.array([eval_operator(spec, data, float(x)) for x in xs])
             assert np.array_equal(grid, loop), family
 
+    def test_memory_bounded_for_large_n(self):
+        # chunks hold a bounded number of weights, not a bounded number of rows
+        spec = _spec(n=20_000)
+        data = _const_data(spec, 0.5)
+        xs = np.linspace(0.0, 1.0, 256)
+        tracemalloc.start()
+        try:
+            eval_grid(spec, data, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_out_of_domain_grid_point_named(self):
         spec = _spec(n=5)
         data = _const_data(spec, 0.3)
         with pytest.raises(ValueError, match="grid\\[1\\]"):
             eval_grid(spec, data, [0.5, 1.2])
+
+    def test_nan_grid_point_rejected(self):
+        spec = _spec(n=5)
+        data = _const_data(spec, 0.3)
+        with pytest.raises(ValueError, match="grid\\[2\\]=nan"):
+            eval_grid(spec, data, [0.5, 0.7, np.nan])
+        with pytest.raises(ValueError):
+            eval_operator(spec, data, np.nan)
 
 
 class TestBruteForceOracle:
@@ -159,6 +190,10 @@ class TestNodeData:
     def test_range_validated(self):
         with pytest.raises(ValueError):
             NodeData(0, 1, np.array([0.5, 1.2]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            NodeData(0, 1, np.array([np.nan, 0.5]))
 
     def test_values_immutable(self):
         data = NodeData(0, 2, np.array([0.1, 0.2, 0.3]))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnops import (
     Domain,
+    EmptyRangeError,
     PiecewiseConstant,
     QuadratureRule,
     Signal,
@@ -10,6 +13,7 @@ from nnops import (
     cell_averages_exact,
     cell_averages_sampled,
     node_bounds,
+    pairmean_order,
     sample_function,
 )
 
@@ -151,6 +155,13 @@ class TestSampledCellAverages:
         with pytest.raises(ValueError):
             cell_averages_sampled(s, 5, QuadratureRule("riemann", 4))
 
+    def test_nan_signal_never_averaged(self):
+        # Signal rejects NaN itself; the range check here must not rely on that
+        s = Signal(UNIT, np.array([0.1, 0.2, 0.3, 0.4]))
+        object.__setattr__(s, "samples", np.array([0.1, np.nan, 0.3, 0.4]))
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            cell_averages_sampled(s, 2, QuadratureRule("pairmean"))
+
     def test_averages_within_sample_range(self):
         rng = np.random.default_rng(2)
         s = sample_function(lambda xs: 0.2 + 0.6 * rng.random(len(xs)), UNIT, 3200)
@@ -158,6 +169,47 @@ class TestSampledCellAverages:
             data = cell_averages_sampled(s, 200, rule)
             assert data.values.min() >= s.samples.min() - 1e-15
             assert data.values.max() <= s.samples.max() + 1e-15
+
+
+def _cells(n, domain):
+    k_lo, k_hi = node_bounds("kantorovich", n, domain)
+    return k_hi - k_lo + 1
+
+
+class TestPairmeanOrder:
+    def test_half_the_samples_on_the_unit_interval(self):
+        assert [pairmean_order(2 * m, UNIT) for m in (1, 7, 800)] == [1, 7, 800]
+
+    def test_off_the_unit_interval(self):
+        assert pairmean_order(12, Domain(0.3, 0.9)) == 10  # cells 3..8
+        # n = 40 and n = 41 both have 40 cells on [0.5, 1.5]; the smaller wins
+        assert pairmean_order(80, Domain(0.5, 1.5)) == 40
+
+    def test_odd_count_rejected(self):
+        with pytest.raises(ValueError, match="got 13 samples"):
+            pairmean_order(13, UNIT)
+
+    def test_no_order_fits(self):
+        # on [0, 3] every order has a multiple of 3 cells
+        with pytest.raises(ValueError, match="\\[0.0, 3.0\\].*got 8 samples"):
+            pairmean_order(8, Domain(0.0, 3.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(-2.0, 2.0), width=st.floats(0.05, 3.0),
+           cells=st.integers(1, 150))
+    def test_smallest_order_with_half_the_samples_as_cells(self, a, width, cells):
+        domain = Domain(a, a + width)
+        try:
+            n = pairmean_order(2 * cells, domain)
+        except ValueError:
+            n = None
+        for m in range(1, (n or int((cells + 2) / width) + 3)):
+            try:
+                assert _cells(m, domain) != cells
+            except EmptyRangeError:
+                pass
+        if n is not None:
+            assert _cells(n, domain) == cells
 
 
 class TestQuadratureRule:

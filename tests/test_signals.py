@@ -54,6 +54,10 @@ class TestStepTestFunction:
         with pytest.raises(ValueError):
             PiecewiseConstant(UNIT, (1.5,), (0.1, 0.2))
 
+    def test_nan_piece_value_rejected(self):
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            PiecewiseConstant(UNIT, (0.5,), (0.1, np.nan))
+
 
 class TestGaussianNoise:
     def test_zero_sigma_identity(self):
@@ -84,6 +88,12 @@ class TestGaussianNoise:
         s = Signal(UNIT, np.array([0.1, 0.9]))
         with pytest.raises(ValueError):
             add_gaussian_noise(s, -0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        s = Signal(UNIT, np.array([0.1, 0.9]))
+        with pytest.raises(ValueError, match="sigma"):
+            add_gaussian_noise(s, sigma, seed=0)
 
 
 class TestNormalization:
@@ -139,6 +149,11 @@ class TestSignalLookup:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
             Signal(UNIT, np.array([0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Signal(UNIT, np.array([0.2, bad, 0.4]))
 
 
 class TestCsvLoader:
