@@ -114,10 +114,12 @@ class Kernel:
     support: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not self.scale > 0.0:
-            raise ValueError(f"kernel scale must be positive, got {self.scale}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"decay exponent alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"kernel scale must be finite and positive, got {self.scale}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(
+                f"decay exponent alpha must be finite and positive, got {self.alpha}"
+            )
         if not (self.decay_m > 0.0 and self.decay_l > 0.0):
             raise ValueError("decay constants must be positive")
 

@@ -14,6 +14,30 @@ and two modes fix the node set and the meaning of v_k:
 
 All families map node values in [0, 1] to outputs in [0, 1] and reproduce
 constants exactly.  The max/min families are nonlinear and not homogeneous.
+
+:func:`eval_grid`, which every evaluation goes through, combines each grid
+row only over a window of min(2h + 2, K) of the K nodes around n*x, so a
+row's cost follows the kernel's width, not n.  The half-width h comes from
+the kernel alone (see :func:`_half_width`).  The catalogue kernels decrease
+in |t|, so every dropped node weighs at most the window's edge weight on its
+side.  Computed weights may exceed nearer ones by a rounding wiggle of at
+most 2^-52, and not at all once the kernel has fallen below 2^-53 * phi(2),
+where linear windows end (both tested).  Each row then carries a
+certificate:
+
+* ``maxprod``/``maxmin``: the windowed max weight d is positive and the
+  result is at least (edge + 2^-52) / d.  No dropped term can then exceed
+  the result, so the row is bitwise equal to the dense evaluation over all K
+  nodes.
+* ``linear``: K * edge <= 2^-53 * (windowed weight sum).  The dropped nodes
+  then hold at most 2^-53 of the weight sum, and with the rounding of sums
+  taken in another order the row differs from the dense one by at most
+  2^-52 + 2^-45 * |dense|.
+
+A row that fails its certificate (for instance one whose node values vanish
+across its window) is evaluated again on all K nodes, as without windowing;
+a vanishing denominator there raises :class:`ZeroDenominatorError` with the
+row's grid index.
 """
 
 from __future__ import annotations
@@ -23,14 +47,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, eval_kernel
+from .kernels import Kernel, eval_kernel, phi_floor
 
 FAMILIES = ("linear", "maxprod", "maxmin")
 MODES = ("sampling", "kantorovich")
 
 #: weight-matrix elements per chunk of vectorized evaluation; a chunk holds
-#: max(1, _CHUNK // nodes) grid rows, so its memory is bounded for any n
+#: max(1, _CHUNK // width) grid rows, so its memory is bounded for any n
 _CHUNK = 2**16
+
+#: how far a computed kernel weight may exceed a weight nearer the centre on
+#: the same side: rounding of s(c*t + 1) - s(c*t - 1), at most 1.5 * 2^-53
+#: measured (tests/test_kernels.py)
+_WIGGLE = 2.0**-52
 
 
 class EmptyRangeError(ValueError):
@@ -119,7 +148,15 @@ def _stable_floor(t: float) -> int:
 
 
 def node_bounds(mode: str, n: int, domain: Domain) -> tuple[int, int]:
-    """Node index range for the given mode; raises EmptyRangeError if empty."""
+    """Node index range for the given mode; raises EmptyRangeError if empty.
+
+    n*a and n*b must lie within +-2^53, where float64 still tells neighbouring
+    nodes apart (this also rejects an n*b that overflows to infinity).
+    """
+    if not (abs(n * domain.a) <= 2.0**53 and abs(n * domain.b) <= 2.0**53):
+        raise ValueError(
+            f"n*a and n*b must lie within +-2^53, got n={n} on [{domain.a}, {domain.b}]"
+        )
     k_lo = _stable_ceil(n * domain.a)
     k_hi = _stable_floor(n * domain.b)
     if mode == "kantorovich":
@@ -150,36 +187,22 @@ def sample_node_values(f, spec: OperatorSpec) -> NodeData:
     return NodeData(k_lo, k_hi, np.asarray(f(ks / spec.n), dtype=float))
 
 
-def _combine(
-    spec: OperatorSpec,
-    values: np.ndarray,
-    w: np.ndarray,
-    xs: np.ndarray,
-    offset: int = 0,
-):
-    """Combine node values with a (len(xs), len(values)) weight matrix."""
+def _combine(family: str, values: np.ndarray, w: np.ndarray):
+    """Combine (rows, nodes) node values and kernel weights row by row,
+    overwriting ``w``.
 
-    def _zero_error(bad: np.ndarray) -> ZeroDenominatorError:
-        i = int(bad[0])
-        return ZeroDenominatorError(
-            f"ZeroDenominator: all kernel weights vanish at "
-            f"x={float(xs[i])!r} (grid index {offset + i})"
-        )
-
-    if spec.family == "linear":
-        denom = w.sum(axis=1)
-        bad = np.flatnonzero(denom == 0.0)
-        if len(bad):
-            raise _zero_error(bad)
-        return (w * values[None, :]).sum(axis=1) / denom
-    d = w.max(axis=1)
-    bad = np.flatnonzero(d == 0.0)
-    if len(bad):
-        raise _zero_error(bad)
-    r = w / d[:, None]
-    if spec.family == "maxmin":
-        return np.minimum(values[None, :], r).max(axis=1)
-    return (values[None, :] * r).max(axis=1)
+    Returns the outputs and the per-row denominators (weight sum for linear,
+    max weight otherwise).  Rows whose denominator is 0 get a meaningless
+    output; the caller decides what they mean.
+    """
+    denom = w.sum(axis=1) if family == "linear" else w.max(axis=1)
+    safe = np.where(denom > 0.0, denom, 1.0)
+    if family == "linear":
+        return np.multiply(w, values, out=w).sum(axis=1) / safe, denom
+    r = np.divide(w, safe[:, None], out=w)
+    if family == "maxmin":
+        return np.minimum(values, r, out=r).max(axis=1), denom
+    return np.multiply(values, r, out=r).max(axis=1), denom
 
 
 def _check_data(spec: OperatorSpec, data: NodeData) -> None:
@@ -196,12 +219,78 @@ def eval_operator(spec: OperatorSpec, data: NodeData, x: float) -> float:
     return float(eval_grid(spec, data, [float(x)])[0])
 
 
+def _half_width(spec: OperatorSpec, nodes: int) -> int:
+    """Nodes a row's window reaches on each side of n*x, from the kernel alone.
+
+    Compact kernels reach their support; the max families reach decay_l, past
+    the central bump; linear reaches the first h at which the kernel, summed
+    over every node, falls below 2^-53 of the kernel floor phi(2).  A window's
+    edge nodes lie at distance >= h from n*x, and every x has a node within
+    distance 2, so such a window passes the linear certificate.  Without an
+    h below nodes/2 the window is all nodes.
+    """
+    k = spec.kernel
+    if k.support is not None:
+        return math.ceil(k.support[1])
+    if spec.family != "linear":
+        return math.ceil(k.decay_l)
+    t = np.arange(1.0, (nodes + 1) // 2)  # h = 1 .. below nodes/2
+    tail = nodes * np.maximum(eval_kernel(k, t), eval_kernel(k, -t))
+    ok = np.flatnonzero(tail <= 2.0**-53 * phi_floor(k))
+    return int(t[ok[0]]) if len(ok) else nodes
+
+
+def _eval_windows(spec, data, xs, half, width):
+    """Evaluate every x on the window of ``width`` nodes starting at
+    floor(n*x) - ``half``, clipped into k_lo..k_hi, in chunks of at most
+    _CHUNK weights.
+
+    Returns the outputs and the indices of the rows that failed their
+    certificate (see the module docstring).  A window of every node drops
+    nothing, so there only rows whose denominator vanished fail.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(data.values, width)
+    step = max(1, _CHUNK // width)
+    out = np.empty(len(xs))
+    failed = [np.empty(0, dtype=np.intp)]
+    for start in range(0, len(xs), step):
+        sl = slice(start, start + step)
+        out[sl], passed = _eval_chunk(spec, data, windows, xs[sl], half)
+        failed.append(start + np.flatnonzero(~passed))
+    return out, np.concatenate(failed)
+
+
+def _eval_chunk(spec, data, windows, xs, half):
+    """One chunk of :func:`_eval_windows`: outputs and certificate mask."""
+    k_lo, k_hi = data.k_lo, data.k_hi
+    width = windows.shape[1]
+    t = spec.n * xs
+    lo = np.clip(np.floor(t) - half, k_lo, k_hi - width + 1)
+    # node k = lo + j is exact in float64, so each weight is phi(n*x - k) to
+    # the bit, as in the dense evaluation
+    w = eval_kernel(spec.kernel,
+                    t[:, None] - np.add.outer(lo, np.arange(width, dtype=float)))
+    # a bound on every dropped weight: the window's edge weight on that side,
+    # plus the computed kernel's rounding wiggle for the max families
+    slack = 0.0 if spec.family == "linear" else _WIGGLE
+    edge = np.maximum(np.where(lo > k_lo, w[:, 0] + slack, 0.0),
+                      np.where(lo + width - 1 < k_hi, w[:, -1] + slack, 0.0))
+    y, denom = _combine(spec.family, windows[(lo - k_lo).astype(np.int64)], w)
+    if spec.family == "linear":
+        passed = len(data.values) * edge <= 2.0**-53 * denom
+    else:
+        passed = y >= edge / np.where(denom > 0.0, denom, 1.0)
+    return y, passed & (denom > 0.0)
+
+
 def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:
     """Evaluate the operator at every grid point.
 
-    Equivalent to mapping :func:`eval_operator` pointwise (bitwise identical:
-    per-row reductions do not depend on the chunking).  Errors carry the
-    offending grid index.
+    Each row combines only the nodes its kernel window reaches; a row that
+    fails its certificate is evaluated again on every node (see the module
+    docstring).  A row's result depends only on its own x, so this is
+    bitwise identical to mapping :func:`eval_operator` pointwise.  Errors
+    carry the offending grid index.
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1:
@@ -212,13 +301,19 @@ def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:
         i = int(np.flatnonzero(~inside)[0])
         raise ValueError(f"grid[{i}]={xs[i]} outside the domain [{d.a}, {d.b}]")
     _check_data(spec, data)
-    ks = data.ks
-    rows = max(1, _CHUNK // len(ks))
-    out = np.empty(len(xs))
-    for start in range(0, len(xs), rows):
-        sl = slice(start, start + rows)
-        w = eval_kernel(spec.kernel, spec.n * xs[sl, None] - ks[None, :])
-        out[sl] = _combine(spec, data.values, w, xs[sl], offset=start)
+    nodes = len(data.values)
+    half = _half_width(spec, nodes)
+    width = min(2 * half + 2, nodes)
+    out, failed = _eval_windows(spec, data, xs, half, width)
+    if width < nodes and len(failed):
+        out[failed], still = _eval_windows(spec, data, xs[failed], 0, nodes)
+        failed = failed[still]
+    if len(failed):
+        i = int(failed[0])
+        raise ZeroDenominatorError(
+            f"ZeroDenominator: all kernel weights vanish at "
+            f"x={float(xs[i])!r} (grid index {i})"
+        )
     return out
 
 

@@ -355,6 +355,12 @@ INPUTS = {
                  "[0.0, 3.0]", id="pairmean-no-order-fits"),
     pytest.param(["rate", "--n-list", "40,20,10", "--grid", "200"], 2, "increasing",
                  id="decreasing-n-list"),
+    pytest.param(["kernel-info", "--alpha", "inf"], 2, "alpha must be finite",
+                 id="infinite-alpha"),
+    pytest.param(["kernel-info", "--scale", "inf"], 2, "scale must be finite",
+                 id="infinite-scale"),
+    pytest.param(["approximate", "--n", "10", "--domain", "1e308,1.5e308", "--grid", "5"],
+                 2, "n=10 on [1e+308, 1.5e+308]", id="overflowing-domain"),
 ])
 def test_exit_codes(capsys, tmp_path, argv, code, fragment):
     """Each row: argv -> documented exit code (0, 2 validation, 3 numeric),

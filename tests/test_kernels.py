@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnops import (
+    Kernel,
     Sigmoid,
     absolute_moment,
     eval_kernel,
@@ -17,6 +18,7 @@ from nnops import (
     partition_of_unity_defect,
     phi_floor,
 )
+from nnops.operators import _WIGGLE
 from conftest import NONCOMPACT, VARIANTS
 
 
@@ -285,6 +287,14 @@ class TestKernelConstruction:
         with pytest.raises(ValueError):
             make_kernel("tanh", scale=0.0)
 
+    @pytest.mark.parametrize("field", ["scale", "alpha"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_rejects_non_finite_scale_and_alpha(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            make_kernel("tanh", **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            Kernel(Sigmoid("tanh"), **{field: value})
+
     def test_json_round_trip(self, catalogue):
         for v, k in catalogue.items():
             fields = json.loads(kernel_to_json(k))
@@ -302,3 +312,29 @@ _KERNELS = tuple(make_kernel(v) for v in VARIANTS)
 def test_kernel_even_everywhere(x):
     for k in _KERNELS:
         assert abs(eval_kernel(k, x) - eval_kernel(k, -x)) < 1e-12
+
+
+#: |t| in [0, 1e4]: fine near the bump and where the tails round to 0, then coarser
+_ABS_T = np.unique(np.concatenate([np.linspace(0.0, 60.0, 600_001),
+                                   np.linspace(60.0, 1e4, 200_001)]))
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
+@pytest.mark.parametrize("variant, gamma", [(v, 1.0) for v in VARIANTS if v != "power"]
+                         + [("power", 0.5), ("power", 1.0)])
+def test_kernel_non_increasing_in_abs_t(variant, gamma, scale):
+    """The premise of the windowed evaluation's certificate (operators.py):
+    on each side, a computed weight exceeds any weight nearer the centre by
+    at most the rounding wiggle _WIGGLE, and not at all once the kernel has
+    fallen below 2^-53 phi(2), where linear windows end (up to the smallest
+    subnormal, the rounding of the logistic's far left tail)."""
+    k = make_kernel(variant, gamma=gamma, scale=scale)
+    ints = np.arange(1.0, 1e4)
+    tail = np.maximum(eval_kernel(k, ints), eval_kernel(k, -ints))
+    small = np.flatnonzero(tail <= 2.0**-53 * phi_floor(k))
+    reach = ints[small[0]] if len(small) else np.inf
+    for side in (1.0, -1.0):
+        w = eval_kernel(k, side * _ABS_T)
+        excess = w - np.minimum.accumulate(w)
+        assert excess.max() <= _WIGGLE, side
+        assert excess[_ABS_T >= reach].max(initial=0.0) <= np.nextafter(0.0, 1.0), side

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,11 +15,13 @@ from nnops import (
     brute_force_eval,
     cell_averages_exact,
     eval_grid,
+    eval_kernel,
     eval_operator,
     make_kernel,
     node_range,
     sample_node_values,
 )
+from nnops import operators
 
 TANH = make_kernel("tanh")
 RAMP = make_kernel("ramp")
@@ -57,6 +60,13 @@ class TestNodeRange:
         # 3 * 0.9999999999999999 = 2.9999999999999996 must still floor to 3
         spec = _spec(mode="sampling", n=3, domain=Domain(0.0, 0.9999999999999999))
         assert node_range(spec) == (0, 3)
+
+    @pytest.mark.parametrize("n, a, b", [(10, 1e308, 1.5e308), (1, 2.0**62, 2.0**62 + 1e4),
+                                         (3, -2.0**52, 0.0)])
+    def test_node_positions_beyond_float_integers_rejected(self, n, a, b):
+        # n*b overflows, or neighbouring nodes n*x - k are no longer distinct
+        with pytest.raises(ValueError, match=f"n={n} on \\["):
+            node_range(_spec(n=n, domain=Domain(a, b)))
 
     def test_fractional_domain(self):
         spec = _spec(mode="sampling", n=10, domain=Domain(0.31, 0.69))
@@ -130,17 +140,40 @@ class TestEvalGrid:
             assert np.array_equal(grid, loop), family
 
     def test_memory_bounded_for_large_n(self):
-        # chunks hold a bounded number of weights, not a bounded number of rows
+        # chunks hold a bounded number of weights, not a bounded number of
+        # rows; zero data fails every window's certificate, so the second case
+        # bounds the fallback to all nodes
         spec = _spec(n=20_000)
-        data = _const_data(spec, 0.5)
         xs = np.linspace(0.0, 1.0, 256)
-        tracemalloc.start()
-        try:
-            eval_grid(spec, data, xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        for value in (0.5, 0.0):
+            data = _const_data(spec, value)
+            tracemalloc.start()
+            try:
+                out = eval_grid(spec, data, xs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.all(out == value)
+            assert peak < 32 * 2**20, value
+
+    def test_cost_follows_kernel_width(self, monkeypatch):
+        evaluated = []
+
+        def counting(k, x):
+            evaluated.append(np.size(x))
+            return eval_kernel(k, x)
+
+        monkeypatch.setattr(operators, "eval_kernel", counting)
+        xs = np.linspace(0.0, 1.0, 256)
+        spec = _spec(n=20_000)
+        eval_grid(spec, _const_data(spec, 0.5), xs)
+        # one window of 2h + 2 nodes per row, h = ceil(decay_l) = 5: 3072 weights
+        assert sum(evaluated) == 256 * (2 * math.ceil(TANH.decay_l) + 2)
+        evaluated.clear()
+        spec = _spec(family="linear", n=20_000)
+        eval_grid(spec, _const_data(spec, 0.5), xs)
+        # the scan for h (one weight per node) plus 256 windows of 42 nodes
+        assert sum(evaluated) < 256 * 20_000 // 100
 
     def test_out_of_domain_grid_point_named(self):
         spec = _spec(n=5)
@@ -204,6 +237,82 @@ class TestNodeData:
         spec = _spec(mode="sampling", n=4)
         data = sample_node_values(lambda xs: xs, spec)
         assert np.array_equal(data.values, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+
+
+# --- windowed evaluation against a dense transcription ---------------------
+
+
+def _dense_eval(spec, data, xs):
+    """The module docstring's three formulas over every node, no windows."""
+    w = eval_kernel(spec.kernel, spec.n * xs[:, None] - data.ks[None, :])
+    v = data.values[None, :]
+    denom = w.sum(axis=1) if spec.family == "linear" else w.max(axis=1)
+    bad = np.flatnonzero(denom == 0.0)
+    if len(bad):
+        raise ZeroDenominatorError(int(bad[0]))  # the first grid index
+    if spec.family == "linear":
+        return (w * v).sum(axis=1) / denom
+    r = w / denom[:, None]
+    return (np.minimum(v, r) if spec.family == "maxmin" else v * r).max(axis=1)
+
+
+KERNELS = {(v, g, c): make_kernel(v, gamma=g, scale=c)
+           for v, g in [("logistic", 1.0), ("tanh", 1.0), ("ramp", 1.0), ("three", 1.0),
+                        ("power", 0.5), ("power", 1.0)]
+           for c in (0.1, 1.0, 3.0)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel=st.sampled_from(sorted(KERNELS)),
+       family=st.sampled_from(["linear", "maxprod", "maxmin"]),
+       mode=st.sampled_from(["sampling", "kantorovich"]),
+       n=st.integers(1, 600),
+       a=st.floats(-0.5, 0.5), width=st.floats(0.05, 1.5),
+       zeros=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_windowed_matches_dense(kernel, family, mode, n, a, width, zeros, seed):
+    """Max families bitwise, linear within the module docstring's bound, and
+    every family within 1e-12 of the scalar oracle; zero-heavy data forces
+    rows back to all nodes, and grid points halfway between nodes make
+    compact kernels at scale 3 vanish there."""
+    domain = Domain(a, a + width)
+    spec = OperatorSpec(family, mode, n, domain, KERNELS[kernel])
+    try:
+        k_lo, k_hi = node_range(spec)
+    except EmptyRangeError:
+        return
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, k_hi - k_lo + 1)
+    values[rng.uniform(size=len(values)) < zeros] = 0.0
+    data = NodeData(k_lo, k_hi, values)
+    halfway = (np.arange(k_lo, k_hi + 1) + 0.5) / n
+    xs = np.concatenate([rng.uniform(domain.a, domain.b, 40),
+                         halfway[(halfway >= domain.a) & (halfway <= domain.b)][:10]])
+    rng.shuffle(xs)
+    try:
+        want = _dense_eval(spec, data, xs)
+    except ZeroDenominatorError as exc:
+        with pytest.raises(ZeroDenominatorError, match=f"\\(grid index {exc.args[0]}\\)"):
+            eval_grid(spec, data, xs)
+        return
+    got = eval_grid(spec, data, xs)
+    if family == "linear":
+        assert np.all(np.abs(got - want) <= 2.0**-52 + 2.0**-45 * np.abs(want))
+    else:
+        assert np.array_equal(got, want)
+    for i in rng.choice(len(xs), 3, replace=False):
+        assert abs(got[i] - brute_force_eval(spec, data, float(xs[i]))) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", ["ramp", "three"])
+def test_windowed_zero_denominator_named(variant):
+    # scale 3 leaves a support of [-1/2, 1/2]; at x = 1 the nearest
+    # Kantorovich node is 1 away, so every weight vanishes there, though the
+    # window (4 of 20 nodes) is narrower than the node range
+    spec = _spec(family="maxmin", n=20, kernel=make_kernel(variant, scale=3.0))
+    data = _const_data(spec, 0.0)
+    with pytest.raises(ZeroDenominatorError, match="grid index 2"):
+        eval_grid(spec, data, [0.1, 0.3, 1.0, 0.7, 1.0])
 
 
 # --- max-min operator properties -------------------------------------------
