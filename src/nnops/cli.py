@@ -121,15 +121,18 @@ def _emit_columns(args, columns: dict, **meta) -> int:
     return _emit("\n".join(lines) + "\n", args.out)
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
+def _add_shared(p: argparse.ArgumentParser, with_domain: bool = True,
+                with_json: bool = True) -> None:
     p.add_argument("--kernel", default="tanh",
                    help="logistic|tanh|ramp|three|power:<gamma> (default tanh)")
     p.add_argument("--scale", type=float, default=1.0, help="kernel argument scale c")
     p.add_argument("--alpha", type=float, default=None,
                    help="tail decay exponent (default 1; power kernels pin it to gamma)")
-    p.add_argument("--domain", default="0,1", help="interval as 'a,b' (default 0,1)")
+    if with_domain:
+        p.add_argument("--domain", default="0,1", help="interval as 'a,b' (default 0,1)")
     p.add_argument("--out", default=None, help="write output to this file")
-    p.add_argument("--json", action="store_true", help="emit a JSON envelope")
+    if with_json:
+        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("kernel-info", help="kernel metadata, floor value and moment")
-    _add_shared(p)
+    _add_shared(p, with_domain=False, with_json=False)
     p.add_argument("--resolution", type=int, default=100_000,
                    help="moment scan resolution")
     p.set_defaults(func=cmd_kernel_info)
@@ -168,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_error_table)
 
     p = sub.add_parser("rate", help="empirical vs theoretical convergence exponent")
-    _add_shared(p)
+    _add_shared(p, with_json=False)
     p.add_argument("--family", default="maxmin", choices=("linear", "maxprod", "maxmin"))
     p.add_argument("--mode", default="kantorovich", choices=("sampling", "kantorovich"))
     p.add_argument("--fn", default="identity", help="step|identity|lipschitz:<beta>")

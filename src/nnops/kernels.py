@@ -17,11 +17,14 @@ The kernel built from an activation s is the centered bell
 with an optional argument scale c > 0.  For ``ramp`` and ``three`` the kernel
 is compactly supported on [-3/2, 3/2] / c; the other three have full support
 with power-law (or faster) tail decay phi(x) <= M |x|^-(1+alpha) for |x| > L.
+A :class:`Kernel` is its variant, gamma, scale and alpha; the support, L and
+M are derived from them.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -32,9 +35,6 @@ SIGMOID_VARIANTS = ("logistic", "tanh", "ramp", "three", "power")
 
 #: variants whose kernel is compactly supported (before scaling)
 COMPACT_VARIANTS = ("ramp", "three")
-
-#: moment/window scans stop once the unscanned tail is below this, relatively
-_TAIL_RTOL = 1e-9
 
 
 class DegenerateKernelError(ValueError):
@@ -98,30 +98,51 @@ def eval_sigmoid(s: Sigmoid, x):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Centered bell kernel with argument scale and tail-decay metadata.
+    """Centered bell kernel: a sigmoid (variant, gamma), a scale c and alpha.
 
-    ``decay_m`` and ``decay_l`` record the power-law tail bound
-    phi(x) <= decay_m * |x|^-(1+alpha) for |x| > decay_l, fitted numerically
-    by :func:`fit_decay_constants`.  ``support`` is the closed interval outside
-    which the kernel vanishes, present only for compact variants.
+    ``alpha`` defaults to 1 (any positive exponent is admissible for the
+    exponentially and compactly decaying variants); a ``power`` kernel decays
+    exactly like |x|^-(1+gamma), so its alpha defaults to gamma and no other
+    is accepted.  Derived: ``support``, outside which a compact kernel
+    vanishes (None otherwise), and ``decay_m``, ``decay_l`` of the tail bound
+    phi(x) <= decay_m |x|^-(1+alpha) for |x| > decay_l (``decay_m`` is fitted
+    by :func:`fit_decay_constants` on first use).
     """
 
     sigmoid: Sigmoid
     scale: float = 1.0
-    alpha: float = 1.0
-    decay_m: float = 1.0
-    decay_l: float = 5.0
-    support: tuple[float, float] | None = None
+    alpha: float | None = None
 
     def __post_init__(self) -> None:
+        power = self.sigmoid.variant == "power"
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", self.sigmoid.gamma if power else 1.0)
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"kernel scale must be finite and positive, got {self.scale}")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(
                 f"decay exponent alpha must be finite and positive, got {self.alpha}"
             )
-        if not (self.decay_m > 0.0 and self.decay_l > 0.0):
-            raise ValueError("decay constants must be positive")
+        if power and self.alpha != self.sigmoid.gamma:
+            raise ValueError(
+                f"power-tail kernel decays like |x|^-(1+gamma); alpha must equal "
+                f"gamma={self.sigmoid.gamma}, got {self.alpha}"
+            )
+
+    @property
+    def support(self) -> tuple[float, float] | None:
+        if self.sigmoid.variant in COMPACT_VARIANTS:
+            return (-1.5 / self.scale, 1.5 / self.scale)
+        return None
+
+    @property
+    def decay_l(self) -> float:
+        """5/scale, past the central bump of every catalogue variant."""
+        return 5.0 / self.scale
+
+    @functools.cached_property
+    def decay_m(self) -> float:
+        return fit_decay_constants(self, self.alpha)[0]
 
 
 def eval_kernel(k: Kernel, x):
@@ -139,31 +160,9 @@ def make_kernel(
     scale: float = 1.0,
     alpha: float | None = None,
 ) -> Kernel:
-    """Build a kernel from a catalogue variant, fitting its decay constants.
-
-    ``alpha`` defaults to 1 for the exponentially/compactly decaying variants
-    (any positive exponent is admissible for them; 1 is the library default
-    used in rate formulas).  For ``power`` the tail decay is exactly
-    |x|^-(1+gamma), so alpha is pinned to gamma.
-    """
-    sig = Sigmoid(variant, gamma)
-    if variant == "power":
-        if alpha is not None and alpha != gamma:
-            raise ValueError(
-                f"power-tail kernel decays like |x|^-(1+gamma); alpha must equal "
-                f"gamma={gamma}, got {alpha}"
-            )
-        alpha = gamma
-    elif alpha is None:
-        alpha = 1.0
-
-    support = None
-    if variant in COMPACT_VARIANTS:
-        support = (-1.5 / scale, 1.5 / scale)
-
-    k = Kernel(sigmoid=sig, scale=scale, alpha=alpha, support=support)
-    m, l = fit_decay_constants(k, alpha)
-    return dataclasses.replace(k, decay_m=m, decay_l=l)
+    """The kernel of a catalogue variant: ``Kernel(Sigmoid(variant, gamma),
+    scale, alpha)``, with alpha defaulting as described there."""
+    return Kernel(Sigmoid(variant, gamma), scale, alpha)
 
 
 def phi_floor(k: Kernel) -> float:
@@ -193,18 +192,41 @@ def partition_of_unity_defect(k: Kernel, x: float, window: int) -> float:
     return abs(float(np.sum(eval_kernel(k, x - js))) - 1.0)
 
 
+def _supremum(k: Kernel, beta: float, resolution: int) -> float:
+    """sup_{t >= 0} phi(t) t^beta, scanned in the unit kernel's argument u = c*t.
+
+    Scaling law: phi_c(t) = phi_1(c*t), so the supremum is c^-beta times the
+    unit kernel's, which is scanned; the cost does not depend on c.  The scan
+    evaluates the left side phi_1(-u) (phi is even): there s(1 - u) and
+    s(-1 - u) are small and their difference stays accurate, while on the
+    right s(u + 1) - s(u - 1) cancels to rounding noise that u^beta magnifies.
+    The grid has spacing 1/resolution over u in [0, 10], past every central
+    bump, then min(2 resolution, 20000) log-spaced points out to 1e9; beyond,
+    the supremand is at most decay_m u^(beta-1-alpha), negligible for
+    beta < 1 + alpha.  Power tail limit: at beta = 1 + gamma a ``power``
+    kernel's supremand rises towards gamma as u -> inf, so gamma is a
+    candidate too.
+    """
+    unit = Kernel(k.sigmoid, 1.0, k.alpha)
+    central, chunk = 10 * resolution + 1, 2**20  # chunks bound the memory
+    grids = itertools.chain(
+        (np.arange(start, min(start + chunk, central)) / resolution
+         for start in range(0, central, chunk)),
+        [np.geomspace(10.0, 1e9, min(2 * resolution, 20_000))],
+    )
+    best = max(float(np.max(eval_kernel(unit, -u) * u**beta)) for u in grids)
+    if k.sigmoid.variant == "power" and beta == 1.0 + k.sigmoid.gamma:
+        best = max(best, k.sigmoid.gamma)
+    return best * k.scale**-beta
+
+
 def absolute_moment(k: Kernel, beta: float, resolution: int = 100_000) -> float:
     """Numerical estimate of the generalized absolute moment of order beta.
 
     The moment is sup_x max_k phi(x - k) |x - k|^beta.  Since the lattice
     {x - k : x in [0,1), k integer} covers the whole line, this equals
-    sup_{t >= 0} phi(t) t^beta (phi is even).  The supremand is scanned on a
-    uniform grid of spacing 1/resolution over the kernel's central region and
-    on a log-spaced tail grid wide enough that the unscanned remainder is
-    below 1e-9 relative for every catalogue kernel: past the tail grid the
-    supremand is bounded by decay_m * t^(beta-1-alpha), which for
-    beta < 1+alpha is negligible beyond 1e9, while for beta = 1+alpha the
-    supremand saturates and the log grid samples its plateau directly.
+    sup_{t >= 0} phi(t) t^beta (phi is even), which :func:`_supremum` scans
+    with ``resolution`` points per unit of the unit kernel's argument.
     """
     if not 0.0 < beta <= 1.0 + k.alpha:
         raise ValueError(
@@ -213,35 +235,21 @@ def absolute_moment(k: Kernel, beta: float, resolution: int = 100_000) -> float:
         )
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-
-    t_central = k.decay_l + 5.0
-    best = 0.0
-    # central region: uniform grid, chunked to bound memory
-    n_pts = int(t_central * resolution) + 1
-    chunk = 1_000_000
-    for start in range(0, n_pts, chunk):
-        t = np.arange(start, min(start + chunk, n_pts), dtype=float) / resolution
-        h = eval_kernel(k, t) * t**beta
-        best = max(best, float(h.max()))
-    # tail: log-spaced out to 1e9
-    t = np.logspace(math.log10(t_central), 9.0, 20_000)
-    h = eval_kernel(k, t) * t**beta
-    return max(best, float(h.max()))
+    return _supremum(k, beta, resolution)
 
 
 def fit_decay_constants(k: Kernel, alpha: float) -> tuple[float, float]:
     """Fit constants (M, L) of the tail bound phi(x) <= M |x|^-(1+alpha).
 
-    L is fixed at 5/scale, past the central bump of every catalogue variant.
-    M is the supremum of phi(x) |x|^(1+alpha) over a uniform grid up to L
-    joined with a log-spaced grid out to 1e6, inflated by 10% to cover
-    off-grid points.  Scanning from near zero (the supremand vanishes there,
+    L is ``k.decay_l``.  M is the supremum of phi(x) |x|^(1+alpha) over the
+    scan of :func:`_supremum` at 400 points per unit, inflated by 10% to
+    cover off-grid points.  Scanning from zero (the supremand vanishes there,
     since phi <= 1/2) makes the bound valid past any positive threshold, not
     just past L, so truncated-tail maxima obey M s^-(1+alpha) for every
     cutoff s > 0.
 
-    Raises ValueError when the requested alpha exceeds the kernel's actual
-    decay rate (the scanned supremand then grows without bound).
+    Raises ValueError when alpha exceeds the decay rate of a ``power``
+    kernel, |x|^-(1+gamma): the supremum is then infinite.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -250,25 +258,7 @@ def fit_decay_constants(k: Kernel, alpha: float) -> tuple[float, float]:
             f"power-tail kernel decays like |x|^-(1+gamma) with "
             f"gamma={k.sigmoid.gamma}; alpha={alpha} is too large"
         )
-
-    l = 5.0 / k.scale
-    head = np.linspace(1e-6, l, 4000)
-    tail = np.logspace(math.log10(l), 6.0, 2400)
-    h_head = eval_kernel(k, head) * head ** (1.0 + alpha)
-    h_tail = eval_kernel(k, tail) * tail ** (1.0 + alpha)
-    h_max = max(float(h_head.max()), float(h_tail.max()))
-
-    # divergence guard: a persistently positive log-log slope over the last
-    # decade means the supremand is unbounded, not saturating
-    last = tail >= 1e5
-    if h_tail[last].min() > 0.0:
-        slope = np.polyfit(np.log(tail[last]), np.log(h_tail[last]), 1)[0]
-        if slope > 0.05:
-            raise ValueError(
-                f"phi(x) |x|^(1+alpha) grows without bound for alpha={alpha}; "
-                "the kernel decays more slowly than requested"
-            )
-    return 1.1 * h_max, l
+    return 1.1 * _supremum(k, 1.0 + alpha, 400), k.decay_l
 
 
 def kernel_to_json(k: Kernel) -> str:

@@ -42,6 +42,7 @@ row's grid index.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -227,17 +228,20 @@ def _half_width(spec: OperatorSpec, nodes: int) -> int:
     over every node, falls below 2^-53 of the kernel floor phi(2).  A window's
     edge nodes lie at distance >= h from n*x, and every x has a node within
     distance 2, so such a window passes the linear certificate.  Without an
-    h below nodes/2 the window is all nodes.
+    h below nodes/2 the window is all nodes.  Bisection finds h in O(log
+    nodes) kernel evaluations: below that level the kernel no longer grows
+    with |t| (tests/test_kernels.py), so the test holds from its first h on.
     """
     k = spec.kernel
     if k.support is not None:
         return math.ceil(k.support[1])
     if spec.family != "linear":
         return math.ceil(k.decay_l)
-    t = np.arange(1.0, (nodes + 1) // 2)  # h = 1 .. below nodes/2
-    tail = nodes * np.maximum(eval_kernel(k, t), eval_kernel(k, -t))
-    ok = np.flatnonzero(tail <= 2.0**-53 * phi_floor(k))
-    return int(t[ok[0]]) if len(ok) else nodes
+    floor = 2.0**-53 * phi_floor(k)
+    hs = range(1, (nodes + 1) // 2)  # h = 1 .. below nodes/2
+    i = bisect.bisect_left(hs, True, key=lambda h: bool(
+        nodes * eval_kernel(k, np.array([h, -h], dtype=float)).max() <= floor))
+    return hs[i] if i < len(hs) else nodes
 
 
 def _eval_windows(spec, data, xs, half, width):

@@ -31,7 +31,10 @@ ECG = Path(__file__).resolve().parent.parent / "data" / "ecg_synthetic.csv"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -359,6 +362,11 @@ INPUTS = {
                  id="infinite-alpha"),
     pytest.param(["kernel-info", "--scale", "inf"], 2, "scale must be finite",
                  id="infinite-scale"),
+    pytest.param(["kernel-info", "--domain", "0,1"], 2, "unrecognized arguments: --domain",
+                 id="kernel-info-domain"),
+    pytest.param(["rate", "--json"], 2, "unrecognized arguments: --json", id="rate-json"),
+    pytest.param(["kernel-info", "--kernel", "power:0.5", "--alpha", "0.9"], 2,
+                 "alpha must equal gamma=0.5", id="power-alpha-not-gamma"),
     pytest.param(["approximate", "--n", "10", "--domain", "1e308,1.5e308", "--grid", "5"],
                  2, "n=10 on [1e+308, 1.5e+308]", id="overflowing-domain"),
 ])

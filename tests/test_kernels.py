@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnops import (
+    Domain,
     Kernel,
+    NodeData,
+    OperatorSpec,
     Sigmoid,
     absolute_moment,
+    eval_grid,
     eval_kernel,
     eval_sigmoid,
     fit_decay_constants,
@@ -18,6 +22,7 @@ from nnops import (
     partition_of_unity_defect,
     phi_floor,
 )
+from nnops import kernels, operators
 from nnops.operators import _WIGGLE
 from conftest import NONCOMPACT, VARIANTS
 
@@ -229,6 +234,33 @@ class TestAbsoluteMoment:
             with pytest.raises(ValueError):
                 absolute_moment(k, beta)
 
+    @pytest.mark.parametrize("gamma, scale", [(1.0, 1.0), (1.0, 3.0), (0.5, 1.0)])
+    def test_power_moment_is_tail_limit(self, gamma, scale):
+        # phi(t) t^(1+gamma) rises towards gamma c^-(1+gamma) without reaching
+        # it; power:1 at order 2 is 1 at c = 1 and 1/9 at c = 3
+        k = make_kernel("power", gamma=gamma, scale=scale)
+        assert absolute_moment(k, 1.0 + gamma) == pytest.approx(
+            gamma * scale ** -(1.0 + gamma), rel=1e-6)
+
+    @pytest.mark.parametrize("variant, gamma", [(v, 1.0) for v in VARIANTS if v != "power"]
+                             + [("power", 0.5)])
+    def test_scaling_law_at_constant_cost(self, monkeypatch, variant, gamma):
+        evaluated = []
+
+        def counting(k, x):
+            evaluated.append(np.size(x))
+            return eval_kernel(k, x)
+
+        monkeypatch.setattr(kernels, "eval_kernel", counting)
+        beta = 1.5  # 1 + alpha for power:0.5, where its tail limit counts
+        unit = absolute_moment(make_kernel(variant, gamma), beta, resolution=2000)
+        unit_cost = sum(evaluated)
+        for scale in (0.001, 0.1, 3.0):
+            evaluated.clear()
+            got = absolute_moment(make_kernel(variant, gamma, scale), beta, resolution=2000)
+            assert got * scale**beta == pytest.approx(unit, rel=1e-9), scale
+            assert sum(evaluated) <= unit_cost, scale
+
 
 class TestDecayConstants:
     def test_compact_support_trivial(self, catalogue):
@@ -269,13 +301,49 @@ class TestDecayConstants:
         with pytest.raises(ValueError):
             fit_decay_constants(catalogue["tanh"], 0.0)
 
+    @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
+    def test_power_constant_bounds_tail(self, gamma, scale):
+        """Past u = c*t > 1 + 2^(1/gamma) both sigmoid arguments of phi(-t)
+        are on the branch 1/(|x|^gamma + 2); there
+        phi = (b - a) / (2 (a + 2)(b + 2)) with a = (u - 1)^gamma,
+        b = (u + 1)^gamma, and b - a taken without cancellation."""
+        k = make_kernel("power", gamma=gamma, scale=scale)
+        u = np.geomspace(1.0 + 2.0 ** (1.0 / gamma) + 1e-6, 1e15, 100_000)
+        a = (u - 1.0) ** gamma
+        b_minus_a = a * np.expm1(gamma * np.log1p(2.0 / (u - 1.0)))
+        phi = 0.5 * b_minus_a / ((a + 2.0) * (a + b_minus_a + 2.0))
+        assert k.decay_m >= np.max(phi * (u / scale) ** (1.0 + gamma))
+
 
 class TestKernelConstruction:
     def test_power_alpha_pinned_to_gamma(self):
         k = make_kernel("power", gamma=0.5)
         assert k.alpha == 0.5
+        assert Kernel(Sigmoid("power", 0.5)).alpha == 0.5
         with pytest.raises(ValueError):
             make_kernel("power", gamma=0.5, alpha=1.0)
+        with pytest.raises(ValueError, match="alpha must equal gamma=0.5"):
+            Kernel(Sigmoid("power", 0.5), alpha=0.9)
+
+    def test_hand_built_kernel_is_the_catalogue_kernel(self, monkeypatch):
+        built = Kernel(Sigmoid("logistic"), scale=0.1)
+        assert built == make_kernel("logistic", scale=0.1)
+        evaluated = []
+
+        def counting(k, x):
+            evaluated.append(np.size(x))
+            return eval_kernel(k, x)
+
+        monkeypatch.setattr(operators, "eval_kernel", counting)
+        xs = np.linspace(0.0, 1.0, 200)
+        counts = []
+        for k in (built, make_kernel("logistic", scale=0.1)):
+            spec = OperatorSpec("maxmin", "kantorovich", 2000, Domain(0.0, 1.0), k)
+            evaluated.clear()
+            eval_grid(spec, NodeData(0, 1999, np.full(2000, 0.5)), xs)
+            counts.append(sum(evaluated))
+        assert counts[0] == counts[1]
 
     def test_supports(self, catalogue):
         assert catalogue["ramp"].support == (-1.5, 1.5)

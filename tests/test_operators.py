@@ -19,6 +19,7 @@ from nnops import (
     eval_operator,
     make_kernel,
     node_range,
+    phi_floor,
     sample_node_values,
 )
 from nnops import operators
@@ -172,8 +173,10 @@ class TestEvalGrid:
         evaluated.clear()
         spec = _spec(family="linear", n=20_000)
         eval_grid(spec, _const_data(spec, 0.5), xs)
-        # the scan for h (one weight per node) plus 256 windows of 42 nodes
-        assert sum(evaluated) < 256 * 20_000 // 100
+        # 256 windows of 2h + 2 nodes (h = 20), plus the bisection for h: two
+        # weights for each of at most log2(20000) steps
+        width = 2 * _half_width_scan(TANH, 20_000) + 2
+        assert sum(evaluated) <= 256 * width + 2 * math.ceil(math.log2(20_000))
 
     def test_out_of_domain_grid_point_named(self):
         spec = _spec(n=5)
@@ -188,6 +191,25 @@ class TestEvalGrid:
             eval_grid(spec, data, [0.5, 0.7, np.nan])
         with pytest.raises(ValueError):
             eval_operator(spec, data, np.nan)
+
+
+def _half_width_scan(k, nodes):
+    """The linear half-width by a scan of every h below nodes/2."""
+    t = np.arange(1.0, (nodes + 1) // 2)
+    tail = nodes * np.maximum(eval_kernel(k, t), eval_kernel(k, -t))
+    ok = np.flatnonzero(tail <= 2.0**-53 * phi_floor(k))
+    return int(t[ok[0]]) if len(ok) else nodes
+
+
+@pytest.mark.parametrize("variant, gamma", [("logistic", 1.0), ("tanh", 1.0),
+                                            ("power", 0.5), ("power", 1.0)])
+def test_linear_half_width_search_matches_scan(variant, gamma):
+    for scale in (0.1, 0.3, 1.0, 3.0, 10.0):
+        k = make_kernel(variant, gamma=gamma, scale=scale)
+        spec = _spec(family="linear", kernel=k)
+        for nodes in (1, 2, 3, 4, 5, 10, 41, 100, 1000, 20_000, 100_000):
+            assert operators._half_width(spec, nodes) == _half_width_scan(k, nodes), (
+                scale, nodes)
 
 
 class TestBruteForceOracle:
