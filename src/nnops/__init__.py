@@ -13,8 +13,6 @@ from .kernels import (
     Sigmoid,
     absolute_moment,
     eval_kernel,
-    eval_sigmoid,
-    fit_decay_constants,
     kernel_to_json,
     make_kernel,
     partition_of_unity_defect,

@@ -214,6 +214,8 @@ def cmd_approximate(args) -> int:
     spec = OperatorSpec(args.family, args.mode, args.n, domain, kernel)
     rule = _parse_quad(args.quad) if args.quad else None
     f = _load_input(args.input, domain) if args.input else _parse_fn(args.fn)[0]
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     data = node_data(f, spec, rule)
     xs = np.linspace(domain.a, domain.b, args.grid)
     fx = np.asarray(f(xs), dtype=float)
@@ -277,6 +279,8 @@ def cmd_denoise(args) -> int:
         signal = sample_function(clean, domain, samples)
     noisy = add_gaussian_noise(signal, args.sigma, args.seed)
 
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     xs = np.linspace(domain.a, domain.b, args.grid)
     columns = {"x": xs, "noisy": noisy(xs)}
     columns.update(denoise_curves(noisy, n, kernel, rule, xs))

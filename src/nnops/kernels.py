@@ -8,17 +8,36 @@ Five activation variants are supported, all nondecreasing with limits 0 at
 * ``ramp``      piecewise linear, saturating at +-1/2
 * ``three``     three-valued step {0, 1/2, 1} with jumps at +-1/2
 * ``power``     algebraic tails 1/(|x|^g + 2) and (x^g + 1)/(x^g + 2)
-                joined by a linear middle piece, 0 < g <= 1
+                joined at +-T, T = 2^(1/g), by a linear middle piece,
+                0 < g <= 1 with T finite (1/g < 1024)
 
 The kernel built from an activation s is the centered bell
 
     phi(x) = (s(c*x + 1) - s(c*x - 1)) / 2
 
-with an optional argument scale c > 0.  For ``ramp`` and ``three`` the kernel
-is compactly supported on [-3/2, 3/2] / c; the other three have full support
-with power-law (or faster) tail decay phi(x) <= M |x|^-(1+alpha) for |x| > L.
-A :class:`Kernel` is its variant, gamma, scale and alpha; the support, L and
-M are derived from them.
+with an optional argument scale c > 0.  :func:`eval_kernel` does not take
+that difference, which cancels in the tails; it evaluates one closed form
+of u = |c*x| per variant:
+
+* ``logistic``  sinh 1 / (2 (cosh u + cosh 1)), from the identity
+                (1 + e^(-u-1)) (1 + e^(-u+1)) e^u = 2 cosh u + 2 cosh 1
+* ``tanh``      sinh 2 / (2 (cosh 2u + cosh 2)), since s(x) is the
+                logistic of 2x
+* ``ramp``      clip(3/2 - u, 0, 1) / 2
+* ``three``     1/2 for u < 1/2, 1/4 for u <= 3/2, else 0
+* ``power``     the flat top 2^(-1/g-2) for u + 1 <= T; for u - 1 > T,
+                (b - a) / (2 (a + 2)(b + 2)) with a = (u-1)^g, b = (u+1)^g
+                and b - a = a expm1(g log1p(2/(u-1))); in between, the sum
+                of the nonnegative terms r / (8 (r + 4)) + (T + 1 - u) / (8T),
+                r = 2 expm1(g log1p((u + 1 - T)/T))
+
+So the computed kernel is exactly even and non-increasing in |x|; only the
+power tail and joint, which mix a rising and a falling factor, can round up
+by an ulp between arguments a few ulps apart.  For
+``ramp`` and ``three`` it is compactly supported on [-3/2, 3/2] / c; the
+other three have full support with power-law (or faster) tail decay
+phi(x) <= M |x|^-(1+alpha) for |x| > L.  A :class:`Kernel` is its variant,
+gamma, scale and alpha; the support, L and M are derived from them.
 """
 
 from __future__ import annotations
@@ -58,42 +77,11 @@ class Sigmoid:
                 f"unknown sigmoid variant {self.variant!r}; "
                 f"expected one of {SIGMOID_VARIANTS}"
             )
-        if self.variant == "power" and not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"power-tail gamma must be in (0, 1], got {self.gamma}")
-
-
-def eval_sigmoid(s: Sigmoid, x):
-    """Evaluate the activation at ``x`` (scalar or ndarray)."""
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-
-    if s.variant == "logistic":
-        # branch on the sign so exp never overflows
-        out = np.empty_like(xa)
-        pos = xa >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-xa[pos]))
-        ex = np.exp(xa[~pos])
-        out[~pos] = ex / (1.0 + ex)
-    elif s.variant == "tanh":
-        out = 0.5 * (np.tanh(xa) + 1.0)
-    elif s.variant == "ramp":
-        out = np.clip(xa + 0.5, 0.0, 1.0)
-    elif s.variant == "three":
-        out = np.where(xa < -0.5, 0.0, np.where(xa > 0.5, 1.0, 0.5))
-    else:  # power
-        g = s.gamma
-        t = 2.0 ** (1.0 / g)
-        out = np.empty_like(xa)
-        left = xa < -t
-        right = xa > t
-        mid = ~(left | right)
-        out[left] = 1.0 / (np.abs(xa[left]) ** g + 2.0)
-        out[mid] = 2.0 ** (-1.0 / g - 2.0) * xa[mid] + 0.5
-        xg = xa[right] ** g
-        out[right] = (xg + 1.0) / (xg + 2.0)
-
-    return float(out[0]) if scalar else out
+        # past 1/gamma = 1024 the joint T = 2^(1/gamma) is no longer finite
+        if self.variant == "power" and not (0.0 < self.gamma <= 1.0
+                                            and 1.0 / self.gamma < 1024.0):
+            raise ValueError(
+                f"power-tail gamma must be in (0, 1] with 1/gamma < 1024, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +94,7 @@ class Kernel:
     is accepted.  Derived: ``support``, outside which a compact kernel
     vanishes (None otherwise), and ``decay_m``, ``decay_l`` of the tail bound
     phi(x) <= decay_m |x|^-(1+alpha) for |x| > decay_l (``decay_m`` is fitted
-    by :func:`fit_decay_constants` on first use).
+    on first use).
     """
 
     sigmoid: Sigmoid
@@ -142,16 +130,50 @@ class Kernel:
 
     @functools.cached_property
     def decay_m(self) -> float:
-        return fit_decay_constants(self, self.alpha)[0]
+        """The supremum of phi(x) |x|^(1+alpha), scanned by
+        :func:`absolute_moment` at 400 points per unit, inflated by 10% to
+        cover off-grid points.  The scan starts at zero (the supremand vanishes
+        there, since phi <= 1/2), so the bound holds past any positive
+        threshold, not just past decay_l: truncated-tail maxima obey
+        decay_m s^-(1+alpha) for every cutoff s > 0."""
+        return 1.1 * absolute_moment(self, 1.0 + self.alpha, 400)
 
 
 def eval_kernel(k: Kernel, x):
-    """Evaluate phi(x) = (s(c*x + 1) - s(c*x - 1)) / 2 at ``x``."""
+    """Evaluate phi(x) = (s(c*x + 1) - s(c*x - 1)) / 2 at ``x`` through the
+    closed form of its variant (see the module docstring)."""
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    cx = k.scale * np.atleast_1d(xa)
-    out = 0.5 * (eval_sigmoid(k.sigmoid, cx + 1.0) - eval_sigmoid(k.sigmoid, cx - 1.0))
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    u = np.abs(k.scale * np.atleast_1d(xa))
+    variant = k.sigmoid.variant
+    if variant in ("logistic", "tanh"):
+        a = 1.0 if variant == "logistic" else 2.0
+        # cosh overflows to inf past a*u ~ 710, where phi is below 1e-308
+        with np.errstate(over="ignore"):
+            out = math.sinh(a) / (2.0 * (np.cosh(a * u) + math.cosh(a)))
+    elif variant == "ramp":
+        out = 0.5 * np.clip(1.5 - u, 0.0, 1.0)
+    elif variant == "three":
+        out = np.where(u < 0.5, 0.5, np.where(u <= 1.5, 0.25, 0.0))
+    else:
+        out = _power_kernel(k.sigmoid.gamma, u)
+    return float(out[0]) if xa.ndim == 0 else out.reshape(np.shape(x))
+
+
+def _power_kernel(g: float, u: np.ndarray) -> np.ndarray:
+    """The three pieces of the ``power`` kernel at u >= 0; each piece is
+    evaluated only where it applies, so none of them leaves its domain."""
+    t = 2.0 ** (1.0 / g)
+    out = np.full_like(u, 2.0 ** (-1.0 / g - 2.0))  # flat top, u + 1 <= t
+    tail = u - 1.0 > t
+    joint = (u + 1.0 > t) & ~tail
+    um, up = u[tail] - 1.0, u[tail] + 1.0
+    a = um**g
+    out[tail] = 0.5 * a * np.expm1(g * np.log1p(2.0 / um)) / ((a + 2.0) * (up**g + 2.0))
+    uj = u[joint]
+    r = 2.0 * np.expm1(g * np.log1p((uj + 1.0 - t) / t))
+    # divide by t before 8: 8t overflows where t nears 2^1024
+    out[joint] = r / (8.0 * (r + 4.0)) + (t + 1.0 - uj) / t / 8.0
+    return out
 
 
 def make_kernel(
@@ -192,41 +214,25 @@ def partition_of_unity_defect(k: Kernel, x: float, window: int) -> float:
     return abs(float(np.sum(eval_kernel(k, x - js))) - 1.0)
 
 
-def _supremum(k: Kernel, beta: float, resolution: int) -> float:
-    """sup_{t >= 0} phi(t) t^beta, scanned in the unit kernel's argument u = c*t.
-
-    Scaling law: phi_c(t) = phi_1(c*t), so the supremum is c^-beta times the
-    unit kernel's, which is scanned; the cost does not depend on c.  The scan
-    evaluates the left side phi_1(-u) (phi is even): there s(1 - u) and
-    s(-1 - u) are small and their difference stays accurate, while on the
-    right s(u + 1) - s(u - 1) cancels to rounding noise that u^beta magnifies.
-    The grid has spacing 1/resolution over u in [0, 10], past every central
-    bump, then min(2 resolution, 20000) log-spaced points out to 1e9; beyond,
-    the supremand is at most decay_m u^(beta-1-alpha), negligible for
-    beta < 1 + alpha.  Power tail limit: at beta = 1 + gamma a ``power``
-    kernel's supremand rises towards gamma as u -> inf, so gamma is a
-    candidate too.
-    """
-    unit = Kernel(k.sigmoid, 1.0, k.alpha)
-    central, chunk = 10 * resolution + 1, 2**20  # chunks bound the memory
-    grids = itertools.chain(
-        (np.arange(start, min(start + chunk, central)) / resolution
-         for start in range(0, central, chunk)),
-        [np.geomspace(10.0, 1e9, min(2 * resolution, 20_000))],
-    )
-    best = max(float(np.max(eval_kernel(unit, -u) * u**beta)) for u in grids)
-    if k.sigmoid.variant == "power" and beta == 1.0 + k.sigmoid.gamma:
-        best = max(best, k.sigmoid.gamma)
-    return best * k.scale**-beta
-
-
 def absolute_moment(k: Kernel, beta: float, resolution: int = 100_000) -> float:
     """Numerical estimate of the generalized absolute moment of order beta.
 
     The moment is sup_x max_k phi(x - k) |x - k|^beta.  Since the lattice
     {x - k : x in [0,1), k integer} covers the whole line, this equals
-    sup_{t >= 0} phi(t) t^beta (phi is even), which :func:`_supremum` scans
-    with ``resolution`` points per unit of the unit kernel's argument.
+    sup_{t >= 0} phi(t) t^beta (phi is even), scanned with ``resolution``
+    points per unit of the unit kernel's argument u = c*t.
+
+    Scaling law: phi_c(t) = phi_1(c*t), so the supremum is c^-beta times the
+    unit kernel's, which is scanned; the cost does not depend on c.  The grid
+    has spacing 1/resolution over u in [0, 10], past every central bump, then
+    min(2 resolution, 20000) log-spaced points out to 1e9; beyond, the
+    supremand is at most decay_m u^(beta-1-alpha), negligible for
+    beta < 1 + alpha.  A ``power`` kernel's flat top ends at u = T - 1,
+    T = 2^(1/gamma), where its supremand peaks near 1/2 for small gamma
+    (T - 1 lies past 1e9 for gamma <= 0.03), so [T - 1, T + 1] is scanned at
+    spacing 1/resolution too.  Power tail limit: at beta = 1 + gamma a
+    ``power`` kernel's supremand rises towards gamma as u -> inf, so gamma
+    is a candidate too.
     """
     if not 0.0 < beta <= 1.0 + k.alpha:
         raise ValueError(
@@ -235,30 +241,25 @@ def absolute_moment(k: Kernel, beta: float, resolution: int = 100_000) -> float:
         )
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    return _supremum(k, beta, resolution)
-
-
-def fit_decay_constants(k: Kernel, alpha: float) -> tuple[float, float]:
-    """Fit constants (M, L) of the tail bound phi(x) <= M |x|^-(1+alpha).
-
-    L is ``k.decay_l``.  M is the supremum of phi(x) |x|^(1+alpha) over the
-    scan of :func:`_supremum` at 400 points per unit, inflated by 10% to
-    cover off-grid points.  Scanning from zero (the supremand vanishes there,
-    since phi <= 1/2) makes the bound valid past any positive threshold, not
-    just past L, so truncated-tail maxima obey M s^-(1+alpha) for every
-    cutoff s > 0.
-
-    Raises ValueError when alpha exceeds the decay rate of a ``power``
-    kernel, |x|^-(1+gamma): the supremum is then infinite.
-    """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if k.sigmoid.variant == "power" and alpha > k.sigmoid.gamma:
-        raise ValueError(
-            f"power-tail kernel decays like |x|^-(1+gamma) with "
-            f"gamma={k.sigmoid.gamma}; alpha={alpha} is too large"
-        )
-    return 1.1 * _supremum(k, 1.0 + alpha, 400), k.decay_l
+    unit = Kernel(k.sigmoid, 1.0, k.alpha)
+    runs = [(0.0, 10 * resolution + 1)]  # (first u, points) at spacing 1/resolution
+    if k.sigmoid.variant == "power":
+        runs.append((2.0 ** (1.0 / k.sigmoid.gamma) - 1.0, 2 * resolution + 1))
+    chunk = 2**20  # chunks bound the memory
+    grids = itertools.chain(
+        (first + np.arange(start, min(start + chunk, points)) / resolution
+         for first, points in runs for start in range(0, points, chunk)),
+        [np.geomspace(10.0, 1e9, min(2 * resolution, 20_000))],
+    )
+    best = 0.0
+    for u in grids:
+        # phi h h with h = u^(beta/2): u^beta overflows near the joint of a
+        # power kernel whose T nears 2^1024, where phi h h is about 1/2
+        h = u ** (beta / 2)
+        best = max(best, float(np.max(eval_kernel(unit, u) * h * h)))
+    if k.sigmoid.variant == "power" and beta == 1.0 + k.sigmoid.gamma:
+        best = max(best, k.sigmoid.gamma)
+    return best * k.scale**-beta
 
 
 def kernel_to_json(k: Kernel) -> str:

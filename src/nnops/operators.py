@@ -18,15 +18,13 @@ constants exactly.  The max/min families are nonlinear and not homogeneous.
 :func:`eval_grid`, which every evaluation goes through, combines each grid
 row only over a window of min(2h + 2, K) of the K nodes around n*x, so a
 row's cost follows the kernel's width, not n.  The half-width h comes from
-the kernel alone (see :func:`_half_width`).  The catalogue kernels decrease
-in |t|, so every dropped node weighs at most the window's edge weight on its
-side.  Computed weights may exceed nearer ones by a rounding wiggle of at
-most 2^-52, and not at all once the kernel has fallen below 2^-53 * phi(2),
-where linear windows end (both tested).  Each row then carries a
-certificate:
+the kernel alone (see :func:`_half_width`).  The computed catalogue kernels
+are even and do not grow in |t| from one node to the next (see
+:mod:`nnops.kernels`), so every dropped node weighs at most the window's
+edge weight on its side.  Each row then carries a certificate:
 
 * ``maxprod``/``maxmin``: the windowed max weight d is positive and the
-  result is at least (edge + 2^-52) / d.  No dropped term can then exceed
+  result is at least edge / d.  No dropped term can then exceed
   the result, so the row is bitwise equal to the dense evaluation over all K
   nodes.
 * ``linear``: K * edge <= 2^-53 * (windowed weight sum).  The dropped nodes
@@ -56,11 +54,6 @@ MODES = ("sampling", "kantorovich")
 #: weight-matrix elements per chunk of vectorized evaluation; a chunk holds
 #: max(1, _CHUNK // width) grid rows, so its memory is bounded for any n
 _CHUNK = 2**16
-
-#: how far a computed kernel weight may exceed a weight nearer the centre on
-#: the same side: rounding of s(c*t + 1) - s(c*t - 1), at most 1.5 * 2^-53
-#: measured (tests/test_kernels.py)
-_WIGGLE = 2.0**-52
 
 
 class EmptyRangeError(ValueError):
@@ -229,8 +222,8 @@ def _half_width(spec: OperatorSpec, nodes: int) -> int:
     edge nodes lie at distance >= h from n*x, and every x has a node within
     distance 2, so such a window passes the linear certificate.  Without an
     h below nodes/2 the window is all nodes.  Bisection finds h in O(log
-    nodes) kernel evaluations: below that level the kernel no longer grows
-    with |t| (tests/test_kernels.py), so the test holds from its first h on.
+    nodes) kernel evaluations: the kernel is even and non-increasing in |t|,
+    so the test holds from its first h on.
     """
     k = spec.kernel
     if k.support is not None:
@@ -239,8 +232,8 @@ def _half_width(spec: OperatorSpec, nodes: int) -> int:
         return math.ceil(k.decay_l)
     floor = 2.0**-53 * phi_floor(k)
     hs = range(1, (nodes + 1) // 2)  # h = 1 .. below nodes/2
-    i = bisect.bisect_left(hs, True, key=lambda h: bool(
-        nodes * eval_kernel(k, np.array([h, -h], dtype=float)).max() <= floor))
+    i = bisect.bisect_left(hs, True,
+                           key=lambda h: nodes * eval_kernel(k, float(h)) <= floor)
     return hs[i] if i < len(hs) else nodes
 
 
@@ -274,11 +267,9 @@ def _eval_chunk(spec, data, windows, xs, half):
     # the bit, as in the dense evaluation
     w = eval_kernel(spec.kernel,
                     t[:, None] - np.add.outer(lo, np.arange(width, dtype=float)))
-    # a bound on every dropped weight: the window's edge weight on that side,
-    # plus the computed kernel's rounding wiggle for the max families
-    slack = 0.0 if spec.family == "linear" else _WIGGLE
-    edge = np.maximum(np.where(lo > k_lo, w[:, 0] + slack, 0.0),
-                      np.where(lo + width - 1 < k_hi, w[:, -1] + slack, 0.0))
+    # a bound on every dropped weight: the window's edge weight on that side
+    edge = np.maximum(np.where(lo > k_lo, w[:, 0], 0.0),
+                      np.where(lo + width - 1 < k_hi, w[:, -1], 0.0))
     y, denom = _combine(spec.family, windows[(lo - k_lo).astype(np.int64)], w)
     if spec.family == "linear":
         passed = len(data.values) * edge <= 2.0**-53 * denom

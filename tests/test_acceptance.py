@@ -26,7 +26,6 @@ from nnops import (
     eval_grid,
     eval_kernel,
     eval_operator,
-    fit_decay_constants,
     fit_rate,
     kfunctional_constants,
     kfunctional_upper,
@@ -141,7 +140,7 @@ def test_criterion_3_kernel_invariants(catalogue):
 
     # power-law tail bound on an independently spaced scan grid
     for name, k in catalogue.items():
-        m, l = fit_decay_constants(k, k.alpha)
+        m, l = k.decay_m, k.decay_l
         scan = np.geomspace(l * 1.003, 9.7e5, 3173)
         if np.any(eval_kernel(k, scan) > m * scan ** -(1.0 + k.alpha)):
             problems.append(f"{name}: tail bound violated on scan grid")

@@ -61,6 +61,21 @@ class TestKernelInfo:
         assert info["gamma"] == 0.5
         assert info["alpha"] == 0.5
 
+    def test_power_one_moment_is_tail_limit(self, capsys):
+        # the closed-form tail stays below the limit 1 instead of 7.8e-8 above
+        code, out, _ = run(capsys, "kernel-info", "--kernel", "power:1")
+        info = json.loads(out)
+        assert (code, info["moment_1_plus_alpha"], info["decay_M"]) == (0, 1.0, 1.1)
+
+    def test_small_gamma_flat_top(self, capsys):
+        # power:0.01 is flat at 2^-102 for |x| <= 2^100 - 1, where its
+        # difference-of-sigmoids form rounds to 0; its moment peaks there
+        code, out, _ = run(capsys, "kernel-info", "--kernel", "power:0.01",
+                           "--resolution", "2000")
+        info = json.loads(out)
+        assert (code, info["phi_zero"], info["phi_floor"]) == (0, 2.0**-102, 2.0**-102)
+        assert info["moment_1_plus_alpha"] == pytest.approx(0.5, rel=1e-12)
+
     def test_bad_kernel_exits_2(self, capsys):
         code, _, err = run(capsys, "kernel-info", "--kernel", "gauss")
         assert code == 2
@@ -97,6 +112,16 @@ class TestApproximate:
         for g, w in zip(got[1:], want[1:]):
             for a, b in zip(g.split(","), w.split(",")):
                 assert float(a) == pytest.approx(float(b), rel=1e-10, abs=1e-12)
+
+    def test_small_gamma_linear_is_node_mean(self, capsys):
+        # power:0.01 weighs every node by its flat top 2^-102, so each row is
+        # the mean of the node values
+        code, out, _ = run(capsys, "approximate", "--family", "linear", "--n", "20",
+                           "--kernel", "power:0.01", "--grid", "50")
+        kf = np.array([float(ln.split(",")[2]) for ln in out.strip().splitlines()[1:]])
+        mean = cell_averages_exact(step_test_function(), Domain(0.0, 1.0), 20).values.mean()
+        assert code == 0 and len(kf) == 50
+        np.testing.assert_allclose(kf, mean, rtol=1e-15)
 
     def test_constant_signal_input(self, capsys, tmp_path):
         p = tmp_path / "const.csv"
@@ -369,6 +394,15 @@ INPUTS = {
                  "alpha must equal gamma=0.5", id="power-alpha-not-gamma"),
     pytest.param(["approximate", "--n", "10", "--domain", "1e308,1.5e308", "--grid", "5"],
                  2, "n=10 on [1e+308, 1.5e+308]", id="overflowing-domain"),
+    pytest.param(["kernel-info", "--kernel", "power:0.0009"], 2, "1/gamma < 1024",
+                 id="power-joint-not-finite"),
+    pytest.param(["approximate", "--family", "linear", "--n", "20", "--kernel", "power:0.01",
+                  "--grid", "5"], 0, "", id="power-flat-top"),
+    pytest.param(["approximate", "--n", "20", "--grid", "0"], 2, "--grid", id="approximate-grid-0"),
+    pytest.param(["approximate", "--n", "20", "--grid", "-3"], 2, "--grid",
+                 id="approximate-grid-negative"),
+    pytest.param(["denoise", "--input", str(ECG), "--quad", "pairmean", "--sigma", "0",
+                  "--grid", "0"], 2, "--grid", id="denoise-grid-0"),
 ])
 def test_exit_codes(capsys, tmp_path, argv, code, fragment):
     """Each row: argv -> documented exit code (0, 2 validation, 3 numeric),
