@@ -10,7 +10,6 @@ and signal utilities for denoising experiments.
 from .kernels import (
     DegenerateKernelError,
     Kernel,
-    Sigmoid,
     absolute_moment,
     eval_kernel,
     kernel_to_json,

@@ -52,10 +52,14 @@ from .signals import (
 
 
 def _parse_kernel(text: str, scale: float, alpha: float | None) -> Kernel:
-    if text.startswith("power:"):
-        gamma = float(text.split(":", 1)[1])
-        return make_kernel("power", gamma=gamma, scale=scale, alpha=alpha)
-    return make_kernel(text, scale=scale, alpha=alpha)
+    # power:<gamma> (bare power: gamma 1) has alpha = gamma; --alpha may only repeat it
+    if text != "power" and not text.startswith("power:"):
+        return make_kernel(text, scale, 1.0 if alpha is None else alpha)
+    gamma = float(text.split(":", 1)[1]) if ":" in text else 1.0
+    if alpha is not None and alpha != gamma:
+        raise ValueError(f"power-tail kernel decays like |x|^-(1+gamma); alpha must "
+                         f"equal gamma={gamma}, got {alpha}")
+    return make_kernel("power", scale, gamma)
 
 
 def _parse_quad(text: str) -> QuadratureRule:

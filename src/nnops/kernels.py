@@ -37,7 +37,8 @@ by an ulp between arguments a few ulps apart.  For
 ``ramp`` and ``three`` it is compactly supported on [-3/2, 3/2] / c; the
 other three have full support with power-law (or faster) tail decay
 phi(x) <= M |x|^-(1+alpha) for |x| > L.  A :class:`Kernel` is its variant,
-gamma, scale and alpha; the support, L and M are derived from them.
+scale and alpha; a ``power:<gamma>`` kernel's alpha is its gamma.  The
+support, L and M are derived from them.
 """
 
 from __future__ import annotations
@@ -61,15 +62,20 @@ class DegenerateKernelError(ValueError):
 
 
 @dataclass(frozen=True)
-class Sigmoid:
-    """A nondecreasing activation function on the real line.
+class Kernel:
+    """Centered bell kernel: a variant, a scale c and a tail exponent alpha.
 
-    ``gamma`` is only meaningful for the ``power`` variant, where it sets the
-    algebraic tail exponent (the kernel then decays like |x|^-(1+gamma)).
+    Any positive alpha is admissible for the exponentially and compactly
+    decaying variants; a ``power`` kernel decays exactly like |x|^-(1+gamma),
+    so its alpha is its gamma.  Derived: ``support``, outside which a compact
+    kernel vanishes (None otherwise), and ``decay_m``, ``decay_l`` of the
+    tail bound phi(x) <= decay_m |x|^-(1+alpha) for |x| > decay_l
+    (``decay_m`` is fitted on first use).
     """
 
     variant: str
-    gamma: float = 1.0
+    scale: float = 1.0
+    alpha: float = 1.0
 
     def __post_init__(self) -> None:
         if self.variant not in SIGMOID_VARIANTS:
@@ -78,48 +84,20 @@ class Sigmoid:
                 f"expected one of {SIGMOID_VARIANTS}"
             )
         # past 1/gamma = 1024 the joint T = 2^(1/gamma) is no longer finite
-        if self.variant == "power" and not (0.0 < self.gamma <= 1.0
-                                            and 1.0 / self.gamma < 1024.0):
+        if self.variant == "power" and not (0.0 < self.alpha <= 1.0
+                                            and 1.0 / self.alpha < 1024.0):
             raise ValueError(
-                f"power-tail gamma must be in (0, 1] with 1/gamma < 1024, got {self.gamma}")
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Centered bell kernel: a sigmoid (variant, gamma), a scale c and alpha.
-
-    ``alpha`` defaults to 1 (any positive exponent is admissible for the
-    exponentially and compactly decaying variants); a ``power`` kernel decays
-    exactly like |x|^-(1+gamma), so its alpha defaults to gamma and no other
-    is accepted.  Derived: ``support``, outside which a compact kernel
-    vanishes (None otherwise), and ``decay_m``, ``decay_l`` of the tail bound
-    phi(x) <= decay_m |x|^-(1+alpha) for |x| > decay_l (``decay_m`` is fitted
-    on first use).
-    """
-
-    sigmoid: Sigmoid
-    scale: float = 1.0
-    alpha: float | None = None
-
-    def __post_init__(self) -> None:
-        power = self.sigmoid.variant == "power"
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", self.sigmoid.gamma if power else 1.0)
+                f"power-tail gamma must be in (0, 1] with 1/gamma < 1024, got {self.alpha}")
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"kernel scale must be finite and positive, got {self.scale}")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(
                 f"decay exponent alpha must be finite and positive, got {self.alpha}"
             )
-        if power and self.alpha != self.sigmoid.gamma:
-            raise ValueError(
-                f"power-tail kernel decays like |x|^-(1+gamma); alpha must equal "
-                f"gamma={self.sigmoid.gamma}, got {self.alpha}"
-            )
 
     @property
     def support(self) -> tuple[float, float] | None:
-        if self.sigmoid.variant in COMPACT_VARIANTS:
+        if self.variant in COMPACT_VARIANTS:
             return (-1.5 / self.scale, 1.5 / self.scale)
         return None
 
@@ -136,7 +114,10 @@ class Kernel:
         there, since phi <= 1/2), so the bound holds past any positive
         threshold, not just past decay_l: truncated-tail maxima obey
         decay_m s^-(1+alpha) for every cutoff s > 0."""
-        return 1.1 * absolute_moment(self, 1.0 + self.alpha, 400)
+        m = 1.1 * absolute_moment(self, 1.0 + self.alpha, 400)
+        if m == math.inf:
+            raise ValueError(f"decay_M is not finite for alpha={self.alpha}")
+        return m
 
 
 def eval_kernel(k: Kernel, x):
@@ -144,18 +125,17 @@ def eval_kernel(k: Kernel, x):
     closed form of its variant (see the module docstring)."""
     xa = np.asarray(x, dtype=float)
     u = np.abs(k.scale * np.atleast_1d(xa))
-    variant = k.sigmoid.variant
-    if variant in ("logistic", "tanh"):
-        a = 1.0 if variant == "logistic" else 2.0
+    if k.variant in ("logistic", "tanh"):
+        a = 1.0 if k.variant == "logistic" else 2.0
         # cosh overflows to inf past a*u ~ 710, where phi is below 1e-308
         with np.errstate(over="ignore"):
             out = math.sinh(a) / (2.0 * (np.cosh(a * u) + math.cosh(a)))
-    elif variant == "ramp":
+    elif k.variant == "ramp":
         out = 0.5 * np.clip(1.5 - u, 0.0, 1.0)
-    elif variant == "three":
+    elif k.variant == "three":
         out = np.where(u < 0.5, 0.5, np.where(u <= 1.5, 0.25, 0.0))
     else:
-        out = _power_kernel(k.sigmoid.gamma, u)
+        out = _power_kernel(k.alpha, u)
     return float(out[0]) if xa.ndim == 0 else out.reshape(np.shape(x))
 
 
@@ -176,15 +156,10 @@ def _power_kernel(g: float, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_kernel(
-    variant: str,
-    gamma: float = 1.0,
-    scale: float = 1.0,
-    alpha: float | None = None,
-) -> Kernel:
-    """The kernel of a catalogue variant: ``Kernel(Sigmoid(variant, gamma),
-    scale, alpha)``, with alpha defaulting as described there."""
-    return Kernel(Sigmoid(variant, gamma), scale, alpha)
+def make_kernel(variant: str, scale: float = 1.0, alpha: float = 1.0) -> Kernel:
+    """The kernel of a catalogue variant, ``Kernel(variant, scale, alpha)``;
+    for ``power``, alpha is the gamma of its tails."""
+    return Kernel(variant, scale, alpha)
 
 
 def phi_floor(k: Kernel) -> float:
@@ -241,10 +216,10 @@ def absolute_moment(k: Kernel, beta: float, resolution: int = 100_000) -> float:
         )
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    unit = Kernel(k.sigmoid, 1.0, k.alpha)
+    unit = Kernel(k.variant, 1.0, k.alpha)
     runs = [(0.0, 10 * resolution + 1)]  # (first u, points) at spacing 1/resolution
-    if k.sigmoid.variant == "power":
-        runs.append((2.0 ** (1.0 / k.sigmoid.gamma) - 1.0, 2 * resolution + 1))
+    if k.variant == "power":
+        runs.append((2.0 ** (1.0 / k.alpha) - 1.0, 2 * resolution + 1))
     chunk = 2**20  # chunks bound the memory
     grids = itertools.chain(
         (first + np.arange(start, min(start + chunk, points)) / resolution
@@ -253,20 +228,27 @@ def absolute_moment(k: Kernel, beta: float, resolution: int = 100_000) -> float:
     )
     best = 0.0
     for u in grids:
+        phi = eval_kernel(unit, u)
         # phi h h with h = u^(beta/2): u^beta overflows near the joint of a
-        # power kernel whose T nears 2^1024, where phi h h is about 1/2
-        h = u ** (beta / 2)
-        best = max(best, float(np.max(eval_kernel(unit, u) * h * h)))
-    if k.sigmoid.variant == "power" and beta == 1.0 + k.sigmoid.gamma:
-        best = max(best, k.sigmoid.gamma)
-    return best * k.scale**-beta
+        # power kernel whose T nears 2^1024, where phi h h is about 1/2; h = 0
+        # where phi has underflowed, as h may be inf there and 0 inf is NaN
+        with np.errstate(over="ignore"):
+            h = np.where(phi > 0.0, u, 0.0) ** (beta / 2)
+            best = max(best, float(np.max(phi * h * h)))
+    if k.variant == "power" and beta == 1.0 + k.alpha:
+        best = max(best, k.alpha)
+    with np.errstate(over="ignore"):  # an overflow is a moment past the float range
+        moment = float(best * np.float64(k.scale) ** -beta)
+    if not 0.0 < moment < math.inf:
+        raise ValueError(f"moment of order {beta} out of float range for alpha={k.alpha}")
+    return moment
 
 
 def kernel_to_json(k: Kernel) -> str:
     """Serialize kernel metadata to a JSON object."""
-    payload: dict = {"variant": k.sigmoid.variant}
-    if k.sigmoid.variant == "power":
-        payload["gamma"] = k.sigmoid.gamma
+    payload: dict = {"variant": k.variant}
+    if k.variant == "power":
+        payload["gamma"] = k.alpha
     payload.update(
         scale=k.scale, alpha=k.alpha, decay_M=k.decay_m, decay_L=k.decay_l
     )

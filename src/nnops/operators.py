@@ -103,7 +103,7 @@ class OperatorSpec:
             raise ValueError(f"n must be a positive integer, got {self.n}")
 
     def describe(self) -> str:
-        return f"{self.family}/{self.mode} n={self.n} kernel={self.kernel.sigmoid.variant}"
+        return f"{self.family}/{self.mode} n={self.n} kernel={self.kernel.variant}"
 
 
 @dataclass(frozen=True)
@@ -347,8 +347,8 @@ def _scalar_sigmoid(variant: str, gamma: float, t: float) -> float:
 
 
 def _scalar_kernel(k: Kernel, t: float) -> float:
-    v = k.sigmoid.variant
-    g = k.sigmoid.gamma
+    v = k.variant
+    g = k.alpha  # a power kernel's gamma
     ct = k.scale * t
     return 0.5 * (_scalar_sigmoid(v, g, ct + 1.0) - _scalar_sigmoid(v, g, ct - 1.0))
 

@@ -26,21 +26,19 @@ from nnops import (
     eval_grid,
     eval_kernel,
     eval_operator,
-    fit_rate,
+    holder_test_function,
     kfunctional_constants,
     kfunctional_upper,
-    lp_error,
     make_kernel,
     node_bounds,
     partition_of_unity_defect,
     phi_floor,
     sample_function,
     step_test_function,
-    sup_error,
     sup_error_bound,
 )
 from nnops.cli import main as cli_main
-from nnops.experiments import TABLE_FAMILIES, denoise_sweep, error_table
+from nnops.experiments import TABLE_FAMILIES, denoise_sweep, error_table, rate_sweep
 
 UNIT = Domain(0.0, 1.0)
 
@@ -282,19 +280,11 @@ def test_criterion_5_lp_convergence(error_matrix):
     maxmin_errors = [matrix[n]["maxmin"] for n in ns]
     decreasing = all(a > b for a, b in zip(maxmin_errors, maxmin_errors[1:]))
 
-    kernel = make_kernel("tanh")
-    sweep = (25, 50, 100, 200, 400)
-    sup_errors = []
-    for n in sweep:
-        spec = OperatorSpec("maxmin", "kantorovich", n, UNIT, kernel)
-        k_lo, k_hi = node_bounds("kantorovich", n, UNIT)
-        ks = np.arange(k_lo, k_hi + 1)
-        data = NodeData(k_lo, k_hi, (ks + 0.5) / n)  # exact averages of x
-        sup_errors.append(
-            sup_error(lambda xs, s=spec, d=data: eval_grid(s, d, xs),
-                      lambda xs: np.asarray(xs), UNIT, 2001)
-        )
-    slope = fit_rate(np.array(sweep), sup_errors)
+    # the errors `nnops rate --n-list 25,50,100,200,400 --grid 2001` prints
+    sweep = rate_sweep("maxmin/kantorovich", holder_test_function(1.0), "maxmin",
+                       "kantorovich", make_kernel("tanh"), UNIT, (25, 50, 100, 200, 400),
+                       math.inf, 2001, 1.0)
+    slope = sweep.report.fitted_rate
     ok = decreasing and slope <= -0.6
     _report(
         "lp-convergence",
@@ -307,17 +297,16 @@ def test_criterion_6_bound_validity():
     kernel = make_kernel("tanh")
     alpha = kernel.alpha
     moment = absolute_moment(kernel, 1.0 + alpha, resolution=20_000)
-    identity = lambda xs: np.asarray(xs, dtype=float)
+    identity = holder_test_function(1.0)
+    ns = (30, 90, 270)
+
+    def measured(p, grid_points):
+        return rate_sweep("maxmin/kantorovich", identity, "maxmin", "kantorovich", kernel,
+                          UNIT, ns, p, grid_points, 1.0).report.errors
+
     problems = []
-
-    for n in (30, 90, 270):
-        spec = OperatorSpec("maxmin", "kantorovich", n, UNIT, kernel)
-        k_lo, k_hi = node_bounds("kantorovich", n, UNIT)
-        ks = np.arange(k_lo, k_hi + 1)
-        data = NodeData(k_lo, k_hi, (ks + 0.5) / n)
-        op = lambda xs, s=spec, d=data: eval_grid(s, d, xs)
-
-        measured_sup = sup_error(op, identity, UNIT, 2001)
+    for n, measured_sup, measured_l1 in zip(ns, measured(math.inf, 2001),
+                                            measured(1.0, 10_000)):
         bound_sup = sup_error_bound(
             identity, n, n**-0.5, kernel, moment, UNIT, grid_points=4001
         )
@@ -326,7 +315,6 @@ def test_criterion_6_bound_validity():
                 f"sup bound {bound_sup:.4f} < measured {measured_sup:.4f} at n={n}"
             )
 
-        measured_l1 = lp_error(op, identity, 1.0, UNIT, 10_000)
         kc = kfunctional_constants(1.0, UNIT, kernel, moment)
         delta_n = n ** -((1.0 + alpha) / (2.0 + alpha))
         est = kfunctional_upper(identity, kc.B * delta_n, 1.0, UNIT, alpha)

@@ -403,6 +403,12 @@ INPUTS = {
                  id="approximate-grid-negative"),
     pytest.param(["denoise", "--input", str(ECG), "--quad", "pairmean", "--sigma", "0",
                   "--grid", "0"], 2, "--grid", id="denoise-grid-0"),
+    pytest.param(["kernel-info", "--alpha", "1000"], 2, "float range for alpha=1000.0",
+                 id="moment-past-float-range"),
+    pytest.param(["kernel-info", "--scale", "0.1", "--alpha", "400", "--resolution", "100"],
+                 2, "float range for alpha=400.0", id="scaled-moment-past-float-range"),
+    pytest.param(["kernel-info", "--scale", "0.01", "--alpha", "200"], 2,
+                 "float range for alpha=200.0", id="small-scale-moment-past-float-range"),
 ])
 def test_exit_codes(capsys, tmp_path, argv, code, fragment):
     """Each row: argv -> documented exit code (0, 2 validation, 3 numeric),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,6 @@ from nnops import (
     Kernel,
     NodeData,
     OperatorSpec,
-    Sigmoid,
     absolute_moment,
     eval_grid,
     eval_kernel,
@@ -20,57 +20,58 @@ from nnops import (
     partition_of_unity_defect,
     phi_floor,
 )
-from nnops import kernels, operators
+from nnops import cli, kernels, operators
 from conftest import NONCOMPACT, VARIANTS
 
 
-def oracle_sigmoid(s: Sigmoid, x: float) -> float:
-    """The activation as the scalar oracle transcribes it; ``eval_kernel``
-    uses closed forms of the kernel instead."""
-    return operators._scalar_sigmoid(s.variant, s.gamma, float(x))
+def oracle_sigmoid(k: Kernel, x: float) -> float:
+    """The activation behind ``k`` as the scalar oracle transcribes it (a
+    power kernel's alpha is its gamma); ``eval_kernel`` uses closed forms of
+    the kernel instead."""
+    return operators._scalar_sigmoid(k.variant, k.alpha, float(x))
 
 
 class TestSigmoidEvaluation:
     def test_ramp_midpoint(self):
-        assert oracle_sigmoid(Sigmoid("ramp"), 0.0) == 0.5
+        assert oracle_sigmoid(make_kernel("ramp"), 0.0) == 0.5
 
     def test_three_step_values(self):
-        s = Sigmoid("three")
-        assert oracle_sigmoid(s, 0.6) == 1.0
-        assert oracle_sigmoid(s, -0.6) == 0.0
+        k = make_kernel("three")
+        assert oracle_sigmoid(k, 0.6) == 1.0
+        assert oracle_sigmoid(k, -0.6) == 0.0
         # the middle level is taken on the closed interval
-        assert oracle_sigmoid(s, -0.5) == 0.5
-        assert oracle_sigmoid(s, 0.5) == 0.5
+        assert oracle_sigmoid(k, -0.5) == 0.5
+        assert oracle_sigmoid(k, 0.5) == 0.5
 
     def test_power_tail_closed_form(self):
-        s = Sigmoid("power", gamma=1.0)
-        assert oracle_sigmoid(s, 3.0) == (3.0 + 1.0) / (3.0 + 2.0)  # 4/5
-        assert oracle_sigmoid(s, -3.0) == 1.0 / (3.0 + 2.0)
+        k = make_kernel("power", alpha=1.0)
+        assert oracle_sigmoid(k, 3.0) == (3.0 + 1.0) / (3.0 + 2.0)  # 4/5
+        assert oracle_sigmoid(k, -3.0) == 1.0 / (3.0 + 2.0)
 
     def test_power_tail_continuous_at_junctions(self):
         for gamma in (0.25, 0.5, 1.0):
-            s = Sigmoid("power", gamma=gamma)
+            k = make_kernel("power", alpha=gamma)
             t = 2.0 ** (1.0 / gamma)
             for x in (t, -t):
-                lo = oracle_sigmoid(s, x - 1e-9)
-                hi = oracle_sigmoid(s, x + 1e-9)
+                lo = oracle_sigmoid(k, x - 1e-9)
+                hi = oracle_sigmoid(k, x + 1e-9)
                 assert abs(hi - lo) < 1e-6
 
     def test_limits(self):
         for v in ("logistic", "tanh", "ramp", "three"):
-            s = Sigmoid(v)
-            assert oracle_sigmoid(s, -1e6) < 1e-3
-            assert oracle_sigmoid(s, 1e6) > 1.0 - 1e-3
+            k = make_kernel(v)
+            assert oracle_sigmoid(k, -1e6) < 1e-3
+            assert oracle_sigmoid(k, 1e6) > 1.0 - 1e-3
         # power variant: compare against its own algebraic tails
         for gamma in (0.25, 1.0):
-            s = Sigmoid("power", gamma=gamma)
-            assert oracle_sigmoid(s, -1e6) == 1.0 / (1e6**gamma + 2.0)
-            assert oracle_sigmoid(s, 1e6) == (1e6**gamma + 1.0) / (1e6**gamma + 2.0)
+            k = make_kernel("power", alpha=gamma)
+            assert oracle_sigmoid(k, -1e6) == 1.0 / (1e6**gamma + 2.0)
+            assert oracle_sigmoid(k, 1e6) == (1e6**gamma + 1.0) / (1e6**gamma + 2.0)
 
     def test_nondecreasing_and_in_range(self):
         xs = np.linspace(-50.0, 50.0, 20_001)
         for v in VARIANTS:
-            ys = np.array([oracle_sigmoid(Sigmoid(v), x) for x in xs])
+            ys = np.array([oracle_sigmoid(make_kernel(v), x) for x in xs])
             assert np.all(np.diff(ys) >= 0.0), v
             assert ys.min() >= 0.0 and ys.max() <= 1.0, v
 
@@ -78,22 +79,22 @@ class TestSigmoidEvaluation:
         # sigma(3) > sigma(1) holds strictly for the full-support variants;
         # ramp and three saturate at 1/2 so both values equal 1
         for v in NONCOMPACT:
-            s = Sigmoid(v)
-            assert oracle_sigmoid(s, 3.0) > oracle_sigmoid(s, 1.0), v
+            k = make_kernel(v)
+            assert oracle_sigmoid(k, 3.0) > oracle_sigmoid(k, 1.0), v
         for v in ("ramp", "three"):
-            s = Sigmoid(v)
-            assert oracle_sigmoid(s, 3.0) == oracle_sigmoid(s, 1.0) == 1.0
+            k = make_kernel(v)
+            assert oracle_sigmoid(k, 3.0) == oracle_sigmoid(k, 1.0) == 1.0
 
     def test_rejects_bad_variant_and_gamma(self):
         with pytest.raises(ValueError):
-            Sigmoid("sine")
+            make_kernel("sine")
         with pytest.raises(ValueError):
-            Sigmoid("power", gamma=0.0)
+            make_kernel("power", alpha=0.0)
         with pytest.raises(ValueError):
-            Sigmoid("power", gamma=1.5)
+            make_kernel("power", alpha=1.5)
         # the joint 2^(1/gamma) must be finite
         with pytest.raises(ValueError, match="1/gamma < 1024"):
-            Sigmoid("power", gamma=1.0 / 1024.0)
+            make_kernel("power", alpha=1.0 / 1024.0)
 
 
 class TestKernelEvaluation:
@@ -175,13 +176,13 @@ class TestPartitionOfUnity:
     def test_telescoping_oracle(self, catalogue):
         # the truncated shift sum telescopes through the activation:
         # sum_{|j|<=w} phi(x-j) = (s(x+w+1) + s(x+w) - s(x-w) - s(x-w-1)) / 2
-        s = Sigmoid("tanh")
+        k = make_kernel("tanh")
         x, w = 0.3, 12
         expected = 0.5 * (
-            oracle_sigmoid(s, x + w + 1.0)
-            + oracle_sigmoid(s, x + w)
-            - oracle_sigmoid(s, x - w)
-            - oracle_sigmoid(s, x - w - 1.0)
+            oracle_sigmoid(k, x + w + 1.0)
+            + oracle_sigmoid(k, x + w)
+            - oracle_sigmoid(k, x - w)
+            - oracle_sigmoid(k, x - w - 1.0)
         )
         got = partition_of_unity_defect(catalogue["tanh"], x, w)
         assert got == pytest.approx(abs(expected - 1.0), abs=1e-14)
@@ -244,7 +245,7 @@ class TestAbsoluteMoment:
     def test_power_moment_is_tail_limit(self, gamma, scale):
         # phi(t) t^(1+gamma) rises towards gamma c^-(1+gamma) without reaching
         # it; power:1 at order 2 is 1 at c = 1 and 1/9 at c = 3
-        k = make_kernel("power", gamma=gamma, scale=scale)
+        k = make_kernel("power", scale=scale, alpha=gamma)
         assert absolute_moment(k, 1.0 + gamma) == pytest.approx(
             gamma * scale ** -(1.0 + gamma), rel=1e-6)
 
@@ -253,7 +254,7 @@ class TestAbsoluteMoment:
         """phi(u) u^(1+gamma) peaks near 1/2 at u = T - 1, T = 2^(1/gamma),
         where the flat top ends: past the log-spaced scan's end (1e9) for
         gamma <= 0.03, between its points for larger gamma."""
-        k = make_kernel("power", gamma=gamma)
+        k = make_kernel("power", alpha=gamma)
         t = 2.0 ** (1.0 / gamma)
         peak = eval_kernel(k, t - 1.0) * (t - 1.0) ** (1.0 + gamma)
         # a few ulps for the scan's rounding of u^(1+gamma)
@@ -263,7 +264,7 @@ class TestAbsoluteMoment:
 
     def test_power_scan_finite_at_largest_joint(self):
         # T = 2^1023.5: u^(1+gamma) overflows at T + 1, phi is subnormal
-        k = make_kernel("power", gamma=1.0 / 1023.5)
+        k = make_kernel("power", alpha=1.0 / 1023.5)
         assert absolute_moment(k, 1.0 + k.alpha, resolution=100) == pytest.approx(0.5, rel=1e-9)
         assert k.decay_m == pytest.approx(0.55, rel=1e-9)
 
@@ -278,11 +279,11 @@ class TestAbsoluteMoment:
 
         monkeypatch.setattr(kernels, "eval_kernel", counting)
         beta = 1.5  # 1 + alpha for power:0.5, where its tail limit counts
-        unit = absolute_moment(make_kernel(variant, gamma), beta, resolution=2000)
+        unit = absolute_moment(make_kernel(variant, alpha=gamma), beta, resolution=2000)
         unit_cost = sum(evaluated)
         for scale in (0.001, 0.1, 3.0):
             evaluated.clear()
-            got = absolute_moment(make_kernel(variant, gamma, scale), beta, resolution=2000)
+            got = absolute_moment(make_kernel(variant, scale, gamma), beta, resolution=2000)
             assert got * scale**beta == pytest.approx(unit, rel=1e-9), scale
             assert sum(evaluated) <= unit_cost, scale
 
@@ -317,6 +318,36 @@ class TestDecayConstants:
             xs = np.logspace(np.log10(k.decay_l), 6, 2000)
             assert np.all(eval_kernel(k, xs) <= k.decay_m * xs ** -4.0), v
 
+    @pytest.mark.parametrize("variant", ["tanh", "logistic"])
+    @pytest.mark.parametrize("alpha", [68.0, 100.0])
+    def test_large_alpha_bound_holds(self, variant, alpha):
+        """phi(u) u^(1+alpha) peaks at u ~ (1+alpha)/2 (tanh) or 1+alpha
+        (logistic), past the uniform part of the scan, where u^((1+alpha)/2)
+        overflows at the scan's far end while phi has underflowed."""
+        k = make_kernel(variant, alpha=alpha)
+        u = np.arange(1, 400_001) * 1e-3
+        dense = float(np.max(eval_kernel(k, u) * u ** (1.0 + alpha)))
+        assert k.decay_m >= dense
+        assert absolute_moment(k, 1.0 + alpha, 1000) >= 0.99 * dense
+
+    @pytest.mark.parametrize("scale, alpha", [(1.0, 1000.0), (0.1, 400.0), (0.01, 200.0),
+                                              (1e4, 100.0)])
+    def test_moment_past_float_range_rejected(self, scale, alpha):
+        # overflows, except at scale 1e4, where c^-(1+alpha) underflows to 0
+        k = make_kernel("tanh", scale, alpha)
+        with pytest.raises(ValueError, match=f"float range for alpha={alpha}"):
+            absolute_moment(k, 1.0 + alpha, 100)
+        with pytest.raises(ValueError, match=f"float range for alpha={alpha}"):
+            k.decay_m
+
+    def test_decay_constant_past_float_range_rejected(self):
+        # a scale at which the moment is 1.7e308, finite, and 1.1 times it is not
+        unit = absolute_moment(make_kernel("tanh", alpha=20.0), 21.0, 400)
+        k = make_kernel("tanh", (unit / 1.7e308) ** (1.0 / 21.0), 20.0)
+        assert absolute_moment(k, 21.0, 400) == pytest.approx(1.7e308, rel=1e-9)
+        with pytest.raises(ValueError, match="decay_M is not finite for alpha=20.0"):
+            k.decay_m
+
     @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.25, 0.5, 1.0])
     @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
     def test_power_constant_bounds_tail(self, gamma, scale):
@@ -324,7 +355,7 @@ class TestDecayConstants:
         are on the branch 1/(|x|^gamma + 2); there
         phi = (b - a) / (2 (a + 2)(b + 2)) with a = (u - 1)^gamma,
         b = (u + 1)^gamma, and b - a taken without cancellation."""
-        k = make_kernel("power", gamma=gamma, scale=scale)
+        k = make_kernel("power", scale=scale, alpha=gamma)
         u = np.geomspace(1.0 + 2.0 ** (1.0 / gamma) + 1e-6, 1e15, 100_000)
         a = (u - 1.0) ** gamma
         b_minus_a = a * np.expm1(gamma * np.log1p(2.0 / (u - 1.0)))
@@ -334,16 +365,22 @@ class TestDecayConstants:
 
 class TestKernelConstruction:
     def test_power_alpha_pinned_to_gamma(self):
-        k = make_kernel("power", gamma=0.5)
-        assert k.alpha == 0.5
-        assert Kernel(Sigmoid("power", 0.5)).alpha == 0.5
-        with pytest.raises(ValueError):
-            make_kernel("power", gamma=0.5, alpha=1.0)
+        # a power kernel holds its exponent once, as alpha; the CLI's
+        # power:<gamma> accepts only --alpha equal to gamma
+        k = make_kernel("power", alpha=0.5)
+        assert k == Kernel("power", 1.0, 0.5)
+        assert json.loads(kernel_to_json(k))["gamma"] == 0.5
+        assert cli._parse_kernel("power:0.5", 1.0, None) == k
+        assert cli._parse_kernel("power:0.5", 1.0, 0.5) == k
         with pytest.raises(ValueError, match="alpha must equal gamma=0.5"):
-            Kernel(Sigmoid("power", 0.5), alpha=0.9)
+            cli._parse_kernel("power:0.5", 1.0, 0.9)
+
+    def test_kernel_is_variant_scale_alpha(self):
+        assert [f.name for f in dataclasses.fields(Kernel)] == ["variant", "scale", "alpha"]
+        assert make_kernel("tanh", 0.5, 2.0) == Kernel("tanh", 0.5, 2.0)
 
     def test_hand_built_kernel_is_the_catalogue_kernel(self, monkeypatch):
-        built = Kernel(Sigmoid("logistic"), scale=0.1)
+        built = Kernel("logistic", scale=0.1)
         assert built == make_kernel("logistic", scale=0.1)
         evaluated = []
 
@@ -377,12 +414,12 @@ class TestKernelConstruction:
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             make_kernel("tanh", **{field: value})
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
-            Kernel(Sigmoid("tanh"), **{field: value})
+            Kernel("tanh", **{field: value})
 
     def test_json_round_trip(self, catalogue):
         for v, k in catalogue.items():
             fields = json.loads(kernel_to_json(k))
-            gamma = k.sigmoid.gamma if v == "power" else None
+            gamma = k.alpha if v == "power" else None
             assert fields.pop("gamma", None) == gamma, v
             assert fields == {"variant": v, "scale": k.scale, "alpha": k.alpha,
                               "decay_M": k.decay_m, "decay_L": k.decay_l}, v
@@ -413,7 +450,7 @@ def test_kernel_non_increasing_in_abs_t(variant, gamma, scale):
     closed form changes pieces.  Arguments within a few ulps of each other
     are not probed: there the power kernel's tail and joint, each combining
     a rising and a falling factor, can round up by one ulp."""
-    k = make_kernel(variant, gamma=gamma, scale=scale)
+    k = make_kernel(variant, scale=scale, alpha=gamma)
     probes = [_ABS_T]
     if variant == "power":
         t = 2.0 ** (1.0 / gamma)

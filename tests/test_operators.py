@@ -205,7 +205,7 @@ def _half_width_scan(k, nodes):
                                             ("power", 0.5), ("power", 1.0)])
 def test_linear_half_width_search_matches_scan(variant, gamma):
     for scale in (0.1, 0.3, 1.0, 3.0, 10.0):
-        k = make_kernel(variant, gamma=gamma, scale=scale)
+        k = make_kernel(variant, scale=scale, alpha=gamma)
         spec = _spec(family="linear", kernel=k)
         for nodes in (1, 2, 3, 4, 5, 10, 41, 100, 1000, 20_000, 100_000):
             assert operators._half_width(spec, nodes) == _half_width_scan(k, nodes), (
@@ -278,7 +278,7 @@ def _dense_eval(spec, data, xs):
     return (np.minimum(v, r) if spec.family == "maxmin" else v * r).max(axis=1)
 
 
-KERNELS = {(v, g, c): make_kernel(v, gamma=g, scale=c)
+KERNELS = {(v, g, c): make_kernel(v, scale=c, alpha=g)
            for v, g in [("logistic", 1.0), ("tanh", 1.0), ("ramp", 1.0), ("three", 1.0),
                         ("power", 0.5), ("power", 1.0)]
            for c in (0.1, 1.0, 3.0)}

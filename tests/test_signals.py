@@ -227,6 +227,10 @@ class TestSyntheticEcg:
         b = synthetic_ecg(400, 3)
         assert np.array_equal(a.samples, b.samples)
 
+    def test_regenerates_bundled_fixture(self):
+        want = (DATA_DIR / "ecg_synthetic.csv").read_bytes()
+        assert signal_to_csv(synthetic_ecg()).encode() == want
+
     def test_unit_range_and_beats(self):
         s = synthetic_ecg(1600, 5)
         assert s.samples.min() >= 0.0 and s.samples.max() <= 1.0
