@@ -20,8 +20,6 @@ from .kernels import (
 from .metrics import (
     ErrorReport,
     KFunctionalConstants,
-    KFunctionalEstimate,
-    alternative_b,
     fit_rate,
     kantorovich_rate,
     kfunctional_constants,
@@ -60,7 +58,6 @@ from .signals import (
     SignalParseError,
     TooFewSamplesError,
     add_gaussian_noise,
-    denormalize,
     holder_test_function,
     load_signal_csv,
     normalize_to_unit,
@@ -68,7 +65,6 @@ from .signals import (
     signal_to_csv,
     step_test_function,
     synthetic_ecg,
-    write_signal_csv,
 )
 
 __version__ = "0.1.0"

@@ -97,8 +97,7 @@ def _load_input(path: str, domain: Domain) -> Signal:
     (offset and gain on stderr) if any sample lies outside."""
     signal = load_signal_csv(path, column="value", domain=domain)
     if signal.samples.min() < 0.0 or signal.samples.max() > 1.0:
-        signal = normalize_to_unit(signal)
-        offset, gain = signal.normalization
+        signal, offset, gain = normalize_to_unit(signal)
         print(f"normalized {path} to [0, 1]: value = offset + gain * sample, "
               f"offset={offset:.17g} gain={gain:.17g}", file=sys.stderr)
     return signal
@@ -260,6 +259,9 @@ def cmd_rate(args) -> int:
     )
     payload = json.loads(report_to_json(sweep.report))
     payload["theoretical_exponent"] = sweep.theoretical_exponent
+    payload["bounds"] = sweep.bounds
+    if sweep.no_bound:
+        print(f"no a priori bound: {sweep.no_bound}", file=sys.stderr)
     return _emit(json.dumps(payload) + "\n", args.out)
 
 

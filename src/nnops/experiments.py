@@ -3,9 +3,9 @@
 :func:`error_table` (the L^p error table of the Kantorovich families on the
 step function), :func:`denoise_sweep` (L1 distances of the denoising
 operators over noise seeds) and :func:`rate_sweep` (errors of one operator
-over n) return frozen dataclasses; :func:`denoise_curves` returns operator
-outputs on a grid.  The CLI and the acceptance tests only parse arguments and
-format these results.
+over n, with the a priori bound at each n where one is stated) return frozen
+dataclasses; :func:`denoise_curves` returns operator outputs on a grid.  The
+CLI and the acceptance tests only parse arguments and format these results.
 """
 
 from __future__ import annotations
@@ -16,13 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel
+from .kernels import Kernel, absolute_moment, phi_floor
 from .metrics import (
     ErrorReport,
+    kantorovich_rate,
+    kfunctional_constants,
+    kfunctional_upper,
     lp_error,
     make_error_report,
     rate_exponent_holder,
     sup_error,
+    sup_error_bound,
 )
 from .operators import Domain, NodeData, OperatorSpec, eval_grid, sample_node_values
 from .quadrature import QuadratureRule, cell_averages_exact, cell_averages_sampled
@@ -153,23 +157,50 @@ def denoise_sweep(base: Signal, clean, n: int, kernel: Kernel, rule: QuadratureR
 
 @dataclass(frozen=True)
 class RateSweep:
-    """Errors of one operator over n, and the exponent the theory predicts
-    (None when the function's Hoelder order is not known)."""
+    """Errors of one operator over n; the exponent the theory predicts (None
+    when the function's Hoelder order is not known); and the a priori bound at
+    each n in the same norm (None where :func:`rate_sweep` gives none, and
+    ``no_bound`` says why if a constant of the bound is past the float range)."""
 
     report: ErrorReport
     theoretical_exponent: float | None
+    bounds: tuple[float, ...] | None
+    no_bound: str | None = None
+
+
+def _bounds(f, kernel: Kernel, domain: Domain, n_values, p: float) -> tuple[float, ...]:
+    """The a priori error bound of the Kantorovich max-min operator at each n:
+    the modulus bound at delta_n = n^-1/2 for p = inf, else the K-functional
+    bound at delta_n = n^-(1+alpha)/(2+alpha).  Raises ValueError when the
+    moment, decay_M or moment / phi(2) is past the float range."""
+    moment = absolute_moment(kernel, 1.0 + kernel.alpha)
+    if math.isinf(p):
+        return tuple(sup_error_bound(f, n, n**-0.5, kernel, moment, domain, grid_points=4001)
+                     for n in n_values)
+    kc = kfunctional_constants(p, domain, kernel, moment)
+    deltas = [n ** -kantorovich_rate(kernel.alpha) for n in n_values]
+    return tuple(kc.A * kfunctional_upper(f, kc.B * d, p, domain, kernel.alpha)
+                 + kc.moment_term * d for d in deltas)
 
 
 def rate_sweep(label: str, f, family: str, mode: str, kernel: Kernel, domain: Domain,
                n_values, p: float, grid_points: int, beta: float | None) -> RateSweep:
     """Error of the ``family``/``mode`` operator on ``f`` at each n, reported
-    under ``label`` with the fitted log-log rate and, for a Hoelder-``beta``
-    function, the theoretical exponent -(1+alpha) beta / (1+alpha+beta)."""
+    under ``label`` with the fitted log-log rate, for a Hoelder-``beta``
+    function the theoretical exponent -(1+alpha) beta / (1+alpha+beta), and
+    the a priori bounds.  The bound formulas are stated for the Kantorovich
+    max-min operator and divide by phi(2), so other operators, and compact
+    kernels with phi(2) = 0, get none."""
     errors = []
     for n in n_values:
         spec = OperatorSpec(family, mode, n, domain, kernel)
         op = _operator(spec, node_data(f, spec))
         errors.append(_norm_error(op, f, p, domain, grid_points))
     theoretical = None if beta is None else -rate_exponent_holder(kernel.alpha, beta)
-    return RateSweep(make_error_report(label, p, n_values, errors), theoretical)
-
+    report = make_error_report(label, p, n_values, errors)
+    if (family, mode) != ("maxmin", "kantorovich") or phi_floor(kernel) <= 0.0:
+        return RateSweep(report, theoretical, None)
+    try:
+        return RateSweep(report, theoretical, _bounds(f, kernel, domain, n_values, p))
+    except ValueError as exc:  # a constant of the bound is past the float range
+        return RateSweep(report, theoretical, None, str(exc))

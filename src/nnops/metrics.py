@@ -2,7 +2,9 @@
 
 Everything here works on plain callables that accept an ndarray of points in
 the domain (operator outputs are wrapped the same way), so measured errors
-and theoretical bound evaluations share one vocabulary.
+and theoretical bound evaluations share one vocabulary.  The a priori bounds
+are stated for the Kantorovich max-min operator;
+:func:`nnops.experiments.rate_sweep` chooses the bound and its delta_n.
 """
 
 from __future__ import annotations
@@ -118,7 +120,10 @@ def sup_error_bound(
     floor = _positive_floor(kernel, "sup_error_bound")
     omega_n = modulus_of_continuity(f, 1.0 / n, domain, grid_points)
     omega_d = modulus_of_continuity(f, delta_n, domain, grid_points)
-    tail = moment / (floor * (n * delta_n) ** (1.0 + kernel.alpha))
+    # a negative power underflows to 0, its limit, where a positive one overflows
+    tail = moment / floor * (n * delta_n) ** -(1.0 + kernel.alpha)
+    if not tail < math.inf:  # NaN fails too
+        raise ValueError(f"moment / phi(2) out of float range for alpha={kernel.alpha}")
     return omega_n + max(omega_d, tail)
 
 
@@ -150,46 +155,13 @@ def kfunctional_constants(
         1.0 / (p * (1.0 + alpha))
     )
     b_val = 1.5 * width ** (1.0 / p) / a_val
-    return KFunctionalConstants(
-        A=a_val, B=b_val, moment_term=moment * width ** (1.0 / p) / floor
-    )
+    moment_term = moment * width ** (1.0 / p) / floor
+    if not max(a_val, moment_term) < math.inf:
+        raise ValueError(f"K-functional constants out of float range for alpha={alpha}")
+    return KFunctionalConstants(A=a_val, B=b_val, moment_term=moment_term)
 
 
-def alternative_b(
-    constants: KFunctionalConstants,
-    p: float,
-    domain: Domain,
-    kernel: Kernel,
-    moment: float,
-    g_prime_sup: float,
-) -> float:
-    """Alternative B constant available when the K-functional minimizer is
-    non-constant (g_prime_sup > 0): ((1/2 + max(1, m/(phi(2) |g'|))) w^(1/p)) / A."""
-    if g_prime_sup <= 0.0:
-        raise ValueError("alternative B needs a non-constant minimizer")
-    floor = _positive_floor(kernel, "alternative_b")
-    top = (0.5 + max(1.0, moment / (floor * g_prime_sup))) * domain.width ** (1.0 / p)
-    return top / constants.A
-
-
-@dataclass(frozen=True)
-class KFunctionalEstimate:
-    """Upper estimate of the K-functional from a finite candidate family."""
-
-    value: float
-    g_prime_sup: float
-    width: float
-
-
-def kfunctional_upper(
-    f,
-    delta: float,
-    p: float,
-    domain: Domain,
-    alpha: float,
-    widths: tuple[float, ...] | None = None,
-    grid_points: int = 4096,
-) -> KFunctionalEstimate:
+def kfunctional_upper(f, delta: float, p: float, domain: Domain, alpha: float) -> float:
     """Upper estimate of the K-functional K(f, delta)_p.
 
     The true infimum over C^1 candidates g of
@@ -200,14 +172,13 @@ def kfunctional_upper(
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if widths is None:
-        w = domain.width
-        widths = tuple(w * r for r in (1e-3, 4e-3, 1.6e-2, 6.4e-2, 2.56e-1))
+    grid_points = 4096
     xs = np.linspace(domain.a, domain.b, grid_points)
     dx = domain.width / (grid_points - 1)
     fs = np.asarray(f(xs), dtype=float)
 
-    best: KFunctionalEstimate | None = None
+    best = math.inf
+    widths = tuple(domain.width * r for r in (1e-3, 4e-3, 1.6e-2, 6.4e-2, 2.56e-1))
     for width in widths:
         # window no longer than the signal, or convolve('same') grows the output
         half = min(max(1, int(4.0 * width / dx)), (grid_points - 1) // 2)
@@ -219,10 +190,7 @@ def kfunctional_upper(
         )
         dist = float((np.abs(fs - gs) ** p).sum() * dx) ** (1.0 / p)
         g_prime = float(np.abs(np.diff(gs)).max() / dx)
-        score = dist ** (alpha / (alpha + 1.0)) + delta * g_prime
-        if best is None or score < best.value:
-            best = KFunctionalEstimate(score, g_prime, width)
-    assert best is not None
+        best = min(best, dist ** (alpha / (alpha + 1.0)) + delta * g_prime)
     return best
 
 

@@ -127,10 +127,6 @@ class NodeData:
         if len(values) and not (values.min() >= 0.0 and values.max() <= 1.0):
             raise ValueError("node values must lie in [0, 1]")  # NaN fails too
 
-    @property
-    def ks(self) -> np.ndarray:
-        return np.arange(self.k_lo, self.k_hi + 1)
-
 
 def _stable_ceil(t: float) -> int:
     # round to 12 decimals first so e.g. ceil(2.9999999999999996) stays 3

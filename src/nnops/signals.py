@@ -2,8 +2,8 @@
 
 The operators expect functions with values in [0, 1]; raw traces (for
 instance ECG excerpts in millivolts) are brought into range by the affine
-map of :func:`normalize_to_unit`, which records (offset, gain) so results
-can be mapped back.
+map of :func:`normalize_to_unit`, which returns its (offset, gain) beside the
+mapped signal.
 """
 
 from __future__ import annotations
@@ -74,14 +74,11 @@ def step_test_function() -> PiecewiseConstant:
 class Signal:
     """Uniformly sampled trace over a closed domain, endpoints inclusive.
 
-    ``normalization`` is the (offset, gain) pair recorded by
-    :func:`normalize_to_unit`; original values are offset + gain * sample.
     Calling the signal performs nearest-sample lookup (no interpolation).
     """
 
     domain: Domain
     samples: np.ndarray
-    normalization: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=float).copy()
@@ -118,63 +115,41 @@ def add_gaussian_noise(s: Signal, sigma: float, seed: int) -> Signal:
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
-        return Signal(s.domain, s.samples, s.normalization)
+        return s
     rng = np.random.default_rng(seed)
     noisy = s.samples + sigma * rng.standard_normal(len(s.samples))
-    return Signal(s.domain, np.clip(noisy, 0.0, 1.0), s.normalization)
+    return Signal(s.domain, np.clip(noisy, 0.0, 1.0))
 
 
-def normalize_to_unit(s: Signal) -> Signal:
-    """Affinely map the sample range onto [0, 1], recording (offset, gain)."""
+def normalize_to_unit(s: Signal) -> tuple[Signal, float, float]:
+    """Affinely map the sample range onto [0, 1]; returns the mapped signal,
+    the offset and the gain (original values are offset + gain * sample)."""
     lo = float(s.samples.min())
     hi = float(s.samples.max())
     if hi == lo:
         raise DegenerateRangeError("all samples equal; cannot normalize")
-    return Signal(s.domain, (s.samples - lo) / (hi - lo), normalization=(lo, hi - lo))
+    return Signal(s.domain, (s.samples - lo) / (hi - lo)), lo, hi - lo
 
 
-def denormalize(s: Signal) -> Signal:
-    """Invert :func:`normalize_to_unit` using the recorded (offset, gain)."""
-    if s.normalization is None:
-        raise ValueError("signal carries no normalization record")
-    offset, gain = s.normalization
-    return Signal(s.domain, offset + gain * s.samples, normalization=None)
-
-
-def load_signal_csv(path, column=0, domain: Domain = Domain(0.0, 1.0)) -> Signal:
+def load_signal_csv(path, column: str, domain: Domain = Domain(0.0, 1.0)) -> Signal:
     """Load a uniformly sampled signal from a CSV file.
 
-    ``column`` selects the value column by integer index or, when the file
-    has a header row, by name.  Rows are taken in file order and placed on a
-    uniform grid over ``domain``; no resampling is performed.  A cell that
-    does not parse or holds nan/inf raises :class:`SignalParseError` naming
-    its row and column, since one non-finite node value poisons every output
-    of the max families.
+    The first row is the header, and ``column`` names the value column.
+    Rows are taken in file order and placed on a uniform grid over
+    ``domain``; no resampling is performed.  A cell that does not parse or
+    holds nan/inf raises :class:`SignalParseError` naming its row and
+    column, since one non-finite node value poisons every output of the max
+    families.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise TooFewSamplesError(f"{path}: empty file")
-
-    def _is_number(cell: str) -> bool:
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-
-    header = None
-    if not all(_is_number(c) for c in rows[0]):
-        header = rows[0]
-        rows = rows[1:]
-
-    if isinstance(column, str):
-        if header is None or column not in header:
-            raise SignalParseError(f"{path}: no column named {column!r}")
-        col = header.index(column)
-    else:
-        col = column
+    header, rows = rows[0], rows[1:]
+    if column not in header:
+        raise SignalParseError(f"{path}: no column named {column!r}")
+    col = header.index(column)
 
     values = []
     for i, row in enumerate(rows):
@@ -196,13 +171,8 @@ def load_signal_csv(path, column=0, domain: Domain = Domain(0.0, 1.0)) -> Signal
     return Signal(domain, np.array(values))
 
 
-def write_signal_csv(s: Signal, path) -> None:
-    """Write ``x,value`` rows with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write(signal_to_csv(s))
-
-
 def signal_to_csv(s: Signal) -> str:
+    """``x,value`` rows with 17 significant digits, under that header."""
     buf = io.StringIO()
     buf.write("x,value\n")
     for x, v in zip(s.grid, s.samples):

@@ -21,21 +21,17 @@ from nnops import (
     NodeData,
     OperatorSpec,
     QuadratureRule,
-    absolute_moment,
     brute_force_eval,
     eval_grid,
     eval_kernel,
     eval_operator,
     holder_test_function,
-    kfunctional_constants,
-    kfunctional_upper,
     make_kernel,
     node_bounds,
     partition_of_unity_defect,
     phi_floor,
     sample_function,
     step_test_function,
-    sup_error_bound,
 )
 from nnops.cli import main as cli_main
 from nnops.experiments import TABLE_FAMILIES, denoise_sweep, error_table, rate_sweep
@@ -293,39 +289,40 @@ def test_criterion_5_lp_convergence(error_matrix):
     )
 
 
-def test_criterion_6_bound_validity():
-    kernel = make_kernel("tanh")
-    alpha = kernel.alpha
-    moment = absolute_moment(kernel, 1.0 + alpha, resolution=20_000)
+def test_criterion_6_bound_validity(catalogue):
     identity = holder_test_function(1.0)
     ns = (30, 90, 270)
 
-    def measured(p, grid_points):
-        return rate_sweep("maxmin/kantorovich", identity, "maxmin", "kantorovich", kernel,
-                          UNIT, ns, p, grid_points, 1.0).report.errors
+    def sweep(kernel, p, family="maxmin", mode="kantorovich"):
+        grid_points = 2001 if math.isinf(p) else 10_000
+        return rate_sweep(f"{family}/{mode}", identity, family, mode, kernel, UNIT, ns,
+                          p, grid_points, 1.0)
 
-    problems = []
-    for n, measured_sup, measured_l1 in zip(ns, measured(math.inf, 2001),
-                                            measured(1.0, 10_000)):
-        bound_sup = sup_error_bound(
-            identity, n, n**-0.5, kernel, moment, UNIT, grid_points=4001
-        )
-        if bound_sup < measured_sup:
-            problems.append(
-                f"sup bound {bound_sup:.4f} < measured {measured_sup:.4f} at n={n}"
-            )
+    problems, ratios = [], []
+    for name in ("logistic", "tanh", "power"):
+        worst = math.inf
+        for p in (math.inf, 1.0):
+            result = sweep(catalogue[name], p)
+            for n, bound, err in zip(ns, result.bounds, result.report.errors):
+                if bound < err:
+                    problems.append(f"{name} p={p} n={n}: bound {bound:.4f} < {err:.4f}")
+                worst = min(worst, bound / err)
+        ratios.append(f"{name} {worst:.2f}x")
 
-        kc = kfunctional_constants(1.0, UNIT, kernel, moment)
-        delta_n = n ** -((1.0 + alpha) / (2.0 + alpha))
-        est = kfunctional_upper(identity, kc.B * delta_n, 1.0, UNIT, alpha)
-        bound_l1 = kc.A * est.value + kc.moment_term * delta_n
-        if bound_l1 < measured_l1:
-            problems.append(
-                f"L1 bound {bound_l1:.4f} < measured {measured_l1:.4f} at n={n}"
-            )
+    # the bounds are stated for the Kantorovich max-min operator with phi(2) > 0
+    unbounded = {
+        "ramp": sweep(catalogue["ramp"], math.inf),
+        "three": sweep(catalogue["three"], math.inf),
+        "linear": sweep(catalogue["tanh"], math.inf, family="linear"),
+        "maxprod": sweep(catalogue["tanh"], math.inf, family="maxprod"),
+        "sampling": sweep(catalogue["tanh"], math.inf, mode="sampling"),
+    }
+    problems += [f"{key}: bounds given" for key, result in unbounded.items()
+                 if result.bounds is not None]
 
     _report("bound-validity", not problems, "; ".join(problems) or
-            "modulus and K-functional bounds dominate at n in {30, 90, 270}")
+            "sup and L1 bounds dominate at n in {30, 90, 270}, smallest ratio "
+            + ", ".join(ratios) + "; no bound for " + ", ".join(unbounded))
 
 
 def test_criterion_7_denoising_advantage(step):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +22,15 @@ from nnops import (
     make_kernel,
     normalize_to_unit,
     rate_exponent_holder,
+    signal_to_csv,
     step_test_function,
     sup_error,
-    write_signal_csv,
 )
 from nnops.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "approximate_golden.csv"
 ECG = Path(__file__).resolve().parent.parent / "data" / "ecg_synthetic.csv"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -125,7 +128,7 @@ class TestApproximate:
 
     def test_constant_signal_input(self, capsys, tmp_path):
         p = tmp_path / "const.csv"
-        write_signal_csv(Signal(Domain(0.0, 1.0), np.full(400, 0.55)), p)
+        p.write_text(signal_to_csv(Signal(Domain(0.0, 1.0), np.full(400, 0.55))))
         code, out, _ = run(capsys, "approximate", "--n", "20", "--input", str(p),
                            "--quad", "riemann:16", "--grid", "50")
         assert code == 0
@@ -143,14 +146,14 @@ class TestApproximate:
     def test_out_of_range_input_normalized(self, capsys, tmp_path):
         raw = np.array([-0.4, 1.1, 0.2, 0.5, 2.6, -0.1, 0.7, 0.3])
         p = tmp_path / "raw.csv"
-        write_signal_csv(Signal(Domain(0.0, 1.0), raw), p)
+        p.write_text(signal_to_csv(Signal(Domain(0.0, 1.0), raw)))
         code, out, err = run(capsys, "approximate", "--n", "2", "--input", str(p),
                              "--quad", "riemann:4", "--grid", "8")
         assert code == 0
         assert "offset=-0.40000000000000002 gain=3" in err
         # the output grid is the sample grid, so column f is the mapped trace
         f = [float(ln.split(",")[1]) for ln in out.splitlines()[1:]]
-        want = normalize_to_unit(Signal(Domain(0.0, 1.0), raw)).samples
+        want = normalize_to_unit(Signal(Domain(0.0, 1.0), raw))[0].samples
         np.testing.assert_array_equal(f, want)
         assert want.min() == 0.0 and want.max() == 1.0
 
@@ -243,6 +246,27 @@ class TestRate:
         assert payload["n_values"] == [10, 20, 40]
         assert payload["fitted_rate"] < 0.0
 
+    def test_default_prints_bounds_above_errors(self, capsys):
+        code, out, err = run(capsys, "rate")
+        payload = json.loads(out)
+        assert (code, err, list(payload)[-1]) == (0, "", "bounds")
+        assert len(payload["bounds"]) == len(payload["errors"]) == 5
+        assert all(b >= e for b, e in zip(payload["bounds"], payload["errors"]))
+
+    def test_no_bounds_for_linear_family(self, capsys):
+        code, out, err = run(capsys, "rate", "--family", "linear",
+                             "--n-list", "10,20,40", "--grid", "200")
+        assert (code, json.loads(out)["bounds"], err) == (0, None, "")
+
+    @pytest.mark.parametrize("alpha, p", [("200", "inf"), ("196", "inf"), ("196", "1")])
+    def test_bound_past_float_range_is_null(self, capsys, alpha, p):
+        # alpha 200: the moment overflows; 196: the moment fits, moment / phi(2)
+        # does not
+        code, out, err = run(capsys, "rate", "--n-list", "10,20,40", "--grid", "200",
+                             "--alpha", alpha, "--p", p)
+        assert (code, json.loads(out)["bounds"]) == (0, None)
+        assert err.startswith("no a priori bound: ") and err.count("\n") == 1
+
 
 class TestDenoise:
     def test_columns_and_distances(self, capsys):
@@ -290,7 +314,7 @@ class TestDenoise:
             domain = Domain(a, b)
             sig = Signal(domain, rng.uniform(0.2, 0.8, size))
             p = tmp_path / "sig.csv"
-            write_signal_csv(sig, p)
+            p.write_text(signal_to_csv(sig))
             code, out, err = run(capsys, "denoise", "--input", str(p),
                                  "--quad", "pairmean", "--sigma", "0",
                                  "--domain", f"{a},{b}", "--grid", "20", "--json")
@@ -350,6 +374,7 @@ INPUTS = {
     "eight.csv": "x,value\n" + "".join(f"{i / 7},0.5\n" for i in range(8)),
     "raw.csv": "x,value\n" + "".join(f"{i / 7},{v}\n" for i, v in
                                      enumerate((-3, 1, 4, -1, 5, 9, -2, 6))),
+    "bare.csv": "0.1\n0.9\n",
 }
 
 
@@ -409,6 +434,12 @@ INPUTS = {
                  2, "float range for alpha=400.0", id="scaled-moment-past-float-range"),
     pytest.param(["kernel-info", "--scale", "0.01", "--alpha", "200"], 2,
                  "float range for alpha=200.0", id="small-scale-moment-past-float-range"),
+    pytest.param(["rate", "--n-list", "10,20,40", "--grid", "200", "--alpha", "200"], 0,
+                 "no a priori bound", id="rate-moment-past-float-range"),
+    pytest.param(["rate", "--kernel", "ramp", "--n-list", "10,20,40", "--grid", "200"], 0,
+                 "", id="rate-compact-kernel"),
+    pytest.param(["approximate", "--n", "10", "--input", "{dir}/bare.csv", "--grid", "5"],
+                 2, "no column named 'value'", id="header-less-input"),
 ])
 def test_exit_codes(capsys, tmp_path, argv, code, fragment):
     """Each row: argv -> documented exit code (0, 2 validation, 3 numeric),
@@ -418,3 +449,23 @@ def test_exit_codes(capsys, tmp_path, argv, code, fragment):
     got, out, err = run(capsys, *(a.replace("{dir}", str(tmp_path)) for a in argv))
     assert (got, fragment in err) == (code, True), err
     assert got == 0 or out == ""
+
+
+def _readme_commands():
+    """The ``nnops`` command lines of the README's ``sh`` blocks, with
+    continuations joined and comments and ``> /dev/null`` dropped."""
+    text = "".join(re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S))
+    lines = text.replace("\\\n", " ").replace("> /dev/null", "").splitlines()
+    argvs = [shlex.split(line, comments=True) for line in lines]
+    return [argv[1:] for argv in argvs if argv[:1] == ["nnops"]]
+
+
+def test_readme_commands_run(capsys, monkeypatch):
+    """Every ``nnops`` command the README shows exits 0 from the repo root."""
+    monkeypatch.chdir(README.parent)
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "kernel-info", "approximate", "error-table", "rate", "denoise"}
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

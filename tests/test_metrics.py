@@ -11,7 +11,6 @@ from nnops import (
     Domain,
     ErrorReport,
     absolute_moment,
-    alternative_b,
     fit_rate,
     kantorovich_rate,
     kfunctional_constants,
@@ -183,6 +182,19 @@ class TestSupErrorBound:
         with pytest.raises(DegenerateKernelError):
             sup_error_bound(_const(0.3), 10, 0.1, make_kernel("ramp"), 0.3, UNIT)
 
+    def test_large_alpha_tail_vanishes(self):
+        # (n delta_n)^(1+alpha) = 1e404 is past the float range; its
+        # reciprocal underflows to 0, so only the modulus term is left
+        kernel = make_kernel("tanh", alpha=100.0)
+        got = sup_error_bound(lambda xs: np.asarray(xs), 10**8, 1e-4, kernel, 1.0, UNIT,
+                              grid_points=20_001)
+        assert got == pytest.approx(1e-4, rel=1e-9)
+
+    def test_tail_past_float_range_rejected(self):
+        # moment / phi(2) overflows: the bound is not a number, not infinity
+        with pytest.raises(ValueError, match="out of float range"):
+            sup_error_bound(_const(0.3), 10, 0.1, TANH, 1e308, UNIT)
+
 
 class TestKFunctional:
     def test_constants_closed_form_p1(self):
@@ -202,27 +214,19 @@ class TestKFunctional:
         with pytest.raises(DegenerateKernelError):
             kfunctional_constants(1.0, UNIT, make_kernel("three"), 0.3)
 
+    def test_constants_past_float_range_rejected(self):
+        with pytest.raises(ValueError, match="out of float range"):
+            kfunctional_constants(1.0, UNIT, TANH, 1e308)
+
     def test_upper_estimate_for_smooth_function(self):
         # the identity is its own best C^1 candidate: the estimate should be
         # close to delta * 1 once a near-identity smoothing width is tried
-        est = kfunctional_upper(lambda xs: np.asarray(xs), 0.05, 1.0, UNIT, 1.0)
-        assert est.value <= 0.08
-        assert est.g_prime_sup <= 1.05
+        assert kfunctional_upper(lambda xs: np.asarray(xs), 0.05, 1.0, UNIT, 1.0) <= 0.08
 
     def test_upper_estimate_decreases_with_delta(self, step):
         e1 = kfunctional_upper(step, 0.2, 1.0, UNIT, 1.0)
         e2 = kfunctional_upper(step, 0.01, 1.0, UNIT, 1.0)
-        assert e2.value <= e1.value + 1e-12
-
-    def test_alternative_b(self):
-        moment = 0.3
-        kc = kfunctional_constants(1.0, UNIT, TANH, moment)
-        val = alternative_b(kc, 1.0, UNIT, TANH, moment, g_prime_sup=1.0)
-        floor = phi_floor(TANH)
-        want = (0.5 + max(1.0, moment / floor)) / kc.A
-        assert val == pytest.approx(want, abs=1e-12)
-        with pytest.raises(ValueError):
-            alternative_b(kc, 1.0, UNIT, TANH, moment, g_prime_sup=0.0)
+        assert e2 <= e1 + 1e-12
 
 
 def _ols_slope(xs, ys):

@@ -266,7 +266,8 @@ class TestNodeData:
 
 def _dense_eval(spec, data, xs):
     """The module docstring's three formulas over every node, no windows."""
-    w = eval_kernel(spec.kernel, spec.n * xs[:, None] - data.ks[None, :])
+    ks = np.arange(data.k_lo, data.k_hi + 1)
+    w = eval_kernel(spec.kernel, spec.n * xs[:, None] - ks[None, :])
     v = data.values[None, :]
     denom = w.sum(axis=1) if spec.family == "linear" else w.max(axis=1)
     bad = np.flatnonzero(denom == 0.0)
