@@ -2,9 +2,11 @@
 
 The library implements six fixed-formula approximation operators (linear,
 max-product, and max-min families, each in a sampling and a Kantorovich
-variant), the kernel machinery behind them, error metrology (L^p norms,
-modulus of continuity, absolute moments, rate fits, K-functional bounds),
-and signal utilities for denoising experiments.
+variant), the kernel machinery behind them, node data from functions and
+sampled traces on any interval (:mod:`nnops.quadrature`), error metrology
+(L^p norms for 1 <= p <= inf in :func:`lp_error`, modulus of continuity,
+absolute moments, rate fits, K-functional bounds), and signal utilities for
+denoising experiments.
 """
 
 from .kernels import (
@@ -12,7 +14,6 @@ from .kernels import (
     Kernel,
     absolute_moment,
     eval_kernel,
-    kernel_to_json,
     make_kernel,
     partition_of_unity_defect,
     phi_floor,
@@ -28,7 +29,6 @@ from .metrics import (
     make_error_report,
     modulus_of_continuity,
     rate_exponent_holder,
-    sup_error,
     sup_error_bound,
 )
 from .operators import (
@@ -41,7 +41,6 @@ from .operators import (
     eval_grid,
     eval_operator,
     node_bounds,
-    node_range,
     sample_node_values,
 )
 from .quadrature import (

@@ -9,6 +9,7 @@ All results are deterministic given the flags (including ``--seed``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -20,18 +21,15 @@ from .experiments import (
     denoise_curves,
     denoise_sweep,
     error_table,
-    node_data,
     rate_sweep,
 )
 from .kernels import (
     Kernel,
     absolute_moment,
     eval_kernel,
-    kernel_to_json,
     make_kernel,
     phi_floor,
 )
-from .metrics import report_to_json
 from .operators import (
     Domain,
     OperatorSpec,
@@ -39,7 +37,7 @@ from .operators import (
     eval_grid,
     node_bounds,
 )
-from .quadrature import QuadratureRule, pairmean_order
+from .quadrature import QuadratureRule, node_data, pairmean_order
 from .signals import (
     Signal,
     add_gaussian_noise,
@@ -79,16 +77,17 @@ def _parse_domain(text: str) -> Domain:
     return Domain(a, b)
 
 
-def _parse_fn(text: str):
+def _parse_fn(text: str, domain: Domain):
     """Named test function -> (callable with values in [0, 1], its Hoelder
-    order, or None for the discontinuous step)."""
+    order, or None for the discontinuous step); identity and lipschitz:<beta>
+    are ((x - a)/(b - a))^beta on ``domain``."""
     if text == "step":
         return step_test_function(), None
     if text == "identity":
-        return holder_test_function(1.0), 1.0
+        return holder_test_function(1.0, domain), 1.0
     if text.startswith("lipschitz:"):
         beta = float(text.split(":", 1)[1])
-        return holder_test_function(beta), beta
+        return holder_test_function(beta, domain), beta
     raise ValueError(f"unknown function {text!r}; use step, identity or lipschitz:<beta>")
 
 
@@ -202,11 +201,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_kernel_info(args) -> int:
     kernel = _parse_kernel(args.kernel, args.scale, args.alpha)
-    info = json.loads(kernel_to_json(kernel))
-    info["phi_zero"] = eval_kernel(kernel, 0.0)
-    info["phi_floor"] = phi_floor(kernel)
-    info["moment_1_plus_alpha"] = absolute_moment(
-        kernel, 1.0 + kernel.alpha, resolution=args.resolution
+    info: dict = {"variant": kernel.variant}
+    if kernel.variant == "power":
+        info["gamma"] = kernel.alpha
+    # decay_M before the moment: of two values past the float range, its error wins
+    info.update(
+        scale=kernel.scale, alpha=kernel.alpha, decay_M=kernel.decay_m,
+        decay_L=kernel.decay_l, phi_zero=eval_kernel(kernel, 0.0),
+        phi_floor=phi_floor(kernel),
+        moment_1_plus_alpha=absolute_moment(kernel, 1.0 + kernel.alpha,
+                                            resolution=args.resolution),
     )
     return _emit(json.dumps(info) + "\n", args.out)
 
@@ -216,7 +220,7 @@ def cmd_approximate(args) -> int:
     kernel = _parse_kernel(args.kernel, args.scale, args.alpha)
     spec = OperatorSpec(args.family, args.mode, args.n, domain, kernel)
     rule = _parse_quad(args.quad) if args.quad else None
-    f = _load_input(args.input, domain) if args.input else _parse_fn(args.fn)[0]
+    f = _load_input(args.input, domain) if args.input else _parse_fn(args.fn, domain)[0]
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     data = node_data(f, spec, rule)
@@ -251,15 +255,16 @@ def cmd_error_table(args) -> int:
 
 def cmd_rate(args) -> int:
     """Fit the empirical convergence exponent over a sweep of n."""
-    f, beta = _parse_fn(args.fn)
+    domain = _parse_domain(args.domain)
+    f, beta = _parse_fn(args.fn, domain)
     sweep = rate_sweep(
         f"{args.family}/{args.mode} kernel={args.kernel}", f, args.family, args.mode,
-        _parse_kernel(args.kernel, args.scale, args.alpha), _parse_domain(args.domain),
+        _parse_kernel(args.kernel, args.scale, args.alpha), domain,
         [int(t) for t in args.n_list.split(",")], args.p, args.grid, beta,
     )
-    payload = json.loads(report_to_json(sweep.report))
-    payload["theoretical_exponent"] = sweep.theoretical_exponent
-    payload["bounds"] = sweep.bounds
+    payload = dataclasses.asdict(sweep.report)
+    payload["p"] = "inf" if math.isinf(sweep.report.p) else sweep.report.p
+    payload.update(theoretical_exponent=sweep.theoretical_exponent, bounds=sweep.bounds)
     if sweep.no_bound:
         print(f"no a priori bound: {sweep.no_bound}", file=sys.stderr)
     return _emit(json.dumps(payload) + "\n", args.out)

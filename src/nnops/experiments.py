@@ -4,8 +4,10 @@
 step function), :func:`denoise_sweep` (L1 distances of the denoising
 operators over noise seeds) and :func:`rate_sweep` (errors of one operator
 over n, with the a priori bound at each n where one is stated) return frozen
-dataclasses; :func:`denoise_curves` returns operator outputs on a grid.  The
-CLI and the acceptance tests only parse arguments and format these results.
+dataclasses; :func:`denoise_curves` returns operator outputs on a grid.  Node
+values come from :mod:`nnops.quadrature` and every error, sup norm included,
+from :func:`nnops.metrics.lp_error`.  The CLI and the acceptance tests only
+parse arguments and format these results.
 """
 
 from __future__ import annotations
@@ -25,16 +27,13 @@ from .metrics import (
     lp_error,
     make_error_report,
     rate_exponent_holder,
-    sup_error,
     sup_error_bound,
 )
 from .operators import Domain, NodeData, OperatorSpec, eval_grid, sample_node_values
-from .quadrature import QuadratureRule, cell_averages_exact, cell_averages_sampled
+from .quadrature import QuadratureRule, cell_averages_exact, cell_averages_sampled, node_data
 from .signals import (
-    PiecewiseConstant,
     Signal,
     add_gaussian_noise,
-    sample_function,
     step_test_function,
 )
 
@@ -42,35 +41,9 @@ from .signals import (
 TABLE_FAMILIES = ("linear", "maxmin", "maxprod")
 
 
-def _norm_error(g, f, p: float, domain: Domain, grid_points: int) -> float:
-    """The one norm step of every experiment: p = inf is the sup norm."""
-    if math.isinf(p):
-        return sup_error(g, f, domain, grid_points)
-    return lp_error(g, f, p, domain, grid_points)
-
-
 def _operator(spec: OperatorSpec, data: NodeData):
     """The operator as a callable on grids, the form the norms take."""
     return functools.partial(eval_grid, spec, data)
-
-
-def node_data(f, spec: OperatorSpec, rule: QuadratureRule | None = None) -> NodeData:
-    """Node data of ``f`` for ``spec``; without a rule, an exact-grade one.
-
-    Piecewise-constant functions get exact cell averages; other callables
-    get aligned trapezoid sub-samples, which integrate smooth functions to
-    near machine accuracy (exactly, for affine pieces).
-    """
-    if spec.mode == "sampling":
-        return sample_node_values(f, spec)
-    if isinstance(f, PiecewiseConstant) and (rule is None or rule.kind == "exact"):
-        return cell_averages_exact(f, spec.domain, spec.n)
-    if rule is None or rule.kind == "exact":
-        rule = QuadratureRule("trapezoid", 64)
-    if isinstance(f, Signal):
-        return cell_averages_sampled(f, spec.n, rule)
-    aligned = sample_function(f, spec.domain, spec.n * rule.refinement + 1)
-    return cell_averages_sampled(aligned, spec.n, rule)
 
 
 @dataclass(frozen=True)
@@ -96,7 +69,7 @@ def error_table(kernel: Kernel, n_values, p: float, domain: Domain,
         data = cell_averages_exact(f, domain, n)
         for fam in TABLE_FAMILIES:
             op = _operator(OperatorSpec(fam, "kantorovich", n, domain, kernel), data)
-            errors[fam].append(_norm_error(op, f, p, domain, grid_points))
+            errors[fam].append(lp_error(op, f, p, domain, grid_points))
     return ErrorTable(tuple(n_values), {
         fam: make_error_report(f"{fam}/kantorovich", p, n_values, errs)
         for fam, errs in errors.items()
@@ -151,7 +124,7 @@ def denoise_sweep(base: Signal, clean, n: int, kernel: Kernel, rule: QuadratureR
         noisy = add_gaussian_noise(base, sigma, seed)
         for name, op in _denoise_operators(noisy, n, kernel, rule).items():
             l1.setdefault(name, []).append(
-                _norm_error(op, clean, 1.0, base.domain, grid_points))
+                lp_error(op, clean, 1.0, base.domain, grid_points))
     return DenoiseSweep(tuple(seeds), {name: tuple(v) for name, v in l1.items()})
 
 
@@ -195,7 +168,7 @@ def rate_sweep(label: str, f, family: str, mode: str, kernel: Kernel, domain: Do
     for n in n_values:
         spec = OperatorSpec(family, mode, n, domain, kernel)
         op = _operator(spec, node_data(f, spec))
-        errors.append(_norm_error(op, f, p, domain, grid_points))
+        errors.append(lp_error(op, f, p, domain, grid_points))
     theoretical = None if beta is None else -rate_exponent_holder(kernel.alpha, beta)
     report = make_error_report(label, p, n_values, errors)
     if (family, mode) != ("maxmin", "kantorovich") or phi_floor(kernel) <= 0.0:

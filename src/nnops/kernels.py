@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -242,14 +241,3 @@ def absolute_moment(k: Kernel, beta: float, resolution: int = 100_000) -> float:
     if not 0.0 < moment < math.inf:
         raise ValueError(f"moment of order {beta} out of float range for alpha={k.alpha}")
     return moment
-
-
-def kernel_to_json(k: Kernel) -> str:
-    """Serialize kernel metadata to a JSON object."""
-    payload: dict = {"variant": k.variant}
-    if k.variant == "power":
-        payload["gamma"] = k.alpha
-    payload.update(
-        scale=k.scale, alpha=k.alpha, decay_M=k.decay_m, decay_L=k.decay_l
-    )
-    return json.dumps(payload)

@@ -1,15 +1,16 @@
 """Error norms, modulus of continuity, convergence rates, and a priori bounds.
 
-Everything here works on plain callables that accept an ndarray of points in
-the domain (operator outputs are wrapped the same way), so measured errors
-and theoretical bound evaluations share one vocabulary.  The a priori bounds
-are stated for the Kantorovich max-min operator;
-:func:`nnops.experiments.rate_sweep` chooses the bound and its delta_n.
+:func:`lp_error` is the one norm of the measured errors: it decides which
+grid measures which p, the sup norm included.  Everything here works on
+plain callables that accept an ndarray of points in the domain (operator
+outputs are wrapped the same way), so measured errors and theoretical bound
+evaluations share one vocabulary.  The a priori bounds are stated for the
+Kantorovich max-min operator; :func:`nnops.experiments.rate_sweep` chooses
+the bound and its delta_n.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,34 +35,26 @@ def _positive_floor(kernel: Kernel, what: str) -> float:
     return floor
 
 
-def _midpoint_grid(domain: Domain, grid_points: int) -> np.ndarray:
-    return domain.a + (np.arange(grid_points) + 0.5) * (domain.width / grid_points)
-
-
 def lp_error(g, h, p: float, domain: Domain, grid_points: int = 100_000) -> float:
-    """Composite-midpoint approximation of the L^p distance of g and h.
+    """The L^p distance of g and h on [a, b], for 1 <= p <= inf.
 
-    (integral over [a, b] of |g - h|^p)^(1/p) on a uniform grid of
-    ``grid_points`` cells; the integrand of the operator experiments is
-    piecewise smooth with O(n) kinks, which 1e5 cells resolve to published
-    precision.
+    Finite p: (integral over [a, b] of |g - h|^p)^(1/p) by the composite
+    midpoint rule on ``grid_points`` cells; the integrand of the operator
+    experiments is piecewise smooth with O(n) kinks, which 1e5 cells resolve
+    to published precision.  p = inf: the max of |g - h| over the inclusive
+    uniform grid of ``grid_points`` points, end points included.
     """
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
+    _check_grid(grid_points)
     if math.isinf(p):
-        raise ValueError("p = inf is the sup norm; use sup_error")
-    _check_grid(grid_points)
-    xs = _midpoint_grid(domain, grid_points)
+        xs = np.linspace(domain.a, domain.b, grid_points)
+    else:
+        xs = domain.a + (np.arange(grid_points) + 0.5) * (domain.width / grid_points)
     diff = np.abs(np.asarray(g(xs), dtype=float) - np.asarray(h(xs), dtype=float))
+    if math.isinf(p):
+        return float(diff.max())
     return float((diff**p).sum() * (domain.width / grid_points)) ** (1.0 / p)
-
-
-def sup_error(g, h, domain: Domain, grid_points: int = 10_000) -> float:
-    """Max of |g - h| over the inclusive uniform grid."""
-    _check_grid(grid_points)
-    xs = np.linspace(domain.a, domain.b, grid_points)
-    diff = np.abs(np.asarray(g(xs), dtype=float) - np.asarray(h(xs), dtype=float))
-    return float(diff.max())
 
 
 def modulus_of_continuity(
@@ -232,15 +225,3 @@ def make_error_report(operator: str, p: float, n_values, errors) -> ErrorReport:
     if len(n_values) >= 3 and all(e > 0.0 for e in errors):
         rate = fit_rate(n_values, errors)
     return ErrorReport(operator, p, n_values, errors, rate)
-
-
-def report_to_json(report: ErrorReport) -> str:
-    return json.dumps(
-        {
-            "operator": report.operator,
-            "p": "inf" if math.isinf(report.p) else report.p,
-            "n_values": list(report.n_values),
-            "errors": list(report.errors),
-            "fitted_rate": report.fitted_rate,
-        }
-    )

@@ -159,11 +159,6 @@ def node_bounds(mode: str, n: int, domain: Domain) -> tuple[int, int]:
     return k_lo, k_hi
 
 
-def node_range(spec: OperatorSpec) -> tuple[int, int]:
-    """Node index range of ``spec``; see :func:`node_bounds`."""
-    return node_bounds(spec.mode, spec.n, spec.domain)
-
-
 def sample_node_values(f, spec: OperatorSpec) -> NodeData:
     """Sampling-mode node data: f evaluated at the nodes k/n.
 
@@ -172,7 +167,7 @@ def sample_node_values(f, spec: OperatorSpec) -> NodeData:
     """
     if spec.mode != "sampling":
         raise ValueError("sample_node_values is for sampling-mode specs")
-    k_lo, k_hi = node_range(spec)
+    k_lo, k_hi = node_bounds(spec.mode, spec.n, spec.domain)
     ks = np.arange(k_lo, k_hi + 1)
     return NodeData(k_lo, k_hi, np.asarray(f(ks / spec.n), dtype=float))
 
@@ -196,7 +191,7 @@ def _combine(family: str, values: np.ndarray, w: np.ndarray):
 
 
 def _check_data(spec: OperatorSpec, data: NodeData) -> None:
-    k_lo, k_hi = node_range(spec)
+    k_lo, k_hi = node_bounds(spec.mode, spec.n, spec.domain)
     if (data.k_lo, data.k_hi) != (k_lo, k_hi):
         raise ValueError(
             f"node data covers k={data.k_lo}..{data.k_hi} but the spec needs "

@@ -1,12 +1,18 @@
-"""Cell averages n * integral of f over [k/n, (k+1)/n] for Kantorovich nodes.
+"""Node data: the values v_k an operator combines, on any domain [a, b].
 
-Three sources of Kantorovich information:
+:func:`node_data` decides which rule turns which input into node values:
 
-* exact piecewise integration for analytic piecewise-constant test functions,
-* refined Riemann / trapezoid sums over sub-samples of a sampled signal,
+* sampling specs take f at the nodes k/n;
+* exact piecewise integration for analytic piecewise-constant test functions;
+* refined Riemann / trapezoid sums at the sub-cell points k/n + j/(n r),
+  evaluated directly for a callable and by nearest-sample lookup for a
+  sampled signal;
 * the pairwise mean of two consecutive samples (the half-rate shortcut used
   for ECG traces, where the operator order is :func:`pairmean_order`, half
   the sample count on the unit interval).
+
+Kantorovich node values are the cell averages n * integral of f over
+[k/n, (k+1)/n].
 """
 
 from __future__ import annotations
@@ -16,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Domain, EmptyRangeError, NodeData, node_bounds
+from .operators import (
+    Domain,
+    EmptyRangeError,
+    NodeData,
+    OperatorSpec,
+    node_bounds,
+    sample_node_values,
+)
 from .signals import PiecewiseConstant, Signal
 
 RULE_KINDS = ("exact", "riemann", "trapezoid", "pairmean")
@@ -89,8 +102,7 @@ def cell_averages_sampled(s: Signal, n: int, rule: QuadratureRule) -> NodeData:
     if not (s.samples.min() >= 0.0 and s.samples.max() <= 1.0):  # NaN fails too
         raise ValueError("signal values must lie in [0, 1]; normalize_to_unit first")
     k_lo, k_hi = node_bounds("kantorovich", n, s.domain)
-    ks = np.arange(k_lo, k_hi + 1)
-    n_cells = len(ks)
+    n_cells = k_hi - k_lo + 1
 
     if rule.kind == "pairmean":
         if len(s) != 2 * n_cells:
@@ -107,13 +119,50 @@ def cell_averages_sampled(s: Signal, n: int, rule: QuadratureRule) -> NodeData:
             f"SignalTooCoarse: {len(s)} samples cannot supply {r} sub-samples "
             f"for each of {n_cells} cells"
         )
+    return _sub_cell_averages(s, k_lo, k_hi, n, rule)
+
+
+def _sub_cell_averages(f, k_lo: int, k_hi: int, n: int, rule: QuadratureRule) -> NodeData:
+    """Average of f over each cell [k/n, (k+1)/n] from its r sub-cells: the
+    mean at the r left sub-cell points (``riemann``) or the composite
+    trapezoid rule over the r + 1 sub-cell edges (``trapezoid``).  The values
+    of f must lie in [0, 1]; NaN is rejected too."""
+    r = rule.refinement
+    m = r if rule.kind == "riemann" else r + 1
+    ks = np.arange(k_lo, k_hi + 1)
+    sub = ks[:, None] / n + np.arange(m)[None, :] / (n * r)
+    vals = np.asarray(f(sub.ravel()), dtype=float).reshape(len(ks), m)
+    if not (vals.min() >= 0.0 and vals.max() <= 1.0):  # NaN fails too
+        raise ValueError("function values must lie in [0, 1]")
     if rule.kind == "riemann":
-        sub = ks[:, None] / n + np.arange(r)[None, :] / (n * r)
-        out = s(sub.ravel()).reshape(n_cells, r).mean(axis=1)
-    else:  # trapezoid over the r+1 sub-cell edges
-        sub = ks[:, None] / n + np.arange(r + 1)[None, :] / (n * r)
-        vals = s(sub.ravel()).reshape(n_cells, r + 1)
-        weights = np.full(r + 1, 1.0 / r)
+        out = vals.mean(axis=1)
+    else:
+        weights = np.full(m, 1.0 / r)
         weights[0] = weights[-1] = 0.5 / r
         out = vals @ weights
     return NodeData(k_lo, k_hi, np.clip(out, 0.0, 1.0))
+
+
+def node_data(f, spec: OperatorSpec, rule: QuadratureRule | None = None) -> NodeData:
+    """Node data of ``f`` for ``spec`` on any domain; without a rule, an
+    exact-grade one.
+
+    Piecewise-constant functions get exact cell averages; other inputs get
+    trapezoid sums over 64 sub-cells, which integrate smooth functions to
+    near machine accuracy (exactly, for affine pieces).  A callable is
+    evaluated at the sub-cell points themselves; a :class:`Signal` is read
+    through :func:`cell_averages_sampled`, which alone takes ``pairmean``.
+    """
+    if spec.mode == "sampling":
+        return sample_node_values(f, spec)
+    if isinstance(f, PiecewiseConstant) and (rule is None or rule.kind == "exact"):
+        return cell_averages_exact(f, spec.domain, spec.n)
+    if rule is None or rule.kind == "exact":
+        rule = QuadratureRule("trapezoid", 64)
+    if isinstance(f, Signal):
+        return cell_averages_sampled(f, spec.n, rule)
+    if rule.kind == "pairmean":
+        raise ValueError("pairwise-mean averages sample pairs and needs a sampled "
+                         "trace (--input), not a function")
+    k_lo, k_hi = node_bounds("kantorovich", spec.n, spec.domain)
+    return _sub_cell_averages(f, k_lo, k_hi, spec.n, rule)

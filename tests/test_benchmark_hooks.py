@@ -1,10 +1,11 @@
-"""The hooks the benchmark relies on: ``perfbench/tracing.py`` wraps each
-name in its ``WRAPPED`` table on the nnops package, and swaps the
-``eval_kernel`` that ``nnops.operators`` calls through its module global.
-A rename or a direct import there would leave the traced run counting
-nothing."""
+"""The hooks the benchmark relies on: ``perfbench/`` calls nnops by name,
+``perfbench/tracing.py`` wraps each name in its ``WRAPPED`` table on the
+nnops package, and swaps the ``eval_kernel`` that ``nnops.operators`` calls
+through its module global.  A rename or a direct import there would leave
+the benchmark failing or the traced run counting nothing."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 import nnops
 from nnops import kernels, operators
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture
@@ -35,3 +37,12 @@ def test_wrapped_names_are_nnops_functions(tracing):
 
 def test_operators_reaches_eval_kernel_through_its_global():
     assert operators.eval_kernel is kernels.eval_kernel
+
+
+def test_names_perfbench_calls_exist():
+    """Every ``api.<name>`` and ``nnops.<name>`` in perfbench's sources,
+    where ``api`` is a namespace of the nnops package, is an nnops name."""
+    text = "".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    names = set(re.findall(r"\b(?:api|nnops)\.([A-Za-z_]\w*)", text))
+    assert len(names) >= 15
+    assert [name for name in sorted(names) if not hasattr(nnops, name)] == []

@@ -23,8 +23,8 @@ from nnops import (
     normalize_to_unit,
     rate_exponent_holder,
     signal_to_csv,
+    lp_error,
     step_test_function,
-    sup_error,
 )
 from nnops.cli import main
 
@@ -157,6 +157,14 @@ class TestApproximate:
         np.testing.assert_array_equal(f, want)
         assert want.min() == 0.0 and want.max() == 1.0
 
+    def test_identity_follows_domain(self, capsys):
+        # ((x - a)/(b - a))^beta on [a, b], not the unit-interval identity
+        # clipped to 1 there
+        code, out, _ = run(capsys, "approximate", "--domain=2,3", "--n", "10",
+                           "--fn", "identity", "--grid", "3")
+        assert code == 0
+        assert [ln.split(",")[1] for ln in out.splitlines()[1:]] == ["0", "0.5", "1"]
+
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "approximate", "--n", "10", "--fn", "step",
                            "--grid", "8", "--json")
@@ -198,7 +206,7 @@ class TestErrorTable:
             data = cell_averages_exact(step, unit, int(n))
             for family, got in zip(("linear", "maxmin", "maxprod"), vals):
                 spec = OperatorSpec(family, "kantorovich", int(n), unit, tanh)
-                want = sup_error(lambda xs: eval_grid(spec, data, xs), step, unit, 1000)
+                want = lp_error(lambda xs: eval_grid(spec, data, xs), step, math.inf, unit, 1000)
                 assert float(got) == want
 
     def test_rate_row_on_stderr(self, capsys):
@@ -233,6 +241,9 @@ class TestRate:
                            "--n-list", "25,50,100", "--grid", "1000")
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == ["operator", "p", "n_values", "errors", "fitted_rate",
+                                 "theoretical_exponent", "bounds"]
+        assert payload["operator"] == "maxmin/kantorovich kernel=tanh"
         assert payload["p"] == "inf"
         assert payload["fitted_rate"] < -0.6
         assert payload["theoretical_exponent"] == pytest.approx(-2.0 / 3.0)
@@ -245,6 +256,16 @@ class TestRate:
         assert payload["theoretical_exponent"] == pytest.approx(-0.4, abs=1e-12)
         assert payload["n_values"] == [10, 20, 40]
         assert payload["fitted_rate"] < 0.0
+
+    def test_identity_follows_domain(self, capsys):
+        # on [2, 3] the sweep measures the same rate as on [0, 1], not the
+        # zero error of a constant
+        argv = ["rate", "--n-list", "10,20,40", "--grid", "200"]
+        unit = json.loads(run(capsys, *argv)[1])
+        code, out, _ = run(capsys, *argv, "--domain=2,3")
+        shifted = json.loads(out)
+        assert code == 0 and shifted["fitted_rate"] < -0.6
+        np.testing.assert_allclose(shifted["errors"], unit["errors"], rtol=1e-13)
 
     def test_default_prints_bounds_above_errors(self, capsys):
         code, out, err = run(capsys, "rate")
@@ -440,6 +461,12 @@ INPUTS = {
                  "", id="rate-compact-kernel"),
     pytest.param(["approximate", "--n", "10", "--input", "{dir}/bare.csv", "--grid", "5"],
                  2, "no column named 'value'", id="header-less-input"),
+    pytest.param(["approximate", "--n", "30", "--fn", "identity", "--quad", "pairmean"], 2,
+                 "needs a sampled trace (--input)", id="pairmean-function"),
+    pytest.param(["approximate", "--n", "10", "--domain", "0,2", "--fn", "identity",
+                  "--grid", "3"], 0, "", id="identity-on-0-2"),
+    pytest.param(["rate", "--domain", "0,2", "--p", "1", "--n-list", "10,20,40",
+                  "--grid", "200"], 0, "", id="rate-on-0-2"),
 ])
 def test_exit_codes(capsys, tmp_path, argv, code, fragment):
     """Each row: argv -> documented exit code (0, 2 validation, 3 numeric),

@@ -15,7 +15,6 @@ from nnops import (
     absolute_moment,
     eval_grid,
     eval_kernel,
-    kernel_to_json,
     make_kernel,
     partition_of_unity_defect,
     phi_floor,
@@ -363,13 +362,19 @@ class TestDecayConstants:
         assert k.decay_m >= np.max(phi * (u / scale) ** (1.0 + gamma))
 
 
+def _kernel_info(capsys, kernel: str) -> dict:
+    """The JSON object ``nnops kernel-info --kernel <kernel>`` prints."""
+    assert cli.main(["kernel-info", "--kernel", kernel, "--resolution", "2000"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestKernelConstruction:
-    def test_power_alpha_pinned_to_gamma(self):
+    def test_power_alpha_pinned_to_gamma(self, capsys):
         # a power kernel holds its exponent once, as alpha; the CLI's
         # power:<gamma> accepts only --alpha equal to gamma
         k = make_kernel("power", alpha=0.5)
         assert k == Kernel("power", 1.0, 0.5)
-        assert json.loads(kernel_to_json(k))["gamma"] == 0.5
+        assert _kernel_info(capsys, "power:0.5")["gamma"] == 0.5
         assert cli._parse_kernel("power:0.5", 1.0, None) == k
         assert cli._parse_kernel("power:0.5", 1.0, 0.5) == k
         with pytest.raises(ValueError, match="alpha must equal gamma=0.5"):
@@ -416,13 +421,15 @@ class TestKernelConstruction:
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             Kernel("tanh", **{field: value})
 
-    def test_json_round_trip(self, catalogue):
+    def test_json_round_trip(self, catalogue, capsys):
         for v, k in catalogue.items():
-            fields = json.loads(kernel_to_json(k))
+            fields = _kernel_info(capsys, v)
             gamma = k.alpha if v == "power" else None
             assert fields.pop("gamma", None) == gamma, v
             assert fields == {"variant": v, "scale": k.scale, "alpha": k.alpha,
-                              "decay_M": k.decay_m, "decay_L": k.decay_l}, v
+                              "decay_M": k.decay_m, "decay_L": k.decay_l,
+                              "phi_zero": eval_kernel(k, 0.0), "phi_floor": phi_floor(k),
+                              "moment_1_plus_alpha": absolute_moment(k, 1.0 + k.alpha, 2000)}, v
 
 
 _KERNELS = tuple(make_kernel(v) for v in VARIANTS)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -21,10 +20,8 @@ from nnops import (
     modulus_of_continuity,
     phi_floor,
     rate_exponent_holder,
-    sup_error,
     sup_error_bound,
 )
-from nnops.metrics import report_to_json
 
 UNIT = Domain(0.0, 1.0)
 TANH = make_kernel("tanh")
@@ -38,7 +35,7 @@ class TestNorms:
     def test_identical_functions(self):
         f = lambda xs: np.sin(np.asarray(xs))
         assert lp_error(f, f, 1.0, UNIT, 1000) == 0.0
-        assert sup_error(f, f, UNIT, 1000) == 0.0
+        assert lp_error(f, f, math.inf, UNIT, 1000) == 0.0
 
     def test_unit_gap_any_p(self):
         for p in (1.0, 2.0, 3.5):
@@ -47,7 +44,7 @@ class TestNorms:
             )
 
     def test_constant_offset_sup(self):
-        assert sup_error(_const(0.75), _const(0.5), UNIT, 100) == pytest.approx(
+        assert lp_error(_const(0.75), _const(0.5), math.inf, UNIT, 100) == pytest.approx(
             0.25, abs=1e-15
         )
 
@@ -66,11 +63,14 @@ class TestNorms:
         with pytest.raises(ValueError):
             lp_error(_const(0.0), _const(0.0), 0.5, UNIT)
         with pytest.raises(ValueError):
-            sup_error(_const(0.0), _const(0.0), UNIT, 1)
+            lp_error(_const(0.0), _const(0.0), math.inf, UNIT, 1)
 
-    def test_lp_error_sends_sup_norm_to_sup_error(self):
-        with pytest.raises(ValueError, match="sup_error"):
-            lp_error(_const(0.75), _const(0.5), math.inf, UNIT, 100)
+    def test_sup_norm_grid_holds_end_points(self):
+        # g and h differ only at x = b: the sup grid includes the end points,
+        # the midpoint grid of finite p does not
+        g = lambda xs: np.where(np.asarray(xs) == 1.0, 0.75, 0.5)
+        assert lp_error(g, _const(0.5), math.inf, UNIT, 100) == 0.25
+        assert lp_error(g, _const(0.5), 1.0, UNIT, 100) == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
@@ -266,13 +266,6 @@ class TestErrorReport:
         assert r.fitted_rate == pytest.approx(-1.0, abs=1e-9)
         r2 = make_error_report("op", 1.0, [10, 20], [0.4, 0.2])
         assert r2.fitted_rate is None
-
-    def test_json_round_trip(self):
-        r = make_error_report("maxmin/kantorovich", math.inf, [5, 10, 20],
-                              [0.3, 0.17, 0.09])
-        back = json.loads(report_to_json(r))
-        assert back == {"operator": r.operator, "p": "inf", "n_values": [5, 10, 20],
-                        "errors": [0.3, 0.17, 0.09], "fitted_rate": r.fitted_rate}
 
     def test_validation(self):
         with pytest.raises(ValueError):

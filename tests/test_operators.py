@@ -18,7 +18,7 @@ from nnops import (
     eval_kernel,
     eval_operator,
     make_kernel,
-    node_range,
+    node_bounds,
     phi_floor,
     sample_node_values,
 )
@@ -34,7 +34,7 @@ def _spec(family="maxmin", mode="kantorovich", n=10, domain=UNIT, kernel=TANH):
 
 
 def _const_data(spec, c):
-    k_lo, k_hi = node_range(spec)
+    k_lo, k_hi = node_bounds(spec.mode, spec.n, spec.domain)
     return NodeData(k_lo, k_hi, np.full(k_hi - k_lo + 1, c))
 
 
@@ -48,30 +48,28 @@ class TestDomain:
 
 class TestNodeRange:
     def test_sampling_unit_interval(self):
-        assert node_range(_spec(mode="sampling", n=10)) == (0, 10)
+        assert node_bounds("sampling", 10, UNIT) == (0, 10)
 
     def test_kantorovich_drops_last_node(self):
-        assert node_range(_spec(mode="kantorovich", n=10)) == (0, 9)
+        assert node_bounds("kantorovich", 10, UNIT) == (0, 9)
 
     def test_empty_range(self):
         with pytest.raises(EmptyRangeError):
-            node_range(_spec(mode="kantorovich", n=1, domain=Domain(0.3, 0.9)))
+            node_bounds("kantorovich", 1, Domain(0.3, 0.9))
 
     def test_rounding_guard(self):
         # 3 * 0.9999999999999999 = 2.9999999999999996 must still floor to 3
-        spec = _spec(mode="sampling", n=3, domain=Domain(0.0, 0.9999999999999999))
-        assert node_range(spec) == (0, 3)
+        assert node_bounds("sampling", 3, Domain(0.0, 0.9999999999999999)) == (0, 3)
 
     @pytest.mark.parametrize("n, a, b", [(10, 1e308, 1.5e308), (1, 2.0**62, 2.0**62 + 1e4),
                                          (3, -2.0**52, 0.0)])
     def test_node_positions_beyond_float_integers_rejected(self, n, a, b):
         # n*b overflows, or neighbouring nodes n*x - k are no longer distinct
         with pytest.raises(ValueError, match=f"n={n} on \\["):
-            node_range(_spec(n=n, domain=Domain(a, b)))
+            node_bounds("kantorovich", n, Domain(a, b))
 
     def test_fractional_domain(self):
-        spec = _spec(mode="sampling", n=10, domain=Domain(0.31, 0.69))
-        assert node_range(spec) == (4, 6)
+        assert node_bounds("sampling", 10, Domain(0.31, 0.69)) == (4, 6)
 
 
 class TestEvalOperator:
@@ -222,7 +220,7 @@ class TestBruteForceOracle:
             n = int(rng.integers(3, 40))
             kernel = (TANH, RAMP)[int(rng.integers(0, 2))]
             spec = _spec(family=family, mode=mode, n=n, kernel=kernel)
-            k_lo, k_hi = node_range(spec)
+            k_lo, k_hi = node_bounds(spec.mode, spec.n, spec.domain)
             data = NodeData(k_lo, k_hi, rng.uniform(0, 1, k_hi - k_lo + 1))
             for x in rng.uniform(0.0, 1.0, 10):
                 a = eval_operator(spec, data, float(x))
@@ -232,7 +230,7 @@ class TestBruteForceOracle:
 
     def test_single_node_window(self):
         spec = _spec(mode="kantorovich", n=10, domain=Domain(0.30, 0.45))
-        assert node_range(spec) == (3, 3)
+        assert node_bounds(spec.mode, spec.n, spec.domain) == (3, 3)
         data = NodeData(3, 3, np.array([0.42]))
         assert brute_force_eval(spec, data, 0.35) == 0.42
 
@@ -301,7 +299,7 @@ def test_windowed_matches_dense(kernel, family, mode, n, a, width, zeros, seed):
     domain = Domain(a, a + width)
     spec = OperatorSpec(family, mode, n, domain, KERNELS[kernel])
     try:
-        k_lo, k_hi = node_range(spec)
+        k_lo, k_hi = node_bounds(spec.mode, spec.n, spec.domain)
     except EmptyRangeError:
         return
     rng = np.random.default_rng(seed)

@@ -6,16 +6,20 @@ from hypothesis import strategies as st
 from nnops import (
     Domain,
     EmptyRangeError,
+    OperatorSpec,
     PiecewiseConstant,
     QuadratureRule,
     Signal,
     SignalTooCoarseError,
     cell_averages_exact,
     cell_averages_sampled,
+    holder_test_function,
+    make_kernel,
     node_bounds,
     pairmean_order,
     sample_function,
 )
+from nnops.quadrature import node_data
 
 UNIT = Domain(0.0, 1.0)
 
@@ -169,6 +173,31 @@ class TestSampledCellAverages:
             data = cell_averages_sampled(s, 200, rule)
             assert data.values.min() >= s.samples.min() - 1e-15
             assert data.values.max() <= s.samples.max() + 1e-15
+
+
+def _kantorovich(n, domain):
+    return OperatorSpec("maxmin", "kantorovich", n, domain, make_kernel("tanh"))
+
+
+class TestNodeData:
+    @pytest.mark.parametrize("a, b", [(0.3, 0.9), (0.0, 2.0), (2.0, 3.0)])
+    @pytest.mark.parametrize("n", [10, 37])
+    def test_identity_cell_averages_on_any_domain(self, a, b, n):
+        # the default trapezoid sums integrate the affine (x - a)/(b - a)
+        # exactly over each cell [k/n, (k+1)/n]: its value at the midpoint
+        domain = Domain(a, b)
+        data = node_data(holder_test_function(1.0, domain), _kantorovich(n, domain))
+        ks = np.arange(data.k_lo, data.k_hi + 1)
+        exact = ((ks + 0.5) / n - a) / (b - a)
+        np.testing.assert_allclose(data.values, exact, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("f", [lambda xs: 2.0 * xs, lambda xs: xs - 0.5,
+                                   lambda xs: np.full_like(xs, np.nan)],
+                             ids=["above-1", "below-0", "nan"])
+    @pytest.mark.parametrize("rule", [None, QuadratureRule("riemann", 4)])
+    def test_values_outside_unit_interval_rejected(self, f, rule):
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            node_data(f, _kantorovich(10, UNIT), rule)
 
 
 def _cells(n, domain):
