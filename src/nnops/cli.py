@@ -79,10 +79,10 @@ def _parse_domain(text: str) -> Domain:
 
 def _parse_fn(text: str, domain: Domain):
     """Named test function -> (callable with values in [0, 1], its Hoelder
-    order, or None for the discontinuous step); identity and lipschitz:<beta>
-    are ((x - a)/(b - a))^beta on ``domain``."""
+    order, or None for the discontinuous step), each on ``domain``; identity
+    and lipschitz:<beta> are ((x - a)/(b - a))^beta."""
     if text == "step":
-        return step_test_function(), None
+        return step_test_function(domain), None
     if text == "identity":
         return holder_test_function(1.0, domain), 1.0
     if text.startswith("lipschitz:"):
@@ -281,7 +281,7 @@ def cmd_denoise(args) -> int:
         if rule.kind == "pairmean":
             n = pairmean_order(len(signal), domain)
     else:
-        clean = step_test_function()
+        clean = step_test_function(domain)
         if rule.kind == "pairmean":
             k_lo, k_hi = node_bounds("kantorovich", n, domain)
             samples = 2 * (k_hi - k_lo + 1)

@@ -62,8 +62,9 @@ class ErrorTable:
 def error_table(kernel: Kernel, n_values, p: float, domain: Domain,
                 grid_points: int) -> ErrorTable:
     """L^p errors of the three Kantorovich operators on the step function
-    from exact cell averages; a family's rate is fitted once 3+ n exist."""
-    f = step_test_function()
+    over ``domain`` from exact cell averages; a family's rate is fitted once
+    3+ n exist."""
+    f = step_test_function(domain)
     errors: dict[str, list[float]] = {fam: [] for fam in TABLE_FAMILIES}
     for n in n_values:
         data = cell_averages_exact(f, domain, n)

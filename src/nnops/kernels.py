@@ -31,6 +31,12 @@ of u = |c*x| per variant:
                 of the nonnegative terms r / (8 (r + 4)) + (T + 1 - u) / (8T),
                 r = 2 expm1(g log1p((u + 1 - T)/T))
 
+The logistic and tanh forms take cosh((a c) x), a = 1 or 2, with no |.|:
+cosh is even to the bit, and as a is a power of two, (a c) x equals a (c x)
+wherever a c x is normal (below, cosh is 1 either way) while a c is finite;
+a scale past half the float range keeps the order a (c x).  The product is
+the one array allocated; cosh, + cosh a, * 2 and sinh a / . run in place.
+
 So the computed kernel is exactly even and non-increasing in |x|; only the
 power tail and joint, which mix a rising and a falling factor, can round up
 by an ulp between arguments a few ulps apart.  For
@@ -123,13 +129,21 @@ def eval_kernel(k: Kernel, x):
     """Evaluate phi(x) = (s(c*x + 1) - s(c*x - 1)) / 2 at ``x`` through the
     closed form of its variant (see the module docstring)."""
     xa = np.asarray(x, dtype=float)
-    u = np.abs(k.scale * np.atleast_1d(xa))
     if k.variant in ("logistic", "tanh"):
         a = 1.0 if k.variant == "logistic" else 2.0
-        # cosh overflows to inf past a*u ~ 710, where phi is below 1e-308
+        # cosh((a*c)*x) = cosh(a*|c*x|) (see the module docstring); cosh
+        # overflows to inf past |a*c*x| ~ 710, where phi is below 1e-308
+        ac = a * k.scale
         with np.errstate(over="ignore"):
-            out = math.sinh(a) / (2.0 * (np.cosh(a * u) + math.cosh(a)))
-    elif k.variant == "ramp":
+            out = (np.multiply(np.atleast_1d(xa), ac) if ac < math.inf
+                   else a * (k.scale * np.atleast_1d(xa)))
+            np.cosh(out, out=out)
+            out += math.cosh(a)
+            out *= 2.0
+        np.divide(math.sinh(a), out, out=out)
+        return float(out[0]) if xa.ndim == 0 else out.reshape(np.shape(x))
+    u = np.abs(k.scale * np.atleast_1d(xa))
+    if k.variant == "ramp":
         out = 0.5 * np.clip(1.5 - u, 0.0, 1.0)
     elif k.variant == "three":
         out = np.where(u < 0.5, 0.5, np.where(u <= 1.5, 0.25, 0.0))

@@ -64,10 +64,12 @@ class PiecewiseConstant:
         return float(out) if np.ndim(x) == 0 else out
 
 
-def step_test_function() -> PiecewiseConstant:
-    """The discontinuous four-level step function on [0, 1] used throughout
-    the experiments: 0.2, 0.9, 0.3, 0.6 with jumps at 0.2, 0.5, 0.8."""
-    return PiecewiseConstant(Domain(0.0, 1.0), (0.2, 0.5, 0.8), (0.2, 0.9, 0.3, 0.6))
+def step_test_function(domain: Domain = Domain(0.0, 1.0)) -> PiecewiseConstant:
+    """The discontinuous four-level step function used throughout the
+    experiments: 0.2, 0.9, 0.3, 0.6 with jumps at a + (0.2, 0.5, 0.8)(b - a)
+    on the domain [a, b]."""
+    jumps = tuple(domain.a + r * domain.width for r in (0.2, 0.5, 0.8))
+    return PiecewiseConstant(domain, jumps, (0.2, 0.9, 0.3, 0.6))
 
 
 @dataclass(frozen=True)

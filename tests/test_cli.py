@@ -165,6 +165,19 @@ class TestApproximate:
         assert code == 0
         assert [ln.split(",")[1] for ln in out.splitlines()[1:]] == ["0", "0.5", "1"]
 
+    def test_step_follows_domain(self, capsys):
+        # the step's jumps sit at a + (0.2, 0.5, 0.8)(b - a), not at 0.2, 0.5
+        # and 0.8, which would leave a constant 0.6 on [2, 3]
+        argv = ["approximate", "--n", "10", "--fn", "step", "--grid", "3"]
+        unit = [ln.split(",")[1:] for ln in run(capsys, *argv)[1].splitlines()[1:]]
+        code, out, _ = run(capsys, *argv, "--domain=2,3")
+        shifted = [ln.split(",")[1:] for ln in out.splitlines()[1:]]
+        assert code == 0
+        assert [f for f, _ in shifted] == [f for f, _ in unit] == [
+            "0.20000000000000001", "0.90000000000000002", "0.59999999999999998"]
+        np.testing.assert_allclose([float(kf) for _, kf in shifted],
+                                   [float(kf) for _, kf in unit], rtol=1e-9)
+
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "approximate", "--n", "10", "--fn", "step",
                            "--grid", "8", "--json")
@@ -218,6 +231,15 @@ class TestErrorTable:
                            "--grid", "2000")
         assert code == 2
         assert "increasing" in err
+
+    def test_step_follows_domain(self, capsys):
+        argv = ["error-table", "--n-list", "10,90", "--grid", "20000", "--json"]
+        unit = json.loads(run(capsys, *argv)[1])["errors"]
+        code, out, _ = run(capsys, *argv, "--domain=2,3")
+        assert code == 0
+        shifted = json.loads(out)["errors"]
+        for family in ("linear", "maxmin", "maxprod"):
+            np.testing.assert_allclose(shifted[family], unit[family], rtol=1e-9)
 
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "error-table", "--n-list", "10",

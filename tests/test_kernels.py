@@ -132,6 +132,40 @@ class TestKernelEvaluation:
             assert ys.min() >= 0.0, v
             assert ys.max() <= 0.5, v
 
+    @pytest.mark.parametrize("variant, a", [("logistic", 1.0), ("tanh", 2.0)])
+    @pytest.mark.parametrize("scale", [0.1, 0.37, 1.0, 3.0])
+    def test_cosh_form_bitwise(self, variant, a, scale):
+        # eval_kernel takes cosh((a c) x) without |.|: cosh is even, and
+        # (a c) x = a (c x) since a is a power of two
+        rng = np.random.default_rng(17)
+        tiny = np.array([0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300, 1e-17, 1e-8])
+        near = np.concatenate([np.linspace(350.0, 360.0, 20_001),
+                               np.linspace(700.0, 715.0, 20_001)]) / (a * scale)
+        xs = np.concatenate([tiny, near, rng.uniform(0.0, 800.0 / (a * scale), 50_000),
+                             [math.inf]])
+        xs = np.concatenate([xs, -xs])
+
+        def form(a, ax):  # sinh a / (2 (cosh(a |c x|) + cosh a))
+            return math.sinh(a) / (2.0 * (np.cosh(ax) + math.cosh(a)))
+
+        with np.errstate(over="ignore"):
+            want = form(a, a * np.abs(scale * xs))
+            assert np.array_equal(eval_kernel(make_kernel(variant, scale), xs), want)
+            # the probe tells the two products apart where a is no power of
+            # two (at c = 1 they are one product)
+            if scale != 1.0:
+                assert not np.array_equal(form(3.0, (3.0 * scale) * xs),
+                                          form(3.0, 3.0 * np.abs(scale * xs)))
+
+    def test_cosh_form_past_half_float_range(self):
+        # 2 c overflows for tanh at c = 1e308; phi(0) is still sinh 2 / (2 (1 + cosh 2))
+        xs = np.array([0.0, -0.0, 5e-324, 1e-306, -1e-306, 1.0])
+        with np.errstate(over="ignore"):
+            want = math.sinh(2.0) / (2.0 * (np.cosh(2.0 * np.abs(1e308 * xs))
+                                            + math.cosh(2.0)))
+            got = eval_kernel(make_kernel("tanh", 1e308), xs)
+        assert np.array_equal(got, want) and got[0] == got[1] > got[3] > 0.0
+
     def test_matrix_shape_preserved(self, catalogue):
         x = np.arange(6.0).reshape(2, 3)
         assert eval_kernel(catalogue["tanh"], x).shape == (2, 3)

@@ -138,6 +138,22 @@ class TestEvalGrid:
             loop = np.array([eval_operator(spec, data, float(x)) for x in xs])
             assert np.array_equal(grid, loop), family
 
+    @pytest.mark.parametrize("family", ["linear", "maxprod", "maxmin"])
+    def test_row_result_independent_of_chunk(self, step, family):
+        # two full chunks and a one-row last chunk (tanh at n = 90: windows
+        # of 12 nodes for the max families, 48 for linear); a (nodes, rows)
+        # sum would round a one-row chunk differently from a full one
+        spec = _spec(family=family, n=90)
+        data = cell_averages_exact(step, UNIT, 90)
+        nodes = len(data.values)
+        width = min(2 * operators._half_width(spec, nodes) + 2, nodes)
+        rows = operators._CHUNK // width
+        xs = np.linspace(0.0, 1.0, 2 * rows + 1)
+        out = eval_grid(spec, data, xs)
+        picks = np.random.default_rng(11).integers(0, len(xs), 50)
+        for i in [rows - 1, rows, 2 * rows - 1, 2 * rows, *picks]:
+            assert out[i] == eval_grid(spec, data, xs[i:i + 1])[0], (family, i)
+
     def test_memory_bounded_for_large_n(self):
         # chunks hold a bounded number of weights, not a bounded number of
         # rows; zero data fails every window's certificate, so the second case

@@ -44,6 +44,15 @@ class TestStepTestFunction:
             step(np.array([0.0, 0.3, 0.6, 0.9])), [0.2, 0.9, 0.3, 0.6]
         )
 
+    def test_domain_places_jumps(self, step):
+        assert step.domain == UNIT and step.breakpoints == (0.2, 0.5, 0.8)
+        shifted = step_test_function(Domain(2.0, 4.0))
+        assert shifted.domain == Domain(2.0, 4.0)
+        assert shifted.breakpoints == (2.4, 3.0, 3.6)
+        np.testing.assert_array_equal(
+            shifted(np.array([2.0, 2.6, 3.2, 3.8])), [0.2, 0.9, 0.3, 0.6]
+        )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PiecewiseConstant(UNIT, (0.5, 0.4), (0.1, 0.2, 0.3))
