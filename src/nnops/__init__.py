@@ -5,8 +5,8 @@ max-product, and max-min families, each in a sampling and a Kantorovich
 variant), the kernel machinery behind them, node data from functions and
 sampled traces on any interval (:mod:`nnops.quadrature`), error metrology
 (L^p norms for 1 <= p <= inf in :func:`lp_error`, modulus of continuity,
-absolute moments, rate fits, K-functional bounds), and signal utilities for
-denoising experiments.
+absolute moments, rate fits, and the a priori bounds of the max-min operator
+in :func:`apriori_bounds`), and signal utilities for denoising experiments.
 """
 
 from .kernels import (
@@ -20,16 +20,13 @@ from .kernels import (
 )
 from .metrics import (
     ErrorReport,
-    KFunctionalConstants,
+    apriori_bounds,
     fit_rate,
-    kantorovich_rate,
-    kfunctional_constants,
     kfunctional_upper,
     lp_error,
     make_error_report,
     modulus_of_continuity,
     rate_exponent_holder,
-    sup_error_bound,
 )
 from .operators import (
     Domain,

@@ -13,21 +13,17 @@ parse arguments and format these results.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, absolute_moment, phi_floor
+from .kernels import DegenerateKernelError, Kernel
 from .metrics import (
     ErrorReport,
-    kantorovich_rate,
-    kfunctional_constants,
-    kfunctional_upper,
+    apriori_bounds,
     lp_error,
     make_error_report,
     rate_exponent_holder,
-    sup_error_bound,
 )
 from .operators import Domain, NodeData, OperatorSpec, eval_grid, sample_node_values
 from .quadrature import QuadratureRule, cell_averages_exact, cell_averages_sampled, node_data
@@ -142,21 +138,6 @@ class RateSweep:
     no_bound: str | None = None
 
 
-def _bounds(f, kernel: Kernel, domain: Domain, n_values, p: float) -> tuple[float, ...]:
-    """The a priori error bound of the Kantorovich max-min operator at each n:
-    the modulus bound at delta_n = n^-1/2 for p = inf, else the K-functional
-    bound at delta_n = n^-(1+alpha)/(2+alpha).  Raises ValueError when the
-    moment, decay_M or moment / phi(2) is past the float range."""
-    moment = absolute_moment(kernel, 1.0 + kernel.alpha)
-    if math.isinf(p):
-        return tuple(sup_error_bound(f, n, n**-0.5, kernel, moment, domain, grid_points=4001)
-                     for n in n_values)
-    kc = kfunctional_constants(p, domain, kernel, moment)
-    deltas = [n ** -kantorovich_rate(kernel.alpha) for n in n_values]
-    return tuple(kc.A * kfunctional_upper(f, kc.B * d, p, domain, kernel.alpha)
-                 + kc.moment_term * d for d in deltas)
-
-
 def rate_sweep(label: str, f, family: str, mode: str, kernel: Kernel, domain: Domain,
                n_values, p: float, grid_points: int, beta: float | None) -> RateSweep:
     """Error of the ``family``/``mode`` operator on ``f`` at each n, reported
@@ -172,9 +153,11 @@ def rate_sweep(label: str, f, family: str, mode: str, kernel: Kernel, domain: Do
         errors.append(lp_error(op, f, p, domain, grid_points))
     theoretical = None if beta is None else -rate_exponent_holder(kernel.alpha, beta)
     report = make_error_report(label, p, n_values, errors)
-    if (family, mode) != ("maxmin", "kantorovich") or phi_floor(kernel) <= 0.0:
+    if (family, mode) != ("maxmin", "kantorovich"):
         return RateSweep(report, theoretical, None)
     try:
-        return RateSweep(report, theoretical, _bounds(f, kernel, domain, n_values, p))
+        return RateSweep(report, theoretical, apriori_bounds(f, kernel, domain, n_values, p))
+    except DegenerateKernelError:  # phi(2) = 0
+        return RateSweep(report, theoretical, None)
     except ValueError as exc:  # a constant of the bound is past the float range
         return RateSweep(report, theoretical, None, str(exc))

@@ -142,13 +142,16 @@ def eval_kernel(k: Kernel, x):
             out *= 2.0
         np.divide(math.sinh(a), out, out=out)
         return float(out[0]) if xa.ndim == 0 else out.reshape(np.shape(x))
-    u = np.abs(k.scale * np.atleast_1d(xa))
-    if k.variant == "ramp":
-        out = 0.5 * np.clip(1.5 - u, 0.0, 1.0)
-    elif k.variant == "three":
-        out = np.where(u < 0.5, 0.5, np.where(u <= 1.5, 0.25, 0.0))
-    else:
-        out = _power_kernel(k.alpha, u)
+    # |c x| past the float range is inf, and so is the power tail's
+    # denominator where phi is below 1e-308; phi(inf) = 0 in every piece
+    with np.errstate(over="ignore"):
+        u = np.abs(k.scale * np.atleast_1d(xa))
+        if k.variant == "ramp":
+            out = 0.5 * np.clip(1.5 - u, 0.0, 1.0)
+        elif k.variant == "three":
+            out = np.where(u < 0.5, 0.5, np.where(u <= 1.5, 0.25, 0.0))
+        else:
+            out = _power_kernel(k.alpha, u)
     return float(out[0]) if xa.ndim == 0 else out.reshape(np.shape(x))
 
 
@@ -159,6 +162,8 @@ def _power_kernel(g: float, u: np.ndarray) -> np.ndarray:
     out = np.full_like(u, 2.0 ** (-1.0 / g - 2.0))  # flat top, u + 1 <= t
     tail = u - 1.0 > t
     joint = (u + 1.0 > t) & ~tail
+    out[u == math.inf] = 0.0  # phi's limit, which the tail formula reads as 0 inf
+    tail &= u < math.inf
     um, up = u[tail] - 1.0, u[tail] + 1.0
     a = um**g
     out[tail] = 0.5 * a * np.expm1(g * np.log1p(2.0 / um)) / ((a + 2.0) * (up**g + 2.0))

@@ -4,9 +4,9 @@
 grid measures which p, the sup norm included.  Everything here works on
 plain callables that accept an ndarray of points in the domain (operator
 outputs are wrapped the same way), so measured errors and theoretical bound
-evaluations share one vocabulary.  The a priori bounds are stated for the
-Kantorovich max-min operator; :func:`nnops.experiments.rate_sweep` chooses
-the bound and its delta_n.
+evaluations share one vocabulary.  :func:`apriori_bounds` is the one place
+that states the a priori bounds of the Kantorovich max-min operator, with
+their delta_n.
 """
 
 from __future__ import annotations
@@ -16,23 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DegenerateKernelError, Kernel, phi_floor
+from .kernels import DegenerateKernelError, Kernel, absolute_moment, phi_floor
 from .operators import Domain
 
 
 def _check_grid(grid_points: int) -> None:
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-
-
-def _positive_floor(kernel: Kernel, what: str) -> float:
-    """phi(2), which the bounds divide by; compact kernels have phi(2) = 0."""
-    floor = phi_floor(kernel)
-    if floor <= 0.0:
-        raise DegenerateKernelError(
-            f"{what} needs phi(2) > 0; compact kernels at this scale have phi(2) = 0"
-        )
-    return floor
 
 
 def lp_error(g, h, p: float, domain: Domain, grid_points: int = 100_000) -> float:
@@ -84,76 +74,6 @@ def rate_exponent_holder(alpha: float, beta: float) -> float:
     return (1.0 + alpha) * beta / (1.0 + alpha + beta)
 
 
-def kantorovich_rate(alpha: float) -> float:
-    """Decay exponent (1+alpha)/(2+alpha) of the K-functional argument."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return (1.0 + alpha) / (2.0 + alpha)
-
-
-def sup_error_bound(
-    f,
-    n: int,
-    delta_n: float,
-    kernel: Kernel,
-    moment: float,
-    domain: Domain,
-    grid_points: int = 2001,
-) -> float:
-    """A priori sup-error bound for the Kantorovich max-min operator.
-
-    omega(f, 1/n) + max(omega(f, delta_n), moment / (phi(2) (n delta_n)^(1+alpha)))
-    where omega is the modulus of continuity and ``moment`` the generalized
-    absolute moment of order 1+alpha.  Stated with constant 1; the measured
-    error should stay below it for any null sequence delta_n with
-    n * delta_n -> infinity.
-    """
-    if delta_n <= 0.0:
-        raise ValueError(f"delta_n must be positive, got {delta_n}")
-    floor = _positive_floor(kernel, "sup_error_bound")
-    omega_n = modulus_of_continuity(f, 1.0 / n, domain, grid_points)
-    omega_d = modulus_of_continuity(f, delta_n, domain, grid_points)
-    # a negative power underflows to 0, its limit, where a positive one overflows
-    tail = moment / floor * (n * delta_n) ** -(1.0 + kernel.alpha)
-    if not tail < math.inf:  # NaN fails too
-        raise ValueError(f"moment / phi(2) out of float range for alpha={kernel.alpha}")
-    return omega_n + max(omega_d, tail)
-
-
-@dataclass(frozen=True)
-class KFunctionalConstants:
-    """Constants of the L^p bound A * K(f, B n^-r) + moment_term * n^-r."""
-
-    A: float
-    B: float
-    moment_term: float
-
-
-def kfunctional_constants(
-    p: float, domain: Domain, kernel: Kernel, moment: float
-) -> KFunctionalConstants:
-    """Computable constants of the K-functional error bound.
-
-    A = (2M / (alpha phi(2)) + 2)^(1/p) + (b-a)^(1/(p(1+alpha))),
-    B = (3/2) (b-a)^(1/p) / A, and the additive coefficient
-    moment_term = m_(1+alpha) (b-a)^(1/p) / phi(2); all three multiply powers
-    of n^-(1+alpha)/(2+alpha).
-    """
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    floor = _positive_floor(kernel, "kfunctional_constants")
-    alpha = kernel.alpha
-    width = domain.width
-    a_val = (2.0 * kernel.decay_m / (alpha * floor) + 2.0) ** (1.0 / p) + width ** (
-        1.0 / (p * (1.0 + alpha))
-    )
-    b_val = 1.5 * width ** (1.0 / p) / a_val
-    moment_term = moment * width ** (1.0 / p) / floor
-    if not max(a_val, moment_term) < math.inf:
-        raise ValueError(f"K-functional constants out of float range for alpha={alpha}")
-    return KFunctionalConstants(A=a_val, B=b_val, moment_term=moment_term)
-
-
 def kfunctional_upper(f, delta: float, p: float, domain: Domain, alpha: float) -> float:
     """Upper estimate of the K-functional K(f, delta)_p.
 
@@ -185,6 +105,54 @@ def kfunctional_upper(f, delta: float, p: float, domain: Domain, alpha: float) -
         g_prime = float(np.abs(np.diff(gs)).max() / dx)
         best = min(best, dist ** (alpha / (alpha + 1.0)) + delta * g_prime)
     return best
+
+
+def apriori_bounds(f, kernel: Kernel, domain: Domain, n_values,
+                   p: float) -> tuple[float, ...]:
+    """The a priori L^p error bound of the Kantorovich max-min operator on
+    ``f`` at each n, for 1 <= p <= inf, stated with constant 1.
+
+    With omega the modulus of continuity, m the absolute moment of order
+    1+alpha and M = ``kernel.decay_m``:
+
+    * p = inf, at delta_n = n^-1/2 and omega on 4001 points:
+      omega(f, 1/n) + max(omega(f, delta_n), m / (phi(2) (n delta_n)^(1+alpha)));
+    * finite p, at delta_n = n^-(1+alpha)/(2+alpha):
+      A K(f, B delta_n)_p + (m (b-a)^(1/p) / phi(2)) delta_n, with K from
+      :func:`kfunctional_upper`, A = (2M / (alpha phi(2)) + 2)^(1/p) +
+      (b-a)^(1/(p(1+alpha))) and B = (3/2) (b-a)^(1/p) / A.
+
+    Raises DegenerateKernelError when phi(2) = 0 (compact kernels), and
+    ValueError when m, M, m / phi(2) or A is past the float range.
+    """
+    if not p >= 1.0:
+        raise ValueError(f"p must be >= 1, got {p}")
+    floor = phi_floor(kernel)
+    if floor <= 0.0:
+        raise DegenerateKernelError(f"the a priori bounds need phi(2) > 0; {kernel} has 0")
+    alpha = kernel.alpha
+    moment = absolute_moment(kernel, 1.0 + alpha)
+    if math.isinf(p):
+        bounds = []
+        for n in n_values:
+            delta_n = n**-0.5
+            # a negative power underflows to 0, its limit, where a positive one overflows
+            tail = moment / floor * (n * delta_n) ** -(1.0 + alpha)
+            if not tail < math.inf:  # NaN fails too
+                raise ValueError(f"moment / phi(2) out of float range for alpha={alpha}")
+            bounds.append(modulus_of_continuity(f, 1.0 / n, domain, 4001)
+                          + max(modulus_of_continuity(f, delta_n, domain, 4001), tail))
+        return tuple(bounds)
+    width = domain.width
+    a_val = ((2.0 * kernel.decay_m / (alpha * floor) + 2.0) ** (1.0 / p)
+             + width ** (1.0 / (p * (1.0 + alpha))))
+    b_val = 1.5 * width ** (1.0 / p) / a_val
+    moment_term = moment * width ** (1.0 / p) / floor
+    if not max(a_val, moment_term) < math.inf:
+        raise ValueError(f"K-functional constants out of float range for alpha={alpha}")
+    deltas = [n ** -((1.0 + alpha) / (2.0 + alpha)) for n in n_values]
+    return tuple(a_val * kfunctional_upper(f, b_val * d, p, domain, alpha)
+                 + moment_term * d for d in deltas)
 
 
 def fit_rate(n_values, errors) -> float:

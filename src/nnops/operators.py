@@ -138,27 +138,31 @@ class NodeData:
             raise ValueError("node values must lie in [0, 1]")  # NaN fails too
 
 
-def _stable_ceil(t: float) -> int:
-    # round to 12 decimals first so e.g. ceil(2.9999999999999996) stays 3
-    return math.ceil(round(t, 12))
-
-
-def _stable_floor(t: float) -> int:
-    return math.floor(round(t, 12))
+def _first_node(n: int, a: float) -> int:
+    """The smallest k with k/n >= a, with k/n as the float division gives it."""
+    k = math.ceil(n * a)  # n*a is rounded, so k may be a node off either way
+    while (k - 1) / n >= a:
+        k -= 1
+    while k / n < a:
+        k += 1
+    return k
 
 
 def node_bounds(mode: str, n: int, domain: Domain) -> tuple[int, int]:
     """Node index range for the given mode; raises EmptyRangeError if empty.
 
-    n*a and n*b must lie within +-2^53, where float64 still tells neighbouring
-    nodes apart (this also rejects an n*b that overflows to infinity).
+    Sampling nodes are the k with a <= k/n <= b, Kantorovich nodes the k
+    whose cell [k/n, (k+1)/n] lies in [a, b], with k/n as the float division
+    gives it.  n*a and n*b must lie within +-2^53, where float64 still tells
+    neighbouring nodes apart (this also rejects an n*b that overflows to
+    infinity).
     """
     if not (abs(n * domain.a) <= 2.0**53 and abs(n * domain.b) <= 2.0**53):
         raise ValueError(
             f"n*a and n*b must lie within +-2^53, got n={n} on [{domain.a}, {domain.b}]"
         )
-    k_lo = _stable_ceil(n * domain.a)
-    k_hi = _stable_floor(n * domain.b)
+    k_lo = _first_node(n, domain.a)
+    k_hi = -_first_node(n, -domain.b)  # -k/n >= -b: division rounds symmetrically
     if mode == "kantorovich":
         k_hi -= 1
     if k_lo > k_hi:

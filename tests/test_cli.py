@@ -489,15 +489,23 @@ INPUTS = {
                   "--grid", "3"], 0, "", id="identity-on-0-2"),
     pytest.param(["rate", "--domain", "0,2", "--p", "1", "--n-list", "10,20,40",
                   "--grid", "200"], 0, "", id="rate-on-0-2"),
+    # at c = 1e308 only a node itself carries weight (c x overflows from |x| = 2 on, with
+    # no warning), and x = 1 is no Kantorovich node
+    pytest.param(["approximate", "--kernel", "ramp", "--scale", "1e308", "--n", "10",
+                  "--grid", "3"], 3, "ZeroDenominator", id="ramp-scale-past-float-range"),
+    pytest.param(["approximate", "--kernel", "power:0.5", "--scale", "1e308", "--n", "10",
+                  "--grid", "3"], 3, "ZeroDenominator", id="power-scale-past-float-range"),
 ])
 def test_exit_codes(capsys, tmp_path, argv, code, fragment):
     """Each row: argv -> documented exit code (0, 2 validation, 3 numeric),
-    and a fragment of stderr; a failed run writes nothing to stdout."""
+    and a fragment of stderr; a failed run writes nothing to stdout, and no
+    run prints a warning."""
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
     got, out, err = run(capsys, *(a.replace("{dir}", str(tmp_path)) for a in argv))
     assert (got, fragment in err) == (code, True), err
     assert got == 0 or out == ""
+    assert "Warning" not in err
 
 
 def _readme_commands():

@@ -166,6 +166,16 @@ class TestKernelEvaluation:
             got = eval_kernel(make_kernel("tanh", 1e308), xs)
         assert np.array_equal(got, want) and got[0] == got[1] > got[3] > 0.0
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_phi_vanishes_at_infinity(self, variant):
+        # at c = 1e308, c x overflows to inf for |x| >= 2, and phi(+-inf) = 0
+        # for every variant, with no warning; the power tail formula itself
+        # would read 0 inf there
+        k = make_kernel(variant, 1e308, 0.5 if variant == "power" else 1.0)
+        xs = np.array([-math.inf, -2.0, 2.0, math.inf])
+        assert np.array_equal(eval_kernel(k, xs), np.zeros(4))
+        assert eval_kernel(make_kernel(variant, 1.0, k.alpha), math.inf) == 0.0
+
     def test_matrix_shape_preserved(self, catalogue):
         x = np.arange(6.0).reshape(2, 3)
         assert eval_kernel(catalogue["tanh"], x).shape == (2, 3)

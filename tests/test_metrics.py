@@ -10,9 +10,8 @@ from nnops import (
     Domain,
     ErrorReport,
     absolute_moment,
+    apriori_bounds,
     fit_rate,
-    kantorovich_rate,
-    kfunctional_constants,
     kfunctional_upper,
     lp_error,
     make_error_report,
@@ -20,7 +19,6 @@ from nnops import (
     modulus_of_continuity,
     phi_floor,
     rate_exponent_holder,
-    sup_error_bound,
 )
 
 UNIT = Domain(0.0, 1.0)
@@ -137,8 +135,6 @@ class TestModulusOfContinuity:
     def test_grid_points_below_two_rejected(self):
         with pytest.raises(ValueError, match="grid_points"):
             modulus_of_continuity(_const(0.0), 0.1, UNIT, grid_points=1)
-        with pytest.raises(ValueError, match="grid_points"):
-            sup_error_bound(_const(0.0), 10, 0.1, TANH, 1.0, UNIT, grid_points=1)
 
 
 class TestRateExponents:
@@ -152,7 +148,13 @@ class TestRateExponents:
         assert rate_exponent_holder(1e6, 0.5) == pytest.approx(0.4999998, abs=1e-7)
 
     def test_kantorovich_rate(self):
-        assert kantorovich_rate(1.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        # finite p: delta_n = n^-(1+alpha)/(2+alpha), n^-2/3 at alpha = 1; the
+        # zero function smooths to itself, so K(f, .) = 0 and the bound is
+        # moment_term * delta_n
+        ns = [8, 1000]
+        got = apriori_bounds(_const(0.0), TANH, UNIT, ns, 1.0)
+        moment_term = absolute_moment(TANH, 2.0) / phi_floor(TANH)
+        assert got == pytest.approx([moment_term / 4.0, moment_term / 100.0], rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -161,62 +163,103 @@ class TestRateExponents:
             rate_exponent_holder(1.0, 1.5)
 
 
+def _identity(xs):
+    return np.asarray(xs, dtype=float)
+
+
 class TestSupErrorBound:
+    # p = inf: omega(f, 1/n) + max(omega(f, n^-1/2), m / (phi(2) n^((1+alpha)/2)))
+
     def test_constant_function_only_moment_term(self):
-        moment = absolute_moment(TANH, 2.0, resolution=10_000)
-        n, dn = 50, 0.1
-        got = sup_error_bound(_const(0.3), n, dn, TANH, moment, UNIT)
-        want = moment / (phi_floor(TANH) * (n * dn) ** 2)
-        assert got == pytest.approx(want, abs=1e-12)
+        moment = absolute_moment(TANH, 2.0)
+        ns = [25, 100]
+        got = apriori_bounds(_const(0.3), TANH, UNIT, ns, math.inf)
+        want = [moment / (phi_floor(TANH) * n) for n in ns]
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_identity_function_terms(self):
-        moment = absolute_moment(TANH, 2.0, resolution=10_000)
+        moment = absolute_moment(TANH, 2.0)
         n = 100
         dn = n**-0.5
-        got = sup_error_bound(lambda xs: np.asarray(xs), n, dn, TANH, moment, UNIT,
-                              grid_points=20_001)
+        (got,) = apriori_bounds(_identity, TANH, UNIT, [n], math.inf)
         tail = moment / (phi_floor(TANH) * (n * dn) ** 2)
         assert got == pytest.approx(1.0 / n + max(dn, tail), abs=1e-3)
 
     def test_rejects_compact_kernel(self):
         with pytest.raises(DegenerateKernelError):
-            sup_error_bound(_const(0.3), 10, 0.1, make_kernel("ramp"), 0.3, UNIT)
+            apriori_bounds(_const(0.3), make_kernel("ramp"), UNIT, [10], math.inf)
 
     def test_large_alpha_tail_vanishes(self):
-        # (n delta_n)^(1+alpha) = 1e404 is past the float range; its
-        # reciprocal underflows to 0, so only the modulus term is left
+        # (n delta_n)^(1+alpha) = 10^353.5 is past the float range; its
+        # reciprocal underflows to 0, so only the modulus terms are left: 0
+        # for a constant, one step of the 4001-point grid for the identity
         kernel = make_kernel("tanh", alpha=100.0)
-        got = sup_error_bound(lambda xs: np.asarray(xs), 10**8, 1e-4, kernel, 1.0, UNIT,
-                              grid_points=20_001)
-        assert got == pytest.approx(1e-4, rel=1e-9)
+        n = 10**7
+        assert apriori_bounds(_const(0.3), kernel, UNIT, [n], math.inf) == (0.0,)
+        assert apriori_bounds(_identity, kernel, UNIT, [n], math.inf) == (
+            pytest.approx(2.5e-4, rel=1e-9),
+        )
+
+    def test_moduli_on_4001_points(self):
+        # the identity's modulus at delta is delta rounded down to the grid
+        # step 1/4000: one step at 1/n = 1/3000, 73 at n^-1/2 = 0.01826; at
+        # alpha = 100 the tail, 2.3e-46, is below both
+        kernel = make_kernel("tanh", alpha=100.0)
+        assert apriori_bounds(_identity, kernel, UNIT, [3000], math.inf) == (
+            pytest.approx(74 / 4000, rel=1e-12),
+        )
 
     def test_tail_past_float_range_rejected(self):
-        # moment / phi(2) overflows: the bound is not a number, not infinity
-        with pytest.raises(ValueError, match="out of float range"):
-            sup_error_bound(_const(0.3), 10, 0.1, TANH, 1e308, UNIT)
+        # tanh at alpha = 196: the moment is finite, moment / phi(2) is not,
+        # and the bound is not a number, not infinity
+        kernel = make_kernel("tanh", alpha=196.0)
+        with pytest.raises(ValueError, match="moment / phi\\(2\\) out of float range"):
+            apriori_bounds(_const(0.3), kernel, UNIT, [25], math.inf)
+
+    def test_rejects_p_below_one(self):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            apriori_bounds(_const(0.3), TANH, UNIT, [10], 0.5)
+
+
+def _kfunctional_bound(f, n, p):
+    """The finite-p bound at one n from the closed-form constants on [0, 1]
+    at alpha = 1: A = (2M / phi(2) + 2)^(1/p) + 1, B = 3 / (2A) and
+    moment_term = m / phi(2); returns (bound, A)."""
+    floor = phi_floor(TANH)
+    a_val = (2.0 * TANH.decay_m / floor + 2.0) ** (1.0 / p) + 1.0
+    d = n ** (-2.0 / 3.0)
+    k = kfunctional_upper(f, 1.5 / a_val * d, p, UNIT, 1.0)
+    return a_val * k + absolute_moment(TANH, 2.0) / floor * d, a_val
 
 
 class TestKFunctional:
     def test_constants_closed_form_p1(self):
-        moment = absolute_moment(TANH, 2.0, resolution=10_000)
-        kc = kfunctional_constants(1.0, UNIT, TANH, moment)
-        floor = phi_floor(TANH)
-        assert kc.A == pytest.approx(2.0 * TANH.decay_m / floor + 3.0, abs=1e-12)
-        assert kc.B == pytest.approx(1.5 / kc.A, abs=1e-12)
-        assert kc.moment_term == pytest.approx(moment / floor, abs=1e-12)
+        # at p = 1, A = 2M / phi(2) + 3
+        want, a_val = _kfunctional_bound(_identity, 100, 1.0)
+        assert a_val == pytest.approx(2.0 * TANH.decay_m / phi_floor(TANH) + 3.0, abs=1e-12)
+        assert apriori_bounds(_identity, TANH, UNIT, [100], 1.0) == (
+            pytest.approx(want, rel=1e-12),
+        )
 
-    def test_lower_bound_on_a(self):
+    def test_lower_bound_on_a(self, step):
         for p in (1.0, 2.0):
-            kc = kfunctional_constants(p, UNIT, TANH, 0.3)
-            assert kc.A >= 2.0 ** (1.0 / p) + 1.0
+            want, a_val = _kfunctional_bound(step, 50, p)
+            assert apriori_bounds(step, TANH, UNIT, [50], p) == (
+                pytest.approx(want, rel=1e-12),
+            )
+            assert a_val >= 2.0 ** (1.0 / p) + 1.0
 
     def test_rejects_compact_kernel(self):
         with pytest.raises(DegenerateKernelError):
-            kfunctional_constants(1.0, UNIT, make_kernel("three"), 0.3)
+            apriori_bounds(_const(0.3), make_kernel("three"), UNIT, [10], 2.0)
 
     def test_constants_past_float_range_rejected(self):
-        with pytest.raises(ValueError, match="out of float range"):
-            kfunctional_constants(1.0, UNIT, TANH, 1e308)
+        for kernel in (
+            make_kernel("tanh", alpha=196.0),  # 2M / (alpha phi(2)) and m / phi(2) overflow
+            make_kernel("logistic", 1.5e-154),  # A overflows, m / phi(2) = 9.2e307 does not
+        ):
+            with pytest.raises(ValueError, match="K-functional constants out of float range"):
+                apriori_bounds(_const(0.3), kernel, UNIT, [25], 1.0)
 
     def test_upper_estimate_for_smooth_function(self):
         # the identity is its own best C^1 candidate: the estimate should be

@@ -57,9 +57,16 @@ class TestNodeRange:
         with pytest.raises(EmptyRangeError):
             node_bounds("kantorovich", 1, Domain(0.3, 0.9))
 
-    def test_rounding_guard(self):
-        # 3 * 0.9999999999999999 = 2.9999999999999996 must still floor to 3
-        assert node_bounds("sampling", 3, Domain(0.0, 0.9999999999999999)) == (0, 3)
+    @pytest.mark.parametrize("mode, n, a, b, want", [
+        ("sampling", 10, 0.30000000000001, 1.0, (4, 10)),  # node 0.3 lies below a
+        ("kantorovich", 10, 0.0, 0.79999999999999, (0, 6)),  # cell [0.7, 0.8] ends past b
+        ("sampling", 3, 0.0, 0.9999999999999999, (0, 2)),  # node 1 lies an ulp past b
+        ("sampling", 10, 0.3, 0.9, (3, 9)),  # 3/10 and 9/10 are the floats 0.3 and 0.9
+        ("kantorovich", 10, 0.3, 0.9, (3, 8)),
+    ], ids=["a-above-node", "b-below-cell-end", "b-ulp-below-node", "tenths-sampling",
+            "tenths-kantorovich"])
+    def test_nodes_inside_domain(self, mode, n, a, b, want):
+        assert node_bounds(mode, n, Domain(a, b)) == want
 
     @pytest.mark.parametrize("n, a, b", [(10, 1e308, 1.5e308), (1, 2.0**62, 2.0**62 + 1e4),
                                          (3, -2.0**52, 0.0)])
@@ -70,6 +77,24 @@ class TestNodeRange:
 
     def test_fractional_domain(self):
         assert node_bounds("sampling", 10, Domain(0.31, 0.69)) == (4, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(["sampling", "kantorovich"]), n=st.integers(1, 10**4),
+       k=st.integers(-10**4, 10**4), cells=st.integers(1, 10**4),
+       ulps=st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+def test_node_bounds_are_exact(mode, n, k, cells, ulps):
+    """End points on a node or an ulp either side of one: the range holds
+    every node k/n in [a, b] (every cell, in Kantorovich mode) and no other."""
+    a, b = (float(np.nextafter(x, u * math.inf)) if u else x
+            for x, u in zip((k / n, (k + cells) / n), ulps))
+    end = 1 if mode == "kantorovich" else 0  # a cell [j/n, (j+1)/n] ends a node later
+    inside = [j for j in range(k - 2, k + cells + 3) if a <= j / n and (j + end) / n <= b]
+    try:
+        got = node_bounds(mode, n, Domain(a, b))
+    except EmptyRangeError:
+        got = None
+    assert got == ((inside[0], inside[-1]) if inside else None)
 
 
 class TestEvalOperator:
@@ -339,6 +364,38 @@ def test_windowed_matches_dense(kernel, family, mode, n, a, width, zeros, seed):
         assert np.array_equal(got, want)
     for i in rng.choice(len(xs), 3, replace=False):
         assert abs(got[i] - brute_force_eval(spec, data, float(xs[i]))) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel=st.sampled_from(sorted(KERNELS)),
+       mode=st.sampled_from(["sampling", "kantorovich"]),
+       n=st.integers(1, 600),
+       a=st.floats(-0.5, 0.5), width=st.floats(0.05, 1.5),
+       zeros=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_maxmin_dominates_maxprod(kernel, mode, n, a, width, zeros, seed):
+    """min(v, r) >= v r for v, r in [0, 1], and rounding keeps it, so on the
+    same spec and node data max-min is at least max-product at every point;
+    both divide by the same max weight, so both fail where it vanishes."""
+    domain = Domain(a, a + width)
+    try:
+        k_lo, k_hi = node_bounds(mode, n, domain)
+    except EmptyRangeError:
+        return
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, k_hi - k_lo + 1)
+    values[rng.uniform(size=len(values)) < zeros] = 0.0
+    data = NodeData(k_lo, k_hi, values)
+    xs = rng.uniform(domain.a, domain.b, 64)
+    maxmin, maxprod = (OperatorSpec(family, mode, n, domain, KERNELS[kernel])
+                       for family in ("maxmin", "maxprod"))
+    try:
+        got = eval_grid(maxmin, data, xs)
+    except ZeroDenominatorError:
+        with pytest.raises(ZeroDenominatorError):
+            eval_grid(maxprod, data, xs)
+        return
+    assert np.all(got >= eval_grid(maxprod, data, xs))
 
 
 @pytest.mark.parametrize("variant", ["ramp", "three"])
