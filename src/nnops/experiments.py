@@ -105,9 +105,15 @@ class DenoiseSweep:
     @property
     def wins(self) -> int:
         """Seeds on which Kantorovich max-min is at least as close as
-        sampling max-min."""
-        pairs = zip(self.l1["kant_maxmin"], self.l1["samp_maxmin"])
-        return sum(k <= s for k, s in pairs)
+        sampling max-min (``maxprod_wins``: as Kantorovich max-product)."""
+        return self._wins("samp_maxmin")
+
+    @property
+    def maxprod_wins(self) -> int:
+        return self._wins("kant_maxprod")
+
+    def _wins(self, rival: str) -> int:
+        return sum(k <= r for k, r in zip(self.l1["kant_maxmin"], self.l1[rival]))
 
 
 def denoise_sweep(base: Signal, clean, n: int, kernel: Kernel, rule: QuadratureRule,

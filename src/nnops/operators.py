@@ -157,6 +157,8 @@ def node_bounds(mode: str, n: int, domain: Domain) -> tuple[int, int]:
     neighbouring nodes apart (this also rejects an n*b that overflows to
     infinity).
     """
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     if not (abs(n * domain.a) <= 2.0**53 and abs(n * domain.b) <= 2.0**53):
         raise ValueError(
             f"n*a and n*b must lie within +-2^53, got n={n} on [{domain.a}, {domain.b}]"

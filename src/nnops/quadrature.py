@@ -2,7 +2,7 @@
 
 :func:`node_data` decides which rule turns which input into node values:
 
-* sampling specs take f at the nodes k/n;
+* sampling specs take f at the nodes k/n, and no rule;
 * exact piecewise integration for analytic piecewise-constant test functions;
 * refined Riemann / trapezoid sums at the sub-cell points k/n + j/(n r),
   evaluated directly for a callable and by nearest-sample lookup for a
@@ -32,7 +32,7 @@ from .operators import (
 )
 from .signals import PiecewiseConstant, Signal
 
-RULE_KINDS = ("exact", "riemann", "trapezoid", "pairmean")
+RULE_KINDS = ("riemann", "trapezoid", "pairmean")
 
 
 class SignalTooCoarseError(ValueError):
@@ -97,8 +97,6 @@ def cell_averages_sampled(s: Signal, n: int, rule: QuadratureRule) -> NodeData:
     consecutive samples covering each cell and requires exactly two samples
     per cell.  Sub-sampling uses nearest-sample lookup, never interpolation.
     """
-    if rule.kind == "exact":
-        raise ValueError("the exact rule needs an analytic piecewise function")
     if not (s.samples.min() >= 0.0 and s.samples.max() <= 1.0):  # NaN fails too
         raise ValueError("signal values must lie in [0, 1]; normalize_to_unit first")
     k_lo, k_hi = node_bounds("kantorovich", n, s.domain)
@@ -154,10 +152,12 @@ def node_data(f, spec: OperatorSpec, rule: QuadratureRule | None = None) -> Node
     through :func:`cell_averages_sampled`, which alone takes ``pairmean``.
     """
     if spec.mode == "sampling":
+        if rule is not None:
+            raise ValueError("a quadrature rule is for Kantorovich mode; sampling takes f at k/n")
         return sample_node_values(f, spec)
-    if isinstance(f, PiecewiseConstant) and (rule is None or rule.kind == "exact"):
-        return cell_averages_exact(f, spec.domain, spec.n)
-    if rule is None or rule.kind == "exact":
+    if rule is None:
+        if isinstance(f, PiecewiseConstant):
+            return cell_averages_exact(f, spec.domain, spec.n)
         rule = QuadratureRule("trapezoid", 64)
     if isinstance(f, Signal):
         return cell_averages_sampled(f, spec.n, rule)

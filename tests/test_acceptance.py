@@ -340,13 +340,14 @@ def test_criterion_7_denoising_advantage(step):
         f"Kantorovich max-min won {wins}/20 seeds "
         f"(mean {np.mean(sweep.l1['kant_maxmin']):.4f} vs "
         f"{np.mean(sweep.l1['samp_maxmin']):.4f}; "
-        f"max-product {np.mean(sweep.l1['kant_maxprod']):.4f}), {elapsed:.1f}s",
+        f"max-product {np.mean(sweep.l1['kant_maxprod']):.4f}, at least as close on "
+        f"{sweep.maxprod_wins}/20), {elapsed:.1f}s",
     )
 
 
 def test_criterion_8_cli_determinism(capsys, tmp_path):
     cases = [
-        ["kernel-info", "--kernel", "power:0.5", "--resolution", "5000"],
+        ["kernel-info", "--kernel", "power:0.5"],
         ["approximate", "--n", "20", "--fn", "step", "--grid", "200"],
         ["error-table", "--n-list", "10,30", "--grid", "10000"],
         ["rate", "--fn", "identity", "--n-list", "10,20,40", "--grid", "1000"],
@@ -368,8 +369,7 @@ def test_criterion_8_cli_determinism(capsys, tmp_path):
     # the installed console entry point, twice, byte-compared
     runs = [
         subprocess.run(
-            [sys.executable, "-m", "nnops.cli", "kernel-info", "--kernel", "tanh",
-             "--resolution", "2000"],
+            [sys.executable, "-m", "nnops.cli", "kernel-info", "--kernel", "tanh"],
             capture_output=True,
         )
         for _ in range(2)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -26,7 +27,8 @@ from nnops import (
     lp_error,
     step_test_function,
 )
-from nnops.cli import main
+from nnops.cli import build_parser, main
+from nnops.experiments import denoise_sweep
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "approximate_golden.csv"
 ECG = Path(__file__).resolve().parent.parent / "data" / "ecg_synthetic.csv"
@@ -44,8 +46,7 @@ def run(capsys, *argv):
 
 class TestKernelInfo:
     def test_fields_and_values(self, capsys):
-        code, out, _ = run(capsys, "kernel-info", "--kernel", "tanh",
-                           "--resolution", "5000")
+        code, out, _ = run(capsys, "kernel-info", "--kernel", "tanh")
         assert code == 0
         info = json.loads(out)
         assert info["variant"] == "tanh"
@@ -57,8 +58,7 @@ class TestKernelInfo:
         assert "gamma" not in info
 
     def test_power_kernel_includes_gamma(self, capsys):
-        code, out, _ = run(capsys, "kernel-info", "--kernel", "power:0.5",
-                           "--resolution", "2000")
+        code, out, _ = run(capsys, "kernel-info", "--kernel", "power:0.5")
         assert code == 0
         info = json.loads(out)
         assert info["gamma"] == 0.5
@@ -73,8 +73,7 @@ class TestKernelInfo:
     def test_small_gamma_flat_top(self, capsys):
         # power:0.01 is flat at 2^-102 for |x| <= 2^100 - 1, where its
         # difference-of-sigmoids form rounds to 0; its moment peaks there
-        code, out, _ = run(capsys, "kernel-info", "--kernel", "power:0.01",
-                           "--resolution", "2000")
+        code, out, _ = run(capsys, "kernel-info", "--kernel", "power:0.01")
         info = json.loads(out)
         assert (code, info["phi_zero"], info["phi_floor"]) == (0, 2.0**-102, 2.0**-102)
         assert info["moment_1_plus_alpha"] == pytest.approx(0.5, rel=1e-12)
@@ -370,6 +369,35 @@ class TestDenoise:
             want = eval_grid(spec, data, np.array(payload["x"]))
             np.testing.assert_allclose(payload["kant_maxmin"], want, atol=1e-12)
 
+    def test_input_seed_sweep(self, capsys):
+        """--seeds sweeps an --input trace against its un-noised self."""
+        argv = ["denoise", "--input", str(ECG), "--quad", "pairmean", "--sigma", "0.05",
+                "--kernel", "logistic", "--scale", "2", "--grid", "400", "--seed", "2"]
+        code, out, err = run(capsys, *argv, "--seeds", "3", "--json")
+        assert code == 0, err
+        signal = load_signal_csv(ECG, column="value")
+        sweep = denoise_sweep(signal, signal, 800, make_kernel("logistic", scale=2.0),
+                              QuadratureRule("pairmean"), 0.05, range(2, 5), 400)
+        rows = [ln.split() for ln in err.splitlines() if ln[:5].strip().isdigit()]
+        assert [int(r[0]) for r in rows] == [2, 3, 4]
+        assert [[float(v) for v in r[1:]] for r in rows] == [
+            [round(l1[i], 6) for l1 in sweep.l1.values()] for i in range(3)]
+        assert json.loads(out)["l1_distances"] == {name: l1[0] for name, l1 in sweep.l1.items()}
+        assert f"won {sweep.wins}/3 seeds" in err
+        assert f"Kantorovich max-product: {sweep.maxprod_wins}/3 seeds" in err
+
+    def test_explicit_order_for_pairmean_input(self, capsys):
+        # 1600 samples: the default order is pairmean_order, 800; an explicit
+        # --n is used as given, and a wrong one exits 2
+        argv = ["denoise", "--input", str(ECG), "--quad", "pairmean", "--sigma", "0",
+                "--grid", "50"]
+        default = run(capsys, *argv)
+        assert default[0] == 0
+        assert run(capsys, *argv, "--n", "800") == default
+        code, out, err = run(capsys, *argv, "--n", "799")
+        assert (code, out) == (2, "")
+        assert "pairwise-mean needs exactly 2 samples per cell" in err
+
     def test_ecg_recipe(self, capsys):
         """Pairwise-mean smoothing of the bundled ECG fixture, the paper's last
         application: the half-rate Kantorovich operators of a wide logistic
@@ -397,7 +425,7 @@ class TestMainEntry:
 
     def test_every_command_deterministic(self, capsys):
         cases = [
-            ["kernel-info", "--kernel", "logistic", "--resolution", "2000"],
+            ["kernel-info", "--kernel", "logistic"],
             ["approximate", "--n", "10", "--fn", "step", "--grid", "50"],
             ["error-table", "--n-list", "10", "--grid", "2000"],
             ["rate", "--fn", "identity", "--n-list", "10,20,40", "--grid", "400"],
@@ -473,8 +501,8 @@ INPUTS = {
                   "--grid", "0"], 2, "--grid", id="denoise-grid-0"),
     pytest.param(["kernel-info", "--alpha", "1000"], 2, "float range for alpha=1000.0",
                  id="moment-past-float-range"),
-    pytest.param(["kernel-info", "--scale", "0.1", "--alpha", "400", "--resolution", "100"],
-                 2, "float range for alpha=400.0", id="scaled-moment-past-float-range"),
+    pytest.param(["kernel-info", "--scale", "0.1", "--alpha", "400"], 2,
+                 "float range for alpha=400.0", id="scaled-moment-past-float-range"),
     pytest.param(["kernel-info", "--scale", "0.01", "--alpha", "200"], 2,
                  "float range for alpha=200.0", id="small-scale-moment-past-float-range"),
     pytest.param(["rate", "--n-list", "10,20,40", "--grid", "200", "--alpha", "200"], 0,
@@ -495,6 +523,30 @@ INPUTS = {
                   "--grid", "3"], 3, "ZeroDenominator", id="ramp-scale-past-float-range"),
     pytest.param(["approximate", "--kernel", "power:0.5", "--scale", "1e308", "--n", "10",
                   "--grid", "3"], 3, "ZeroDenominator", id="power-scale-past-float-range"),
+    # alpha is read by the moment and the bounds, which only kernel-info and rate print
+    pytest.param(["approximate", "--n", "10", "--alpha", "2"], 2,
+                 "unrecognized arguments: --alpha", id="approximate-alpha"),
+    pytest.param(["error-table", "--n-list", "10", "--alpha", "2"], 2,
+                 "unrecognized arguments: --alpha", id="error-table-alpha"),
+    pytest.param(["denoise", "--n", "20", "--alpha", "2"], 2,
+                 "unrecognized arguments: --alpha", id="denoise-alpha"),
+    pytest.param(["kernel-info", "--resolution", "2000"], 2,
+                 "unrecognized arguments: --resolution", id="kernel-info-resolution"),
+    pytest.param(["approximate", "--n", "10", "--quad", "exact"], 2,
+                 "unknown quadrature rule 'exact'", id="exact-rule"),
+    pytest.param(["approximate", "--n", "10", "--fn", "step", "--input", "{dir}/eight.csv"], 2,
+                 "argument --input: not allowed with argument --fn", id="fn-and-input"),
+    pytest.param(["approximate", "--n", "10", "--mode", "sampling", "--quad", "riemann:4"], 2,
+                 "rule is for Kantorovich mode", id="sampling-with-rule"),
+    pytest.param(["denoise", "--input", str(ECG), "--quad", "pairmean", "--n", "7",
+                  "--sigma", "0", "--grid", "5"], 2,
+                 "pairwise-mean needs exactly 2 samples per cell", id="pairmean-wrong-n"),
+    pytest.param(["error-table", "--n-list", "0"], 2, "n must be a positive integer, got 0",
+                 id="error-table-n-0"),
+    pytest.param(["error-table", "--n-list", "-3"], 2, "n must be a positive integer, got -3",
+                 id="error-table-n-negative"),
+    pytest.param(["denoise", "--n", "0", "--quad", "pairmean"], 2,
+                 "n must be a positive integer, got 0", id="denoise-pairmean-n-0"),
 ])
 def test_exit_codes(capsys, tmp_path, argv, code, fragment):
     """Each row: argv -> documented exit code (0, 2 validation, 3 numeric),
@@ -506,6 +558,55 @@ def test_exit_codes(capsys, tmp_path, argv, code, fragment):
     assert (got, fragment in err) == (code, True), err
     assert got == 0 or out == ""
     assert "Warning" not in err
+
+
+#: per subcommand, a base argv as {flag: value} and one alternative value for
+#: every flag it registers (None: a switch); "{out}" is a file in the test's
+#: temporary directory
+FLAG_TABLE = {
+    "kernel-info": ({}, {"--kernel": "logistic", "--scale": "2", "--alpha": "2",
+                         "--out": "{out}"}),
+    "approximate": ({"--n": "10", "--grid": "5"}, {
+        "--kernel": "logistic", "--scale": "2", "--domain": "0,2", "--out": "{out}",
+        "--json": None, "--family": "linear", "--mode": "sampling", "--n": "20",
+        "--fn": "identity", "--input": str(ECG), "--grid": "6", "--quad": "riemann:4"}),
+    "error-table": ({"--n-list": "10", "--grid": "200"}, {
+        "--kernel": "logistic", "--scale": "2", "--domain": "0,2", "--out": "{out}",
+        "--json": None, "--n-list": "20", "--p": "2", "--grid": "300"}),
+    "rate": ({"--n-list": "10,20", "--grid": "100"}, {
+        "--kernel": "logistic", "--scale": "2", "--alpha": "2", "--domain": "0,2",
+        "--out": "{out}", "--family": "linear", "--mode": "sampling", "--fn": "step",
+        "--n-list": "10,30", "--p": "1", "--grid": "200"}),
+    "denoise": ({"--n": "20", "--grid": "10"}, {
+        "--kernel": "logistic", "--scale": "2", "--domain": "0,2", "--out": "{out}",
+        "--json": None, "--n": "30", "--sigma": "0.1", "--seed": "1", "--seeds": "2",
+        "--input": str(ECG), "--grid": "11", "--quad": "trapezoid:16"}),
+}
+
+
+def _argv(command, flags, out):
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value.replace("{out}", out)]
+    return argv
+
+
+def test_every_flag_is_read(capsys, tmp_path):
+    """Each registered flag is in FLAG_TABLE, and its alternative value changes
+    the exit code, stdout or stderr of the base run: no flag is accepted and
+    then ignored."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    registered = {name: {s for a in p._actions if a.dest != "help" for s in a.option_strings}
+                  for name, p in subparsers.choices.items()}
+    assert registered == {name: set(alt) for name, (_, alt) in FLAG_TABLE.items()}
+    out = str(tmp_path / "out.txt")
+    for command, (base, alternatives) in FLAG_TABLE.items():
+        want = run(capsys, *_argv(command, base, out))
+        assert want[0] == 0, (command, want[2])
+        for flag, value in alternatives.items():
+            got = run(capsys, *_argv(command, {**base, flag: value}, out))
+            assert got != want, (command, flag)
 
 
 def _readme_commands():

@@ -408,7 +408,7 @@ class TestDecayConstants:
 
 def _kernel_info(capsys, kernel: str) -> dict:
     """The JSON object ``nnops kernel-info --kernel <kernel>`` prints."""
-    assert cli.main(["kernel-info", "--kernel", kernel, "--resolution", "2000"]) == 0
+    assert cli.main(["kernel-info", "--kernel", kernel]) == 0
     return json.loads(capsys.readouterr().out)
 
 
@@ -473,7 +473,7 @@ class TestKernelConstruction:
             assert fields == {"variant": v, "scale": k.scale, "alpha": k.alpha,
                               "decay_M": k.decay_m, "decay_L": k.decay_l,
                               "phi_zero": eval_kernel(k, 0.0), "phi_floor": phi_floor(k),
-                              "moment_1_plus_alpha": absolute_moment(k, 1.0 + k.alpha, 2000)}, v
+                              "moment_1_plus_alpha": absolute_moment(k, 1.0 + k.alpha)}, v
 
 
 _KERNELS = tuple(make_kernel(v) for v in VARIANTS)

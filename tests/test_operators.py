@@ -78,6 +78,13 @@ class TestNodeRange:
     def test_fractional_domain(self):
         assert node_bounds("sampling", 10, Domain(0.31, 0.69)) == (4, 6)
 
+    @pytest.mark.parametrize("mode", ["sampling", "kantorovich"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_order_rejected(self, mode, n):
+        # n = 0 divided by zero and n = -3 never left the node search
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
+            node_bounds(mode, n, UNIT)
+
 
 @settings(max_examples=300, deadline=None)
 @given(mode=st.sampled_from(["sampling", "kantorovich"]), n=st.integers(1, 10**4),

@@ -149,11 +149,6 @@ class TestSampledCellAverages:
         with pytest.raises(SignalTooCoarseError):
             cell_averages_sampled(s, 10, QuadratureRule("riemann", 16))
 
-    def test_exact_rule_needs_analytic_input(self):
-        s = sample_function(lambda xs: xs, UNIT, 100)
-        with pytest.raises(ValueError):
-            cell_averages_sampled(s, 5, QuadratureRule("exact"))
-
     def test_out_of_range_signal_rejected(self):
         s = sample_function(lambda xs: 2.0 * xs, UNIT, 100)
         with pytest.raises(ValueError):
@@ -198,6 +193,12 @@ class TestNodeData:
     def test_values_outside_unit_interval_rejected(self, f, rule):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             node_data(f, _kantorovich(10, UNIT), rule)
+
+    @pytest.mark.parametrize("rule", [QuadratureRule("riemann", 4), QuadratureRule("pairmean")])
+    def test_sampling_takes_no_rule(self, step, rule):
+        spec = OperatorSpec("maxmin", "sampling", 10, UNIT, make_kernel("tanh"))
+        with pytest.raises(ValueError, match="rule is for Kantorovich mode"):
+            node_data(step, spec, rule)
 
 
 def _cells(n, domain):
@@ -245,5 +246,8 @@ class TestQuadratureRule:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureRule("simpson")
+        # exact cell averages are node_data's default, not a rule
+        with pytest.raises(ValueError, match="rule kind must be one of"):
+            QuadratureRule("exact")
         with pytest.raises(ValueError):
             QuadratureRule("riemann", 0)
