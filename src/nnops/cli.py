@@ -18,7 +18,6 @@ import numpy as np
 
 from .experiments import (
     TABLE_FAMILIES,
-    denoise_curves,
     denoise_sweep,
     error_table,
     rate_sweep,
@@ -35,16 +34,13 @@ from .operators import (
     OperatorSpec,
     ZeroDenominatorError,
     eval_grid,
-    node_bounds,
 )
-from .quadrature import QuadratureRule, node_data, pairmean_order
+from .quadrature import QuadratureRule, node_data
 from .signals import (
     Signal,
-    add_gaussian_noise,
     holder_test_function,
     load_signal_csv,
     normalize_to_unit,
-    sample_function,
     step_test_function,
 )
 
@@ -66,7 +62,11 @@ def _parse_quad(text: str) -> QuadratureRule:
     kind, _, r = text.partition(":")
     if kind not in ("riemann", "trapezoid"):
         raise ValueError(f"unknown quadrature rule {text!r}")
-    return QuadratureRule(kind, int(r) if r else 16)
+    try:
+        refinement = int(r) if r else 16
+    except ValueError:
+        raise ValueError(f"--quad refinement must be an integer, got {text!r}") from None
+    return QuadratureRule(kind, refinement)
 
 
 def _parse_domain(text: str) -> Domain:
@@ -274,30 +274,12 @@ def cmd_denoise(args) -> int:
     domain = _parse_domain(args.domain)
     kernel = _parse_kernel(args.kernel, args.scale, None)
     rule = _parse_quad(args.quad)
-
-    n = 2000 if args.n is None else args.n
-    if args.input:  # the un-noised trace is the clean reference
-        clean = signal = _load_input(args.input, domain)
-        if args.n is None and rule.kind == "pairmean":
-            n = pairmean_order(len(signal), domain)
-    else:
-        clean = step_test_function(domain)
-        if rule.kind == "pairmean":
-            k_lo, k_hi = node_bounds("kantorovich", n, domain)
-            samples = 2 * (k_hi - k_lo + 1)
-        else:
-            samples = n * rule.refinement
-        signal = sample_function(clean, domain, samples)
-    noisy = add_gaussian_noise(signal, args.sigma, args.seed)
-
-    if args.grid < 1:
-        raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    if args.grid < 2:  # the L1 sweep takes --grid as its cell count too
+        raise ValueError(f"--grid must be at least 2, got {args.grid}")
+    trace = _load_input(args.input, domain) if args.input else None
     xs = np.linspace(domain.a, domain.b, args.grid)
-    columns = {"x": xs, "noisy": noisy(xs)}
-    columns.update(denoise_curves(noisy, n, kernel, rule, xs))
-
-    seeds = range(args.seed, args.seed + args.seeds)
-    sweep = denoise_sweep(signal, clean, n, kernel, rule, args.sigma, seeds, args.grid)
+    sweep = denoise_sweep(trace, domain, args.n, kernel, rule, args.sigma,
+                          range(args.seed, args.seed + args.seeds), args.grid, xs)
     print("L1 distance to clean reference", file=sys.stderr)
     print(f"{'seed':>5}" + "".join(f"{name:>13}" for name in sweep.l1), file=sys.stderr)
     for i, seed in enumerate(sweep.seeds):
@@ -307,7 +289,7 @@ def cmd_denoise(args) -> int:
           f"won {sweep.wins}/{len(sweep.seeds)} seeds", file=sys.stderr)
     print(f"Kantorovich max-min at least as close as Kantorovich max-product: "
           f"{sweep.maxprod_wins}/{len(sweep.seeds)} seeds", file=sys.stderr)
-    return _emit_columns(args, columns, n=n,
+    return _emit_columns(args, {"x": xs, **sweep.curves}, n=sweep.n,
                          l1_distances={name: l1[0] for name, l1 in sweep.l1.items()})
 
 

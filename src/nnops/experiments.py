@@ -2,12 +2,12 @@
 
 :func:`error_table` (the L^p error table of the Kantorovich families on the
 step function), :func:`denoise_sweep` (L1 distances of the denoising
-operators over noise seeds) and :func:`rate_sweep` (errors of one operator
-over n, with the a priori bound at each n where one is stated) return frozen
-dataclasses; :func:`denoise_curves` returns operator outputs on a grid.  Node
-values come from :mod:`nnops.quadrature` and every error, sup norm included,
-from :func:`nnops.metrics.lp_error`.  The CLI and the acceptance tests only
-parse arguments and format these results.
+operators over noise seeds, and the first seed's outputs on a grid) and
+:func:`rate_sweep` (errors of one operator over n, with the a priori bound at
+each n where one is stated) return frozen dataclasses.  Node values come from
+:func:`nnops.quadrature.node_data` and every error, sup norm included, from
+:func:`nnops.metrics.lp_error`.  The CLI and the acceptance tests only parse
+arguments and format these results.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from .metrics import (
     make_error_report,
     rate_exponent_holder,
 )
-from .operators import Domain, NodeData, OperatorSpec, eval_grid, sample_node_values
-from .quadrature import QuadratureRule, cell_averages_exact, cell_averages_sampled, node_data
+from .operators import Domain, NodeData, OperatorSpec, eval_grid, node_bounds
+from .quadrature import QuadratureRule, node_data, pairmean_order
 from .signals import (
     Signal,
     add_gaussian_noise,
+    sample_function,
     step_test_function,
 )
 
@@ -63,44 +64,27 @@ def error_table(kernel: Kernel, n_values, p: float, domain: Domain,
     f = step_test_function(domain)
     errors: dict[str, list[float]] = {fam: [] for fam in TABLE_FAMILIES}
     for n in n_values:
-        data = cell_averages_exact(f, domain, n)
-        for fam in TABLE_FAMILIES:
-            op = _operator(OperatorSpec(fam, "kantorovich", n, domain, kernel), data)
-            errors[fam].append(lp_error(op, f, p, domain, grid_points))
+        specs = [OperatorSpec(fam, "kantorovich", n, domain, kernel) for fam in TABLE_FAMILIES]
+        data = node_data(f, specs[0])
+        for spec in specs:
+            op = _operator(spec, data)
+            errors[spec.family].append(lp_error(op, f, p, domain, grid_points))
     return ErrorTable(tuple(n_values), {
         fam: make_error_report(f"{fam}/kantorovich", p, n_values, errs)
         for fam, errs in errors.items()
     })
 
 
-def _denoise_operators(noisy: Signal, n: int, kernel: Kernel, rule: QuadratureRule):
-    """Kantorovich max-min, sampling max-min and Kantorovich max-product; the
-    Kantorovich pair shares one set of cell averages."""
-    def spec(family, mode):
-        return OperatorSpec(family, mode, n, noisy.domain, kernel)
-
-    kant = cell_averages_sampled(noisy, n, rule)
-    samp = spec("maxmin", "sampling")
-    return {
-        "kant_maxmin": _operator(spec("maxmin", "kantorovich"), kant),
-        "samp_maxmin": _operator(samp, sample_node_values(noisy, samp)),
-        "kant_maxprod": _operator(spec("maxprod", "kantorovich"), kant),
-    }
-
-
-def denoise_curves(noisy: Signal, n: int, kernel: Kernel, rule: QuadratureRule,
-                   xs) -> dict[str, np.ndarray]:
-    """Outputs of the three denoising operators at the points ``xs``."""
-    ops = _denoise_operators(noisy, n, kernel, rule)
-    return {name: op(xs) for name, op in ops.items()}
-
-
 @dataclass(frozen=True)
 class DenoiseSweep:
-    """L1 distance to the clean signal of each denoising operator, per seed."""
+    """L1 distance to the clean signal of each denoising operator per seed,
+    the operator order ``n``, and the first seed's noisy signal and operator
+    outputs on the grid (``curves``)."""
 
     seeds: tuple[int, ...]
     l1: dict[str, tuple[float, ...]]  # kant_maxmin, samp_maxmin, kant_maxprod
+    n: int
+    curves: dict[str, np.ndarray]  # noisy, then the keys of l1
 
     @property
     def wins(self) -> int:
@@ -116,19 +100,49 @@ class DenoiseSweep:
         return sum(k <= r for k, r in zip(self.l1["kant_maxmin"], self.l1[rival]))
 
 
-def denoise_sweep(base: Signal, clean, n: int, kernel: Kernel, rule: QuadratureRule,
-                  sigma: float, seeds, grid_points: int) -> DenoiseSweep:
-    """Add N(0, sigma^2) noise to ``base`` with each seed and measure how
-    close each denoising operator comes to ``clean`` in L1."""
+def denoise_sweep(trace: Signal | None, domain: Domain, n: int | None, kernel: Kernel,
+                  rule: QuadratureRule, sigma: float, seeds, grid_points: int,
+                  xs) -> DenoiseSweep:
+    """Add N(0, sigma^2) noise to ``trace`` with each seed and measure in L1
+    over ``grid_points`` cells how close Kantorovich max-min, sampling max-min
+    and Kantorovich max-product come to the un-noised trace; ``curves`` holds
+    the first seed's outputs at ``xs``.  ``n`` defaults to 2000, or to
+    :func:`pairmean_order` for a trace under the ``pairmean`` rule.  Without a
+    trace, the reference is the step on ``domain`` and the noised trace its
+    samples at 2 (``pairmean``) or the rule's refinement points per
+    Kantorovich cell of order n."""
     if not seeds:
         raise ValueError("need at least one noise seed")
+    if n is None:
+        pairmean = trace is not None and rule.kind == "pairmean"
+        n = pairmean_order(len(trace), trace.domain) if pairmean else 2000
+    clean = trace
+    if trace is None:
+        clean = step_test_function(domain)
+        k_lo, k_hi = node_bounds("kantorovich", n, domain)
+        per_cell = 2 if rule.kind == "pairmean" else rule.refinement
+        trace = sample_function(clean, domain, (k_hi - k_lo + 1) * per_cell)
+
+    def spec(family, mode):
+        return OperatorSpec(family, mode, n, trace.domain, kernel)
+
+    kant_maxmin, samp_maxmin = spec("maxmin", "kantorovich"), spec("maxmin", "sampling")
+    kant_maxprod = spec("maxprod", "kantorovich")
     l1: dict[str, list[float]] = {}
+    curves: dict[str, np.ndarray] = {}
     for seed in seeds:
-        noisy = add_gaussian_noise(base, sigma, seed)
-        for name, op in _denoise_operators(noisy, n, kernel, rule).items():
-            l1.setdefault(name, []).append(
-                lp_error(op, clean, 1.0, base.domain, grid_points))
-    return DenoiseSweep(tuple(seeds), {name: tuple(v) for name, v in l1.items()})
+        noisy = add_gaussian_noise(trace, sigma, seed)
+        kant = node_data(noisy, kant_maxmin, rule)  # the Kantorovich pair shares it
+        ops = {
+            "kant_maxmin": _operator(kant_maxmin, kant),
+            "samp_maxmin": _operator(samp_maxmin, node_data(noisy, samp_maxmin)),
+            "kant_maxprod": _operator(kant_maxprod, kant),
+        }
+        if not curves:
+            curves = {"noisy": noisy(xs), **{name: op(xs) for name, op in ops.items()}}
+        for name, op in ops.items():
+            l1.setdefault(name, []).append(lp_error(op, clean, 1.0, trace.domain, grid_points))
+    return DenoiseSweep(tuple(seeds), {name: tuple(v) for name, v in l1.items()}, n, curves)
 
 
 @dataclass(frozen=True)

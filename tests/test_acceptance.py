@@ -30,7 +30,6 @@ from nnops import (
     node_bounds,
     partition_of_unity_defect,
     phi_floor,
-    sample_function,
     step_test_function,
 )
 from nnops.cli import main as cli_main
@@ -325,13 +324,13 @@ def test_criterion_6_bound_validity(catalogue):
             + ", ".join(ratios) + "; no bound for " + ", ".join(unbounded))
 
 
-def test_criterion_7_denoising_advantage(step):
+def test_criterion_7_denoising_advantage():
+    # the README's `nnops denoise --n 2000 --sigma 0.05 --seeds 20 --kernel
+    # logistic --scale 0.1 --grid 2000`
     t0 = time.time()
-    n, sigma, refinement = 2000, 0.05, 16
     kernel = make_kernel("logistic", scale=0.1)
-    base = sample_function(step, UNIT, n * refinement)
-    rule = QuadratureRule("riemann", refinement)
-    sweep = denoise_sweep(base, step, n, kernel, rule, sigma, range(20), 2000)
+    sweep = denoise_sweep(None, UNIT, 2000, kernel, QuadratureRule("riemann", 16), 0.05,
+                          range(20), 2000, np.linspace(0.0, 1.0, 2000))
     wins = sweep.wins
     elapsed = time.time() - t0
     _report(

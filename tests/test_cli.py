@@ -349,6 +349,20 @@ class TestDenoise:
         assert np.abs(np.array(payload["kant_maxmin"]) - want).max() < 0.05
         assert payload["n"] == 100
 
+    def test_step_follows_domain(self, capsys):
+        # order 50 on [0, 2] has the 100 cells of order 100 on [0, 1], and the
+        # step is sampled 16 times per cell on both: the same curves, and L1
+        # distances doubled by the width
+        argv = ["denoise", "--grid", "50", "--json"]
+        unit = json.loads(run(capsys, *argv, "--n", "100")[1])
+        code, out, err = run(capsys, *argv, "--n", "50", "--domain", "0,2")
+        assert code == 0, err
+        wide = json.loads(out)
+        for name in ("noisy", "kant_maxmin", "samp_maxmin", "kant_maxprod"):
+            np.testing.assert_allclose(wide[name], unit[name], rtol=1e-12)
+        for name, l1 in unit["l1_distances"].items():
+            assert wide["l1_distances"][name] == pytest.approx(2.0 * l1, rel=1e-12)
+
     def test_pairmean_input_halves_node_count(self, capsys, tmp_path):
         rng = np.random.default_rng(12)
         # (domain, samples, order): on [0.3, 0.9] n = 10 has the 6 cells 3..8
@@ -376,8 +390,9 @@ class TestDenoise:
         code, out, err = run(capsys, *argv, "--seeds", "3", "--json")
         assert code == 0, err
         signal = load_signal_csv(ECG, column="value")
-        sweep = denoise_sweep(signal, signal, 800, make_kernel("logistic", scale=2.0),
-                              QuadratureRule("pairmean"), 0.05, range(2, 5), 400)
+        sweep = denoise_sweep(signal, Domain(0.0, 1.0), 800,
+                              make_kernel("logistic", scale=2.0), QuadratureRule("pairmean"),
+                              0.05, range(2, 5), 400, np.linspace(0.0, 1.0, 400))
         rows = [ln.split() for ln in err.splitlines() if ln[:5].strip().isdigit()]
         assert [int(r[0]) for r in rows] == [2, 3, 4]
         assert [[float(v) for v in r[1:]] for r in rows] == [
@@ -547,6 +562,16 @@ INPUTS = {
                  id="error-table-n-negative"),
     pytest.param(["denoise", "--n", "0", "--quad", "pairmean"], 2,
                  "n must be a positive integer, got 0", id="denoise-pairmean-n-0"),
+    pytest.param(["denoise", "--n", "0"], 2, "n must be a positive integer, got 0",
+                 id="denoise-n-0"),
+    pytest.param(["denoise", "--n", "-3"], 2, "n must be a positive integer, got -3",
+                 id="denoise-n-negative"),
+    # the L1 sweep takes --grid as its cell count, and a cell sum needs 2
+    pytest.param(["denoise", "--n", "20", "--grid", "1"], 2,
+                 "--grid must be at least 2, got 1", id="denoise-grid-1"),
+    pytest.param(["approximate", "--n", "10", "--quad", "riemann:x"], 2,
+                 "--quad refinement must be an integer, got 'riemann:x'",
+                 id="non-integer-refinement"),
 ])
 def test_exit_codes(capsys, tmp_path, argv, code, fragment):
     """Each row: argv -> documented exit code (0, 2 validation, 3 numeric),
