@@ -19,12 +19,10 @@ from .kernels import (
     phi_floor,
 )
 from .metrics import (
-    ErrorReport,
     apriori_bounds,
     fit_rate,
     kfunctional_upper,
     lp_error,
-    make_error_report,
     modulus_of_continuity,
     rate_exponent_holder,
 )
@@ -42,17 +40,13 @@ from .operators import (
 )
 from .quadrature import (
     QuadratureRule,
-    SignalTooCoarseError,
     cell_averages_exact,
     cell_averages_sampled,
     pairmean_order,
 )
 from .signals import (
-    DegenerateRangeError,
     PiecewiseConstant,
     Signal,
-    SignalParseError,
-    TooFewSamplesError,
     add_gaussian_noise,
     holder_test_function,
     load_signal_csv,

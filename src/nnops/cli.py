@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from .experiments import (
-    TABLE_FAMILIES,
     denoise_sweep,
     error_table,
     rate_sweep,
@@ -45,11 +44,19 @@ from .signals import (
 )
 
 
+def _parse_as(kind, value: str, text: str, what: str):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{what}, got {text!r}") from None
+
+
 def _parse_kernel(text: str, scale: float, alpha: float | None) -> Kernel:
     # power:<gamma> (bare power: gamma 1) has alpha = gamma; --alpha may only repeat it
-    if text != "power" and not text.startswith("power:"):
+    variant, colon, gamma = text.partition(":")
+    if variant != "power":
         return make_kernel(text, scale, 1.0 if alpha is None else alpha)
-    gamma = float(text.split(":", 1)[1]) if ":" in text else 1.0
+    gamma = _parse_as(float, gamma, text, "--kernel gamma must be a number") if colon else 1.0
     if alpha is not None and alpha != gamma:
         raise ValueError(f"power-tail kernel decays like |x|^-(1+gamma); alpha must "
                          f"equal gamma={gamma}, got {alpha}")
@@ -62,10 +69,7 @@ def _parse_quad(text: str) -> QuadratureRule:
     kind, _, r = text.partition(":")
     if kind not in ("riemann", "trapezoid"):
         raise ValueError(f"unknown quadrature rule {text!r}")
-    try:
-        refinement = int(r) if r else 16
-    except ValueError:
-        raise ValueError(f"--quad refinement must be an integer, got {text!r}") from None
+    refinement = _parse_as(int, r, text, "--quad refinement must be an integer") if r else 16
     return QuadratureRule(kind, refinement)
 
 
@@ -86,9 +90,14 @@ def _parse_fn(text: str, domain: Domain):
     if text == "identity":
         return holder_test_function(1.0, domain), 1.0
     if text.startswith("lipschitz:"):
-        beta = float(text.split(":", 1)[1])
+        beta = _parse_as(float, text.split(":", 1)[1], text, "--fn beta must be a number")
         return holder_test_function(beta, domain), beta
     raise ValueError(f"unknown function {text!r}; use step, identity or lipschitz:<beta>")
+
+
+def _parse_n_list(text: str) -> list[int]:
+    return [_parse_as(int, t, text, "--n-list must be comma-separated integers")
+            for t in text.split(",")]
 
 
 def _load_input(path: str, domain: Domain) -> Signal:
@@ -232,13 +241,13 @@ def cmd_approximate(args) -> int:
 
 def cmd_error_table(args) -> int:
     kernel = _parse_kernel(args.kernel, args.scale, None)
-    n_values = [int(t) for t in args.n_list.split(",")]
-    table = error_table(kernel, n_values, args.p, _parse_domain(args.domain), args.grid)
+    table = error_table(kernel, _parse_n_list(args.n_list), args.p,
+                        _parse_domain(args.domain), args.grid)
     # aligned text view on stderr; stdout stays machine readable
     print(f"{'n':>6} {'linear':>10} {'maxmin':>10} {'maxprod':>10}", file=sys.stderr)
     for n, errs in table.rows():
         print(f"{n:>6} " + " ".join(f"{e:>10.4f}" for e in errs), file=sys.stderr)
-    rates = [table.reports[fam].fitted_rate for fam in TABLE_FAMILIES]
+    rates = list(table.rates.values())
     if None not in rates:
         print(f"{'rate':>6} " + " ".join(f"{r:>10.3f}" for r in rates), file=sys.stderr)
     if args.json:
@@ -246,11 +255,10 @@ def cmd_error_table(args) -> int:
             "p": "inf" if math.isinf(args.p) else args.p,
             "kernel": args.kernel,
             "n_values": list(table.n_values),
-            "errors": {fam: list(r.errors) for fam, r in table.reports.items()},
+            "errors": table.errors,
         }
         return _emit(json.dumps(payload) + "\n", args.out)
-    errors = {fam: table.reports[fam].errors for fam in TABLE_FAMILIES}
-    return _emit_columns(args, {"n": table.n_values, **errors})
+    return _emit_columns(args, {"n": table.n_values, **table.errors})
 
 
 def cmd_rate(args) -> int:
@@ -260,12 +268,11 @@ def cmd_rate(args) -> int:
     sweep = rate_sweep(
         f"{args.family}/{args.mode} kernel={args.kernel}", f, args.family, args.mode,
         _parse_kernel(args.kernel, args.scale, args.alpha), domain,
-        [int(t) for t in args.n_list.split(",")], args.p, args.grid, beta,
+        _parse_n_list(args.n_list), args.p, args.grid, beta,
     )
-    payload = dataclasses.asdict(sweep.report)
-    payload["p"] = "inf" if math.isinf(sweep.report.p) else sweep.report.p
-    payload.update(theoretical_exponent=sweep.theoretical_exponent, bounds=sweep.bounds)
-    if sweep.no_bound:
+    payload = dataclasses.asdict(sweep)
+    payload["p"] = "inf" if math.isinf(sweep.p) else sweep.p
+    if payload.pop("no_bound"):
         print(f"no a priori bound: {sweep.no_bound}", file=sys.stderr)
     return _emit(json.dumps(payload) + "\n", args.out)
 
@@ -277,9 +284,8 @@ def cmd_denoise(args) -> int:
     if args.grid < 2:  # the L1 sweep takes --grid as its cell count too
         raise ValueError(f"--grid must be at least 2, got {args.grid}")
     trace = _load_input(args.input, domain) if args.input else None
-    xs = np.linspace(domain.a, domain.b, args.grid)
     sweep = denoise_sweep(trace, domain, args.n, kernel, rule, args.sigma,
-                          range(args.seed, args.seed + args.seeds), args.grid, xs)
+                          range(args.seed, args.seed + args.seeds), args.grid)
     print("L1 distance to clean reference", file=sys.stderr)
     print(f"{'seed':>5}" + "".join(f"{name:>13}" for name in sweep.l1), file=sys.stderr)
     for i, seed in enumerate(sweep.seeds):
@@ -289,7 +295,7 @@ def cmd_denoise(args) -> int:
           f"won {sweep.wins}/{len(sweep.seeds)} seeds", file=sys.stderr)
     print(f"Kantorovich max-min at least as close as Kantorovich max-product: "
           f"{sweep.maxprod_wins}/{len(sweep.seeds)} seeds", file=sys.stderr)
-    return _emit_columns(args, {"x": xs, **sweep.curves}, n=sweep.n,
+    return _emit_columns(args, sweep.curves, n=sweep.n,
                          l1_distances={name: l1[0] for name, l1 in sweep.l1.items()})
 
 

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import DegenerateKernelError, Kernel
-from .metrics import (
-    ErrorReport,
-    apriori_bounds,
-    lp_error,
-    make_error_report,
-    rate_exponent_holder,
-)
+from .metrics import apriori_bounds, fit_rate, lp_error, rate_exponent_holder
 from .operators import Domain, NodeData, OperatorSpec, eval_grid, node_bounds
 from .quadrature import QuadratureRule, node_data, pairmean_order
 from .signals import (
@@ -43,17 +37,24 @@ def _operator(spec: OperatorSpec, data: NodeData):
     return functools.partial(eval_grid, spec, data)
 
 
+def _fitted_rate(n_values, errors) -> float | None:
+    """:func:`fit_rate` once 3+ errors exist, all positive; None before."""
+    if len(errors) >= 3 and all(e > 0.0 for e in errors):
+        return fit_rate(n_values, errors)
+    return None
+
+
 @dataclass(frozen=True)
 class ErrorTable:
-    """Per-family errors over ``n_values`` and fitted rates, keyed by family."""
+    """Errors over ``n_values`` and their fitted rates, keyed by family."""
 
     n_values: tuple[int, ...]
-    reports: dict[str, ErrorReport]
+    errors: dict[str, tuple[float, ...]]
+    rates: dict[str, float | None]
 
     def rows(self):
         """Yield (n, errors in TABLE_FAMILIES order) for each n."""
-        for i, n in enumerate(self.n_values):
-            yield n, tuple(self.reports[fam].errors[i] for fam in TABLE_FAMILIES)
+        return zip(self.n_values, zip(*(self.errors[fam] for fam in TABLE_FAMILIES)))
 
 
 def error_table(kernel: Kernel, n_values, p: float, domain: Domain,
@@ -67,12 +68,9 @@ def error_table(kernel: Kernel, n_values, p: float, domain: Domain,
         specs = [OperatorSpec(fam, "kantorovich", n, domain, kernel) for fam in TABLE_FAMILIES]
         data = node_data(f, specs[0])
         for spec in specs:
-            op = _operator(spec, data)
-            errors[spec.family].append(lp_error(op, f, p, domain, grid_points))
-    return ErrorTable(tuple(n_values), {
-        fam: make_error_report(f"{fam}/kantorovich", p, n_values, errs)
-        for fam, errs in errors.items()
-    })
+            errors[spec.family].append(lp_error(_operator(spec, data), f, p, domain, grid_points))
+    rates = {fam: _fitted_rate(n_values, errs) for fam, errs in errors.items()}
+    return ErrorTable(tuple(n_values), {fam: tuple(e) for fam, e in errors.items()}, rates)
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ class DenoiseSweep:
     seeds: tuple[int, ...]
     l1: dict[str, tuple[float, ...]]  # kant_maxmin, samp_maxmin, kant_maxprod
     n: int
-    curves: dict[str, np.ndarray]  # noisy, then the keys of l1
+    curves: dict[str, np.ndarray]  # x, noisy, then the keys of l1
 
     @property
     def wins(self) -> int:
@@ -101,12 +99,13 @@ class DenoiseSweep:
 
 
 def denoise_sweep(trace: Signal | None, domain: Domain, n: int | None, kernel: Kernel,
-                  rule: QuadratureRule, sigma: float, seeds, grid_points: int,
-                  xs) -> DenoiseSweep:
+                  rule: QuadratureRule, sigma: float, seeds,
+                  grid_points: int) -> DenoiseSweep:
     """Add N(0, sigma^2) noise to ``trace`` with each seed and measure in L1
     over ``grid_points`` cells how close Kantorovich max-min, sampling max-min
     and Kantorovich max-product come to the un-noised trace; ``curves`` holds
-    the first seed's outputs at ``xs``.  ``n`` defaults to 2000, or to
+    the inclusive uniform grid of ``grid_points`` points (``x``) and the first
+    seed's noisy trace and outputs there.  ``n`` defaults to 2000, or to
     :func:`pairmean_order` for a trace under the ``pairmean`` rule.  Without a
     trace, the reference is the step on ``domain`` and the noised trace its
     samples at 2 (``pairmean``) or the rule's refinement points per
@@ -123,11 +122,10 @@ def denoise_sweep(trace: Signal | None, domain: Domain, n: int | None, kernel: K
         per_cell = 2 if rule.kind == "pairmean" else rule.refinement
         trace = sample_function(clean, domain, (k_hi - k_lo + 1) * per_cell)
 
-    def spec(family, mode):
-        return OperatorSpec(family, mode, n, trace.domain, kernel)
-
-    kant_maxmin, samp_maxmin = spec("maxmin", "kantorovich"), spec("maxmin", "sampling")
-    kant_maxprod = spec("maxprod", "kantorovich")
+    kant_maxmin, samp_maxmin, kant_maxprod = (
+        OperatorSpec(family, mode, n, trace.domain, kernel) for family, mode in
+        (("maxmin", "kantorovich"), ("maxmin", "sampling"), ("maxprod", "kantorovich")))
+    xs = np.linspace(trace.domain.a, trace.domain.b, grid_points)
     l1: dict[str, list[float]] = {}
     curves: dict[str, np.ndarray] = {}
     for seed in seeds:
@@ -139,7 +137,7 @@ def denoise_sweep(trace: Signal | None, domain: Domain, n: int | None, kernel: K
             "kant_maxprod": _operator(kant_maxprod, kant),
         }
         if not curves:
-            curves = {"noisy": noisy(xs), **{name: op(xs) for name, op in ops.items()}}
+            curves = {"x": xs, "noisy": noisy(xs), **{name: op(xs) for name, op in ops.items()}}
         for name, op in ops.items():
             l1.setdefault(name, []).append(lp_error(op, clean, 1.0, trace.domain, grid_points))
     return DenoiseSweep(tuple(seeds), {name: tuple(v) for name, v in l1.items()}, n, curves)
@@ -147,12 +145,15 @@ def denoise_sweep(trace: Signal | None, domain: Domain, n: int | None, kernel: K
 
 @dataclass(frozen=True)
 class RateSweep:
-    """Errors of one operator over n; the exponent the theory predicts (None
-    when the function's Hoelder order is not known); and the a priori bound at
-    each n in the same norm (None where :func:`rate_sweep` gives none, and
-    ``no_bound`` says why if a constant of the bound is past the float range)."""
+    """L^p errors of one operator over n with their fitted rate, the exponent
+    theory predicts for a Hoelder function, and the a priori bounds in the same
+    norm (None where none apply; ``no_bound`` says why if past the float range)."""
 
-    report: ErrorReport
+    operator: str
+    p: float
+    n_values: tuple[int, ...]
+    errors: tuple[float, ...]
+    fitted_rate: float | None
     theoretical_exponent: float | None
     bounds: tuple[float, ...] | None
     no_bound: str | None = None
@@ -169,15 +170,16 @@ def rate_sweep(label: str, f, family: str, mode: str, kernel: Kernel, domain: Do
     errors = []
     for n in n_values:
         spec = OperatorSpec(family, mode, n, domain, kernel)
-        op = _operator(spec, node_data(f, spec))
-        errors.append(lp_error(op, f, p, domain, grid_points))
+        errors.append(lp_error(_operator(spec, node_data(f, spec)), f, p, domain, grid_points))
     theoretical = None if beta is None else -rate_exponent_holder(kernel.alpha, beta)
-    report = make_error_report(label, p, n_values, errors)
-    if (family, mode) != ("maxmin", "kantorovich"):
-        return RateSweep(report, theoretical, None)
-    try:
-        return RateSweep(report, theoretical, apriori_bounds(f, kernel, domain, n_values, p))
-    except DegenerateKernelError:  # phi(2) = 0
-        return RateSweep(report, theoretical, None)
-    except ValueError as exc:  # a constant of the bound is past the float range
-        return RateSweep(report, theoretical, None, str(exc))
+    fitted = _fitted_rate(n_values, errors)
+    bounds = no_bound = None
+    if (family, mode) == ("maxmin", "kantorovich"):
+        try:
+            bounds = apriori_bounds(f, kernel, domain, n_values, p)
+        except DegenerateKernelError:  # phi(2) = 0
+            pass
+        except ValueError as exc:  # a constant of the bound is past the float range
+            no_bound = str(exc)
+    return RateSweep(label, p, tuple(n_values), tuple(errors), fitted, theoretical, bounds,
+                     no_bound)

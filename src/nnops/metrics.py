@@ -12,7 +12,6 @@ their delta_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,30 +165,3 @@ def fit_rate(n_values, errors) -> float:
     if np.any(es <= 0.0):
         raise ValueError("errors must be strictly positive to fit a log-log slope")
     return float(np.polyfit(np.log(ns), np.log(es), 1)[0])
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Per-n errors of one operator in one norm, with the fitted rate."""
-
-    operator: str
-    p: float  # math.inf marks the sup norm
-    n_values: tuple[int, ...]
-    errors: tuple[float, ...]
-    fitted_rate: float | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.n_values) != len(self.errors):
-            raise ValueError("n_values and errors must have equal length")
-        if any(e < 0.0 for e in self.errors):
-            raise ValueError("errors must be nonnegative")
-
-
-def make_error_report(operator: str, p: float, n_values, errors) -> ErrorReport:
-    """Build a report, fitting the log-log rate when 3+ positive errors exist."""
-    n_values = tuple(int(n) for n in n_values)
-    errors = tuple(float(e) for e in errors)
-    rate = None
-    if len(n_values) >= 3 and all(e > 0.0 for e in errors):
-        rate = fit_rate(n_values, errors)
-    return ErrorReport(operator, p, n_values, errors, rate)

@@ -35,10 +35,6 @@ from .signals import PiecewiseConstant, Signal
 RULE_KINDS = ("riemann", "trapezoid", "pairmean")
 
 
-class SignalTooCoarseError(ValueError):
-    """The signal has fewer samples than the requested sub-samples per cell."""
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Cell-averaging rule; ``refinement`` is sub-samples per cell."""
@@ -113,7 +109,7 @@ def cell_averages_sampled(s: Signal, n: int, rule: QuadratureRule) -> NodeData:
 
     r = rule.refinement
     if len(s) < n_cells * r:
-        raise SignalTooCoarseError(
+        raise ValueError(
             f"SignalTooCoarse: {len(s)} samples cannot supply {r} sub-samples "
             f"for each of {n_cells} cells"
         )

@@ -18,18 +18,6 @@ import numpy as np
 from .operators import Domain
 
 
-class DegenerateRangeError(ValueError):
-    """All samples equal; the affine normalization to [0, 1] is undefined."""
-
-
-class SignalParseError(ValueError):
-    """A CSV cell could not be parsed; the message names row and column."""
-
-
-class TooFewSamplesError(ValueError):
-    """A signal needs at least two samples."""
-
-
 @dataclass(frozen=True)
 class PiecewiseConstant:
     """Piecewise constant function: value i on the i-th piece.
@@ -87,7 +75,7 @@ class Signal:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or len(samples) < 2:
-            raise TooFewSamplesError("a signal needs at least 2 samples")
+            raise ValueError("a signal needs at least 2 samples")
         if not np.isfinite(samples).all():
             raise ValueError("signal samples must be finite")
 
@@ -116,6 +104,8 @@ def add_gaussian_noise(s: Signal, sigma: float, seed: int) -> Signal:
     """
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if seed < 0:  # checked at sigma = 0 too, where no generator is made
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if sigma == 0.0:
         return s
     rng = np.random.default_rng(seed)
@@ -129,7 +119,7 @@ def normalize_to_unit(s: Signal) -> tuple[Signal, float, float]:
     lo = float(s.samples.min())
     hi = float(s.samples.max())
     if hi == lo:
-        raise DegenerateRangeError("all samples equal; cannot normalize")
+        raise ValueError("all samples equal; cannot normalize")
     return Signal(s.domain, (s.samples - lo) / (hi - lo)), lo, hi - lo
 
 
@@ -138,38 +128,38 @@ def load_signal_csv(path, column: str, domain: Domain = Domain(0.0, 1.0)) -> Sig
 
     The first row is the header, and ``column`` names the value column.
     Rows are taken in file order and placed on a uniform grid over
-    ``domain``; no resampling is performed.  A cell that does not parse or
-    holds nan/inf raises :class:`SignalParseError` naming its row and
-    column, since one non-finite node value poisons every output of the max
-    families.
+    ``domain``; no resampling is performed.  A file without the column or
+    with fewer than 2 rows raises ValueError, and so does a cell that does
+    not parse or holds nan/inf, naming its row and column, since one
+    non-finite node value poisons every output of the max families.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
-        raise TooFewSamplesError(f"{path}: empty file")
+        raise ValueError(f"{path}: empty file")
     header, rows = rows[0], rows[1:]
     if column not in header:
-        raise SignalParseError(f"{path}: no column named {column!r}")
+        raise ValueError(f"{path}: no column named {column!r}")
     col = header.index(column)
 
     values = []
     for i, row in enumerate(rows):
         if col >= len(row):
-            raise SignalParseError(f"{path}: row {i} has no column {col}")
+            raise ValueError(f"{path}: row {i} has no column {col}")
         try:
             value = float(row[col])
         except ValueError:
-            raise SignalParseError(
+            raise ValueError(
                 f"{path}: row {i}, column {col}: cannot parse {row[col]!r}"
             ) from None
         if not math.isfinite(value):
-            raise SignalParseError(
+            raise ValueError(
                 f"{path}: row {i}, column {col}: non-finite value {row[col]!r}"
             )
         values.append(value)
     if len(values) < 2:
-        raise TooFewSamplesError(f"{path}: need at least 2 rows, got {len(values)}")
+        raise ValueError(f"{path}: need at least 2 rows, got {len(values)}")
     return Signal(domain, np.array(values))
 
 
@@ -185,7 +175,7 @@ def signal_to_csv(s: Signal) -> str:
 def sample_function(f, domain: Domain, num_samples: int) -> Signal:
     """Sample a callable on the inclusive uniform grid of ``num_samples``."""
     if num_samples < 2:
-        raise TooFewSamplesError("need at least 2 samples")
+        raise ValueError("need at least 2 samples")
     xs = np.linspace(domain.a, domain.b, num_samples)
     return Signal(domain, np.asarray(f(xs), dtype=float))
 

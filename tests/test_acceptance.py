@@ -279,7 +279,7 @@ def test_criterion_5_lp_convergence(error_matrix):
     sweep = rate_sweep("maxmin/kantorovich", holder_test_function(1.0), "maxmin",
                        "kantorovich", make_kernel("tanh"), UNIT, (25, 50, 100, 200, 400),
                        math.inf, 2001, 1.0)
-    slope = sweep.report.fitted_rate
+    slope = sweep.fitted_rate
     ok = decreasing and slope <= -0.6
     _report(
         "lp-convergence",
@@ -302,7 +302,7 @@ def test_criterion_6_bound_validity(catalogue):
         worst = math.inf
         for p in (math.inf, 1.0):
             result = sweep(catalogue[name], p)
-            for n, bound, err in zip(ns, result.bounds, result.report.errors):
+            for n, bound, err in zip(ns, result.bounds, result.errors):
                 if bound < err:
                     problems.append(f"{name} p={p} n={n}: bound {bound:.4f} < {err:.4f}")
                 worst = min(worst, bound / err)
@@ -330,7 +330,7 @@ def test_criterion_7_denoising_advantage():
     t0 = time.time()
     kernel = make_kernel("logistic", scale=0.1)
     sweep = denoise_sweep(None, UNIT, 2000, kernel, QuadratureRule("riemann", 16), 0.05,
-                          range(20), 2000, np.linspace(0.0, 1.0, 2000))
+                          range(20), 2000)
     wins = sweep.wins
     elapsed = time.time() - t0
     _report(

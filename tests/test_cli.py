@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -18,8 +19,9 @@ from nnops import (
     cell_averages_exact,
     cell_averages_sampled,
     eval_grid,
+    fit_rate,
+    holder_test_function,
     load_signal_csv,
-    make_error_report,
     make_kernel,
     normalize_to_unit,
     rate_exponent_holder,
@@ -28,7 +30,7 @@ from nnops import (
     step_test_function,
 )
 from nnops.cli import build_parser, main
-from nnops.experiments import denoise_sweep
+from nnops.experiments import RateSweep, denoise_sweep, rate_sweep
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "approximate_golden.csv"
 ECG = Path(__file__).resolve().parent.parent / "data" / "ecg_synthetic.csv"
@@ -252,8 +254,7 @@ class TestErrorTable:
 class TestRate:
     def test_report_fit_and_theoretical_exponent(self):
         ns = np.array([10.0, 20.0, 40.0, 80.0])
-        report = make_error_report("maxmin/kantorovich", math.inf, ns, 2.0 * ns**-0.75)
-        assert report.fitted_rate == pytest.approx(-0.75, abs=1e-9)
+        assert fit_rate(ns, 2.0 * ns**-0.75) == pytest.approx(-0.75, abs=1e-9)
         alpha = make_kernel("tanh").alpha
         assert -rate_exponent_holder(alpha, 1.0) == pytest.approx(-2.0 / 3.0, abs=1e-12)
 
@@ -264,10 +265,22 @@ class TestRate:
         payload = json.loads(out)
         assert list(payload) == ["operator", "p", "n_values", "errors", "fitted_rate",
                                  "theoretical_exponent", "bounds"]
+        # the payload is the RateSweep record less the reason for a missing bound
+        assert list(payload) == [f.name for f in dataclasses.fields(RateSweep)
+                                 if f.name != "no_bound"]
         assert payload["operator"] == "maxmin/kantorovich kernel=tanh"
         assert payload["p"] == "inf"
         assert payload["fitted_rate"] < -0.6
         assert payload["theoretical_exponent"] == pytest.approx(-2.0 / 3.0)
+
+    def test_fitted_rate_present_with_three_points(self):
+        identity, tanh = holder_test_function(1.0), make_kernel("tanh")
+        for ns, fitted in (((10, 20, 40), True), ((10, 20), False)):
+            sweep = rate_sweep("op", identity, "maxmin", "kantorovich", tanh, Domain(0.0, 1.0),
+                               ns, 1.0, 200, 1.0)
+            assert (sweep.fitted_rate is not None) == fitted
+            if fitted:
+                assert sweep.fitted_rate == fit_rate(ns, sweep.errors) < 0.0
 
     def test_lipschitz_theoretical_exponent(self, capsys):
         code, out, _ = run(capsys, "rate", "--fn", "lipschitz:0.5",
@@ -392,12 +405,14 @@ class TestDenoise:
         signal = load_signal_csv(ECG, column="value")
         sweep = denoise_sweep(signal, Domain(0.0, 1.0), 800,
                               make_kernel("logistic", scale=2.0), QuadratureRule("pairmean"),
-                              0.05, range(2, 5), 400, np.linspace(0.0, 1.0, 400))
+                              0.05, range(2, 5), 400)
         rows = [ln.split() for ln in err.splitlines() if ln[:5].strip().isdigit()]
         assert [int(r[0]) for r in rows] == [2, 3, 4]
         assert [[float(v) for v in r[1:]] for r in rows] == [
             [round(l1[i], 6) for l1 in sweep.l1.values()] for i in range(3)]
-        assert json.loads(out)["l1_distances"] == {name: l1[0] for name, l1 in sweep.l1.items()}
+        payload = json.loads(out)
+        assert payload["l1_distances"] == {name: l1[0] for name, l1 in sweep.l1.items()}
+        assert payload["x"] == sweep.curves["x"].tolist()
         assert f"won {sweep.wins}/3 seeds" in err
         assert f"Kantorovich max-product: {sweep.maxprod_wins}/3 seeds" in err
 
@@ -572,6 +587,21 @@ INPUTS = {
     pytest.param(["approximate", "--n", "10", "--quad", "riemann:x"], 2,
                  "--quad refinement must be an integer, got 'riemann:x'",
                  id="non-integer-refinement"),
+    # a negative seed is rejected whether or not noise is drawn
+    pytest.param(["denoise", "--seed", "-1", "--n", "20", "--grid", "5"], 2,
+                 "seed must be >= 0, got -1", id="negative-seed"),
+    pytest.param(["denoise", "--seed", "-1", "--sigma", "0", "--n", "20", "--grid", "5"], 2,
+                 "seed must be >= 0, got -1", id="negative-seed-sigma-0"),
+    pytest.param(["error-table", "--n-list", "10,x"], 2,
+                 "--n-list must be comma-separated integers, got '10,x'",
+                 id="error-table-non-integer-n"),
+    pytest.param(["rate", "--n-list", "10,x"], 2,
+                 "--n-list must be comma-separated integers, got '10,x'",
+                 id="rate-non-integer-n"),
+    pytest.param(["kernel-info", "--kernel", "power:x"], 2,
+                 "--kernel gamma must be a number, got 'power:x'", id="non-numeric-gamma"),
+    pytest.param(["rate", "--fn", "lipschitz:x"], 2,
+                 "--fn beta must be a number, got 'lipschitz:x'", id="non-numeric-beta"),
 ])
 def test_exit_codes(capsys, tmp_path, argv, code, fragment):
     """Each row: argv -> documented exit code (0, 2 validation, 3 numeric),

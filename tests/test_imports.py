@@ -1,9 +1,10 @@
-"""Every name a ``src/nnops`` module imports is used in that module.
+"""Every name a ``src/nnops`` module imports is used in that module, and
+every module-level private name is read by some ``src/nnops`` module.
 
 No linter runs on this repository, so this stands in for the unused-import
-rule: it reads each module's syntax tree with the standard library alone.
-``__init__.py`` imports only to re-export, and ``from __future__`` imports
-switch on language features, so neither counts."""
+and unused-private-name rules: it reads each module's syntax tree with the
+standard library alone.  ``__init__.py`` imports only to re-export, and
+``from __future__`` imports switch on language features, so neither counts."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,44 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unread_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (one leading underscore, not dunder) that
+    no module in ``sources`` reads: as a name, as an attribute, or through a
+    ``from`` import."""
+    defined, read = [], set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [f"{module}: {name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [entry for entry in defined if entry.split(": ")[1] not in read]
+
+
+def test_the_scan_finds_an_unread_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_scale: float = 2.0\ndef _rate(x):\n    return x\n"
+                "def _helper():\n    return _LIMIT\n__all__ = []\n",
+        "b.py": "from .a import _helper\nimport a\ndef f():\n    return _helper() + a._scale\n",
+    }
+    assert _unread_privates(sources) == ["a.py: _rate"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert _unread_privates(sources) == []

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from nnops import (
     DegenerateKernelError,
     Domain,
-    ErrorReport,
     absolute_moment,
     apriori_bounds,
     fit_rate,
     kfunctional_upper,
     lp_error,
-    make_error_report,
     make_kernel,
     modulus_of_continuity,
     phi_floor,
@@ -301,17 +299,3 @@ class TestFitRate:
             fit_rate([10, 20, 15], [1.0, 0.5, 0.6])
         with pytest.raises(ValueError):
             fit_rate([10, 20, 40], [1.0, 0.0, 0.5])
-
-
-class TestErrorReport:
-    def test_fitted_rate_present_with_three_points(self):
-        r = make_error_report("op", 1.0, [10, 20, 40], [0.4, 0.2, 0.1])
-        assert r.fitted_rate == pytest.approx(-1.0, abs=1e-9)
-        r2 = make_error_report("op", 1.0, [10, 20], [0.4, 0.2])
-        assert r2.fitted_rate is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ErrorReport("op", 1.0, (1, 2), (0.1,))
-        with pytest.raises(ValueError):
-            ErrorReport("op", 1.0, (1,), (-0.1,))

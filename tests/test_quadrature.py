@@ -10,7 +10,6 @@ from nnops import (
     PiecewiseConstant,
     QuadratureRule,
     Signal,
-    SignalTooCoarseError,
     cell_averages_exact,
     cell_averages_sampled,
     holder_test_function,
@@ -146,7 +145,8 @@ class TestSampledCellAverages:
 
     def test_too_coarse_signal_rejected(self):
         s = sample_function(lambda xs: xs, UNIT, 50)
-        with pytest.raises(SignalTooCoarseError):
+        with pytest.raises(ValueError, match="50 samples cannot supply 16 sub-samples "
+                           "for each of 10 cells"):
             cell_averages_sampled(s, 10, QuadratureRule("riemann", 16))
 
     def test_out_of_range_signal_rejected(self):
