@@ -119,8 +119,13 @@ def denoise_sweep(trace: Signal | None, domain: Domain, n: int | None, kernel: K
     if trace is None:
         clean = step_test_function(domain)
         k_lo, k_hi = node_bounds("kantorovich", n, domain)
+        cells = k_hi - k_lo + 1
         per_cell = 2 if rule.kind == "pairmean" else rule.refinement
-        trace = sample_function(clean, domain, (k_hi - k_lo + 1) * per_cell)
+        if cells * per_cell < 2:
+            raise ValueError(f"n={n} under {rule.kind}:{rule.refinement} samples the step "
+                             f"at {cells * per_cell} point ({cells} cell x {per_cell}); "
+                             f"need at least 2 samples")
+        trace = sample_function(clean, domain, cells * per_cell)
 
     kant_maxmin, samp_maxmin, kant_maxprod = (
         OperatorSpec(family, mode, n, trace.domain, kernel) for family, mode in

@@ -61,6 +61,11 @@ SIGMOID_VARIANTS = ("logistic", "tanh", "ramp", "three", "power")
 #: variants whose kernel is compactly supported (before scaling)
 COMPACT_VARIANTS = ("ramp", "three")
 
+#: elements per chunk of vectorized work, the one memory budget of nnops:
+#: kernel scans, weight matrices and node data each hold a bounded number of
+#: elements at a time, whatever n, the grid or the resolution
+_CHUNK = 2**16
+
 
 class DegenerateKernelError(ValueError):
     """A computation required a positive kernel floor phi(2), but it is zero."""
@@ -238,10 +243,9 @@ def absolute_moment(k: Kernel, beta: float, resolution: int = 100_000) -> float:
     runs = [(0.0, 10 * resolution + 1)]  # (first u, points) at spacing 1/resolution
     if k.variant == "power":
         runs.append((2.0 ** (1.0 / k.alpha) - 1.0, 2 * resolution + 1))
-    chunk = 2**20  # chunks bound the memory
     grids = itertools.chain(
-        (first + np.arange(start, min(start + chunk, points)) / resolution
-         for first, points in runs for start in range(0, points, chunk)),
+        (first + np.arange(start, min(start + _CHUNK, points)) / resolution
+         for first, points in runs for start in range(0, points, _CHUNK)),
         [np.geomspace(10.0, 1e9, min(2 * resolution, 20_000))],
     )
     best = 0.0

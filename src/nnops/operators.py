@@ -56,14 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, eval_kernel, phi_floor
+from .kernels import _CHUNK, Kernel, eval_kernel, phi_floor
 
 FAMILIES = ("linear", "maxprod", "maxmin")
 MODES = ("sampling", "kantorovich")
-
-#: weight-matrix elements per chunk of vectorized evaluation; a chunk holds
-#: max(1, _CHUNK // width) grid rows, so its memory is bounded for any n
-_CHUNK = 2**16
 
 
 class EmptyRangeError(ValueError):

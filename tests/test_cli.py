@@ -581,6 +581,13 @@ INPUTS = {
                  id="denoise-n-0"),
     pytest.param(["denoise", "--n", "-3"], 2, "n must be a positive integer, got -3",
                  id="denoise-n-negative"),
+    # order 1 has one cell, and one sub-sample per cell samples the step once
+    pytest.param(["denoise", "--n", "1", "--quad", "riemann:1", "--grid", "5"], 2,
+                 "n=1 under riemann:1 samples the step at 1 point (1 cell x 1)",
+                 id="denoise-one-sample-riemann"),
+    pytest.param(["denoise", "--n", "1", "--quad", "trapezoid:1", "--grid", "5"], 2,
+                 "n=1 under trapezoid:1 samples the step at 1 point (1 cell x 1)",
+                 id="denoise-one-sample-trapezoid"),
     # the L1 sweep takes --grid as its cell count, and a cell sum needs 2
     pytest.param(["denoise", "--n", "20", "--grid", "1"], 2,
                  "--grid must be at least 2, got 1", id="denoise-grid-1"),

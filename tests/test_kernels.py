@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,20 @@ class TestAbsoluteMoment:
             got = absolute_moment(make_kernel(variant, scale, gamma), beta, resolution=2000)
             assert got * scale**beta == pytest.approx(unit, rel=1e-9), scale
             assert sum(evaluated) <= unit_cost, scale
+
+    @pytest.mark.parametrize("variant, gamma", [(v, 1.0) for v in VARIANTS if v != "power"]
+                             + [("power", 0.5), ("power", 0.9)])
+    def test_memory_bounded(self, variant, gamma):
+        # the scan runs over chunks of _CHUNK points; power kernels, whose
+        # pieces each take masks and gathers, peak at about 92 B per point
+        k = make_kernel(variant, alpha=gamma)
+        tracemalloc.start()
+        try:
+            absolute_moment(k, 1.0 + gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * kernels._CHUNK, variant
 
 
 class TestDecayConstants:

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,9 @@ from nnops import (
     node_bounds,
     pairmean_order,
     sample_function,
+    step_test_function,
 )
+from nnops import quadrature
 from nnops.quadrature import node_data
 
 UNIT = Domain(0.0, 1.0)
@@ -199,6 +204,83 @@ class TestNodeData:
         spec = OperatorSpec("maxmin", "sampling", 10, UNIT, make_kernel("tanh"))
         with pytest.raises(ValueError, match="rule is for Kantorovich mode"):
             node_data(step, spec, rule)
+
+
+def _smooth(xs):
+    return 0.5 + 0.4 * np.sin(7.0 * xs)
+
+
+TWO_PIECES = PiecewiseConstant(UNIT, (0.37,), (0.2, 0.9))
+NOISE = Signal(UNIT, np.random.default_rng(11).uniform(0.0, 1.0, 4001))
+
+
+class TestChunkedCells:
+    """Node data is computed over chunks of at most ``_CHUNK`` elements,
+    ``width`` per cell; where the seams between chunks fall changes no bit."""
+
+    # (budget, width, compute): each leaves a one-cell last chunk
+    CASES = {
+        "exact": (7, 2, lambda: cell_averages_exact(TWO_PIECES, UNIT, 10)),
+        "exact-step": (2**10, 4, lambda: cell_averages_exact(
+            step_test_function(), Domain(0.013, 0.97), 1607)),
+        "riemann:1": (7, 1, lambda: node_data(
+            _smooth, _kantorovich(15, UNIT), QuadratureRule("riemann", 1))),
+        "riemann:3": (7, 3, lambda: node_data(
+            _smooth, _kantorovich(11, UNIT), QuadratureRule("riemann", 3))),
+        "riemann:16": (2**12, 16, lambda: node_data(
+            _smooth, _kantorovich(1025, UNIT), QuadratureRule("riemann", 16))),
+        "trapezoid:1": (7, 2, lambda: node_data(
+            _smooth, _kantorovich(10, UNIT), QuadratureRule("trapezoid", 1))),
+        "trapezoid:2": (7, 3, lambda: node_data(
+            _smooth, _kantorovich(11, UNIT), QuadratureRule("trapezoid", 2))),
+        "trapezoid:64": (2**12, 65, lambda: node_data(
+            _smooth, _kantorovich(1009, UNIT), QuadratureRule("trapezoid", 64))),
+        "signal-riemann:3": (7, 3, lambda: cell_averages_sampled(
+            NOISE, 11, QuadratureRule("riemann", 3))),
+        "signal-trapezoid:15": (2**12, 16, lambda: cell_averages_sampled(
+            NOISE, 257, QuadratureRule("trapezoid", 15))),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_seams_change_no_bit(self, monkeypatch, case):
+        budget, width, compute = self.CASES[case]
+        monkeypatch.setattr(quadrature, "_CHUNK", budget)
+        chunked = compute().values
+        assert len(chunked) % (budget // width) == 1
+        monkeypatch.setattr(quadrature, "_CHUNK", 2**40)  # one chunk
+        assert np.array_equal(chunked, compute().values)
+
+    def test_trapezoid_within_rounding_of_exact_sum(self):
+        # a cell's weighted row is summed pairwise; over 65 terms numpy's
+        # pairwise sum rounds at most 12 times in a row, each by 2^-53 of a
+        # sum below 1, so 2^-49 bounds its distance to the exactly rounded sum
+        n, r = 101, 64
+        got = node_data(_smooth, _kantorovich(n, UNIT), QuadratureRule("trapezoid", r)).values
+        weights = [0.5 / r] + [1.0 / r] * (r - 1) + [0.5 / r]
+        for k in range(n):
+            sub = k / n + np.arange(r + 1) / (n * r)
+            want = math.fsum(w * v for w, v in zip(weights, _smooth(sub)))
+            assert abs(got[k] - want) <= 2.0**-49, k
+
+    @pytest.mark.parametrize("n, rule, make_f", [
+        (10**6, None, step_test_function),
+        (10**5, QuadratureRule("riemann", 16), lambda: lambda xs: xs),
+        (10**5, QuadratureRule("trapezoid", 64), lambda: lambda xs: xs),
+        (10**5, QuadratureRule("trapezoid", 15),
+         lambda: Signal(UNIT, np.linspace(0.0, 1.0, 1_500_001))),
+    ], ids=["exact", "riemann:16", "trapezoid:64", "signal-trapezoid:15"])
+    def test_memory_bounded(self, n, rule, make_f):
+        # 16 B per cell are the output and NodeData's copy of it; the rest is
+        # one chunk's work, measured at 12-33 B per element
+        f = make_f()
+        tracemalloc.start()
+        try:
+            data = node_data(f, _kantorovich(n, UNIT), rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data.values) == n
+        assert peak <= 16 * n + 64 * quadrature._CHUNK
 
 
 def _cells(n, domain):
