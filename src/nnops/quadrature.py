@@ -19,11 +19,22 @@ at most ``_CHUNK`` elements (a cell's pieces, or its r or r + 1 sub-cell
 values), written into one output.  Node data thus peaks at about
 c1 * cells + c2 * _CHUNK bytes: c1 = 16 for the output and the copy
 :class:`NodeData` keeps, and c2 measured at 12-33 (riemann:16 on a callable
-12, trapezoid:64 17, the exact rule 24, trapezoid:15 on a :class:`Signal`
-33), plus what f itself allocates per point.  Each average is a pairwise sum
-over its cell's own contiguous row, so no bit depends on where the chunks
-start; a BLAS matrix-vector product would not do for the trapezoid weights,
-since its rounding of a row follows how many rows it is given.
+12, trapezoid:64 17, the exact rule 22, trapezoid:15 on a :class:`Signal`
+33), plus what f itself allocates per point.  A sub-cell average is a
+pairwise sum over its cell's own contiguous row, so no bit depends on where
+the chunks start; a BLAS matrix-vector product would not do for the
+trapezoid weights, since its rounding of a row follows how many rows it is
+given.
+
+The exact rule lays a chunk out as (pieces, cells), so every step runs along
+contiguous cells rather than along rows of a few pieces, and adds each
+piece's overlap terms into the averages one piece at a time.  That gives the
+bits of a pairwise row sum too: a piece that misses a cell leaves a +0.0
+term, and adding zero is exact, so a cell that meets at most two pieces sums
+to fl(x + y) in any order.  Only a cell that holds two breakpoints or more,
+which needs pieces narrower than a cell, has three nonzero terms; those
+cells are found by counting them and summed again as contiguous
+(cells, pieces) rows.
 """
 
 from __future__ import annotations
@@ -59,6 +70,10 @@ class QuadratureRule:
             raise ValueError(f"rule kind must be one of {RULE_KINDS}, got {self.kind!r}")
         if self.refinement < 1:
             raise ValueError(f"refinement must be >= 1, got {self.refinement}")
+        if self.refinement > _CHUNK:
+            # one cell's sub-cell row must fit in one chunk of node data
+            raise ValueError(f"--quad refinement must be at most {_CHUNK} sub-cells "
+                             f"per cell, got {self.refinement}")
 
 
 def cell_averages_exact(f: PiecewiseConstant, domain: Domain, n: int) -> NodeData:
@@ -69,21 +84,27 @@ def cell_averages_exact(f: PiecewiseConstant, domain: Domain, n: int) -> NodeDat
     enters; only the final rounding of each closed-form sum remains.
     """
     k_lo, k_hi = node_bounds("kantorovich", n, domain)
-    edges = np.array((domain.a, *f.breakpoints, domain.b))
-    values = np.array(f.values)
+    edges = np.array((domain.a, *f.breakpoints, domain.b))[:, None]
+    values = np.array(f.values)[:, None]
     # one scratch for every chunk: fresh pages for each chunk would be zeroed
     # and mapped in again (measured at n = 1e5: 3264 page faults a call, not 0)
-    scratch = np.empty((min(k_hi - k_lo + 1, _cells_per_chunk(len(values))), len(values)))
+    scratch = np.empty((len(values), min(k_hi - k_lo + 1, _cells_per_chunk(len(values)))))
 
     def averages(ks, out):
-        lo, hi = ks[:, None] / n, (ks[:, None] + 1) / n  # (cells, 1)
-        overlap = scratch[:len(ks)]  # (cells, pieces)
-        np.minimum(hi, edges[1:], out=overlap)
-        overlap -= np.maximum(lo, edges[:-1])
-        np.clip(overlap, 0.0, None, out=overlap)
-        overlap *= values
-        np.sum(overlap, axis=1, out=out)
-        out /= (hi - lo)[:, 0]
+        lo, hi = ks / n, (ks + 1) / n
+        terms = scratch[:, :len(ks)]  # (pieces, cells)
+        np.minimum(hi, edges[1:], out=terms)
+        terms -= np.maximum(lo, edges[:-1])
+        np.clip(terms, 0.0, None, out=terms)
+        terms *= values
+        # piece by piece: that order changes no bit of a cell with at most two
+        # nonzero terms; cells with more (two breakpoints or more inside) are
+        # summed again pairwise, each as its own contiguous row
+        np.sum(terms, axis=0, out=out)
+        many = np.count_nonzero(terms, axis=0) > 2
+        if many.any():
+            out[many] = np.ascontiguousarray(terms[:, many].T).sum(axis=1)
+        out /= hi - lo
 
     return _by_cells(k_lo, k_hi, len(values), averages)
 

@@ -594,6 +594,10 @@ INPUTS = {
     pytest.param(["approximate", "--n", "10", "--quad", "riemann:x"], 2,
                  "--quad refinement must be an integer, got 'riemann:x'",
                  id="non-integer-refinement"),
+    # one cell's sub-cells must fit one node-data chunk; rejected before sampling
+    pytest.param(["denoise", "--n", "20", "--grid", "5", "--quad", "riemann:100000000000"], 2,
+                 "--quad refinement must be at most 65536 sub-cells per cell, "
+                 "got 100000000000", id="denoise-refinement-above-chunk"),
     # a negative seed is rejected whether or not noise is drawn
     pytest.param(["denoise", "--seed", "-1", "--n", "20", "--grid", "5"], 2,
                  "seed must be >= 0, got -1", id="negative-seed"),

@@ -83,6 +83,34 @@ class TestExactCellAverages:
                     got = cell_averages_exact(f, domain, n)
                     assert np.array_equal(got.values, _per_cell_loop(f, domain, n))
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_per_cell_loop_any_pieces(self, data):
+        # breakpoints on the node lattice, one ulp either side of it, or
+        # anywhere in a few cells, so that some pieces are narrower than a cell
+        n = data.draw(st.integers(1, 2000), label="n")
+        a = data.draw(st.floats(-2.0, 2.0), label="a")
+        width = data.draw(st.floats(3.0 / n, max(1.0, 3.0 / n)), label="width")
+        domain = Domain(a, a + width)
+        k_lo, k_hi = node_bounds("kantorovich", n, domain)
+        cells = st.integers(k_lo, k_hi + 1)
+        on_lattice = st.one_of(
+            cells.map(lambda k: k / n),
+            st.tuples(cells, st.sampled_from([-math.inf, math.inf])).map(
+                lambda kd: float(np.nextafter(kd[0] / n, kd[1]))),
+        )
+        crowded = data.draw(st.lists(cells, min_size=1, max_size=3), label="crowded")
+        in_crowded = st.tuples(st.sampled_from(crowded), st.floats(0.0, 1.0)).map(
+            lambda kt: (kt[0] + kt[1]) / n)
+        points = (data.draw(st.lists(on_lattice, max_size=39), label="on lattice")
+                  + data.draw(st.lists(in_crowded, max_size=20), label="in crowded cells"))
+        breakpoints = sorted({x for x in points if domain.a < x < domain.b})
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(breakpoints) + 1,
+                                    max_size=len(breakpoints) + 1), label="values")
+        f = PiecewiseConstant(domain, tuple(breakpoints), tuple(values))
+        got = cell_averages_exact(f, domain, n)
+        assert np.array_equal(got.values, _per_cell_loop(f, domain, n))
+
     def test_matches_midpoint_quadrature_oracle(self, step):
         # dense midpoint sums converge to the closed-form overlap averages
         n = 13
@@ -211,6 +239,9 @@ def _smooth(xs):
 
 
 TWO_PIECES = PiecewiseConstant(UNIT, (0.37,), (0.2, 0.9))
+# four breakpoints in each of the cells [0.2, 0.3] and [0.3, 0.4] at n = 10
+NARROW = PiecewiseConstant(UNIT, (0.21, 0.23, 0.25, 0.27, 0.31, 0.33, 0.35, 0.37),
+                           tuple(np.random.default_rng(3).uniform(0.0, 1.0, 9)))
 NOISE = Signal(UNIT, np.random.default_rng(11).uniform(0.0, 1.0, 4001))
 
 
@@ -221,6 +252,8 @@ class TestChunkedCells:
     # (budget, width, compute): each leaves a one-cell last chunk
     CASES = {
         "exact": (7, 2, lambda: cell_averages_exact(TWO_PIECES, UNIT, 10)),
+        # 3 cells a chunk: the two crowded cells fall either side of a seam
+        "exact-narrow": (27, 9, lambda: cell_averages_exact(NARROW, UNIT, 10)),
         "exact-step": (2**10, 4, lambda: cell_averages_exact(
             step_test_function(), Domain(0.013, 0.97), 1607)),
         "riemann:1": (7, 1, lambda: node_data(
@@ -333,3 +366,10 @@ class TestQuadratureRule:
             QuadratureRule("exact")
         with pytest.raises(ValueError):
             QuadratureRule("riemann", 0)
+
+    def test_refinement_at_most_one_chunk(self):
+        # one cell's sub-cell row must fit one chunk of node-data work
+        for kind in ("riemann", "trapezoid"):
+            assert QuadratureRule(kind, quadrature._CHUNK).refinement == quadrature._CHUNK
+            with pytest.raises(ValueError, match="--quad refinement must be at most 65536"):
+                QuadratureRule(kind, quadrature._CHUNK + 1)
