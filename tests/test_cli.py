@@ -553,6 +553,13 @@ INPUTS = {
                   "--grid", "3"], 3, "ZeroDenominator", id="ramp-scale-past-float-range"),
     pytest.param(["approximate", "--kernel", "power:0.5", "--scale", "1e308", "--n", "10",
                   "--grid", "3"], 3, "ZeroDenominator", id="power-scale-past-float-range"),
+    # at a tiny scale the kernel's reach, 1.5/c or 5/c, overflows to inf: every node
+    pytest.param(["approximate", "--kernel", "ramp", "--scale", "1e-320", "--n", "5",
+                  "--grid", "3"], 0, "", id="ramp-reach-past-float-range"),
+    pytest.param(["approximate", "--kernel", "three", "--scale", "1e-309", "--n", "5",
+                  "--grid", "3"], 0, "", id="three-reach-past-float-range"),
+    pytest.param(["approximate", "--kernel", "logistic", "--scale", "1e-320", "--n", "5",
+                  "--grid", "3"], 0, "", id="logistic-reach-past-float-range"),
     # alpha is read by the moment and the bounds, which only kernel-info and rate print
     pytest.param(["approximate", "--n", "10", "--alpha", "2"], 2,
                  "unrecognized arguments: --alpha", id="approximate-alpha"),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -172,9 +173,10 @@ class TestEvalGrid:
 
     @pytest.mark.parametrize("family", ["linear", "maxprod", "maxmin"])
     def test_row_result_independent_of_chunk(self, step, family):
-        # two full chunks and a one-row last chunk (tanh at n = 90: windows
-        # of 12 nodes for the max families, 48 for linear); a (nodes, rows)
-        # sum would round a one-row chunk differently from a full one
+        # two full chunks and a one-row last chunk (tanh at n = 90: chunks
+        # sized for windows of 12 nodes for the max families, 48 for linear);
+        # a (nodes, rows) sum would round a one-row chunk differently from a
+        # full one
         spec = _spec(family=family, n=90)
         data = cell_averages_exact(step, UNIT, 90)
         nodes = len(data.values)
@@ -213,9 +215,18 @@ class TestEvalGrid:
         monkeypatch.setattr(operators, "eval_kernel", counting)
         xs = np.linspace(0.0, 1.0, 256)
         spec = _spec(n=20_000)
+        # the window's half-width caps at h = ceil(decay_l) = 5; phi(0..4) are
+        # computed once, and at a node floor of 0.5 the first h < 5 with
+        # phi(h) <= 0.5 phi(2) is 3, so each row takes 2h + 2 = 8 weights
         eval_grid(spec, _const_data(spec, 0.5), xs)
-        # one window of 2h + 2 nodes per row, h = ceil(decay_l) = 5: 3072 weights
-        assert sum(evaluated) == 256 * (2 * math.ceil(TANH.decay_l) + 2)
+        assert math.ceil(TANH.decay_l) == 5
+        assert sum(evaluated) == 5 + 256 * 8
+        evaluated.clear()
+        # one zero node within the chunk's reach keeps h at 5
+        values = np.full(20_000, 0.5)
+        values[10_000] = 0.0
+        eval_grid(spec, NodeData(0, 19_999, values), xs)
+        assert sum(evaluated) == 5 + 256 * 12
         evaluated.clear()
         spec = _spec(family="linear", n=20_000)
         eval_grid(spec, _const_data(spec, 0.5), xs)
@@ -223,6 +234,50 @@ class TestEvalGrid:
         # weights for each of at most log2(20000) steps
         width = 2 * _half_width_scan(TANH, 20_000) + 2
         assert sum(evaluated) <= 256 * width + 2 * math.ceil(math.log2(20_000))
+
+    @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
+    @pytest.mark.parametrize("mode", ["sampling", "kantorovich"])
+    @pytest.mark.parametrize("variant", ["logistic", "tanh"])
+    def test_window_narrows_to_node_floor(self, monkeypatch, variant, mode, family):
+        # every row takes 2h + 2 nodes, h the first h below ceil(decay_l)
+        # with phi(h) <= c phi(2) on constant data c, and none falls back to
+        # every node
+        shapes = []
+
+        def counting(k, x):
+            shapes.append(np.shape(x))
+            return eval_kernel(k, x)
+
+        monkeypatch.setattr(operators, "eval_kernel", counting)
+        domain = Domain(0.013, 0.97)
+        xs = np.linspace(domain.a, domain.b, 300)
+        for scale in (0.1, 1.0, 3.0):
+            k = make_kernel(variant, scale=scale)
+            cap = math.ceil(k.decay_l)
+            spec = _spec(family=family, mode=mode, n=500, domain=domain, kernel=k)
+            for c in (0.2, 0.5, 0.9):
+                h = next((h for h in range(cap) if eval_kernel(k, float(h)) <= c * phi_floor(k)),
+                         cap)
+                shapes.clear()
+                assert np.all(eval_grid(spec, _const_data(spec, c), xs) == c)
+                assert shapes[0] == (cap,)  # phi(0), ..., phi(cap - 1)
+                assert {s[0] for s in shapes[1:]} == {2 * h + 2}, (scale, c)
+                assert sum(s[1] for s in shapes[1:]) == len(xs), (scale, c)
+
+    @pytest.mark.parametrize("family", ["linear", "maxprod", "maxmin"])
+    @pytest.mark.parametrize("variant, scale", [("ramp", 1e-320), ("three", 1e-309),
+                                                ("logistic", 1e-320), ("tanh", 1e-320),
+                                                ("power", 1e-320)])
+    def test_reach_past_float_range_is_every_node(self, variant, scale, family):
+        # 1.5/c and 5/c overflow to inf: the window is every node
+        spec = _spec(family=family, n=5, kernel=make_kernel(variant, scale=scale, alpha=0.5))
+        data = NodeData(0, 4, np.random.default_rng(2).uniform(0.0, 1.0, 5))
+        xs = np.linspace(0.0, 1.0, 7)
+        got, want = eval_grid(spec, data, xs), _dense_eval(spec, data, xs)
+        if family == "linear":
+            assert np.all(np.abs(got - want) <= 2.0**-52 + 2.0**-45 * np.abs(want))
+        else:
+            assert np.array_equal(got, want)
 
     def test_out_of_domain_grid_point_named(self):
         spec = _spec(n=5)
@@ -337,13 +392,19 @@ KERNELS = {(v, g, c): make_kernel(v, scale=c, alpha=g)
        mode=st.sampled_from(["sampling", "kantorovich"]),
        n=st.integers(1, 600),
        a=st.floats(-0.5, 0.5), width=st.floats(0.05, 1.5),
-       zeros=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+       floor=st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9]),
+       zeros=st.sampled_from([0.0, 0.01, 0.5, 0.95, 1.0]),
+       layout=st.sampled_from(["random", "sorted", "shuffled"]),
        seed=st.integers(0, 2**32 - 1))
-def test_windowed_matches_dense(kernel, family, mode, n, a, width, zeros, seed):
+def test_windowed_matches_dense(kernel, family, mode, n, a, width, floor, zeros, layout,
+                                seed):
     """Max families bitwise, linear within the module docstring's bound, and
     every family within 1e-12 of the scalar oracle; zero-heavy data forces
     rows back to all nodes, and grid points halfway between nodes make
-    compact kernels at scale 3 vanish there."""
+    compact kernels at scale 3 vanish there.  Node values above a floor let
+    the max families narrow their windows: a sorted grid of several chunks
+    (of 2^10 weights here, so the dense evaluation stays small) narrows each
+    chunk by the nodes it reaches, a shuffled one by every node."""
     domain = Domain(a, a + width)
     spec = OperatorSpec(family, mode, n, domain, KERNELS[kernel])
     try:
@@ -351,20 +412,30 @@ def test_windowed_matches_dense(kernel, family, mode, n, a, width, zeros, seed):
     except EmptyRangeError:
         return
     rng = np.random.default_rng(seed)
-    values = rng.uniform(0.0, 1.0, k_hi - k_lo + 1)
+    values = floor + (1.0 - floor) * rng.uniform(0.0, 1.0, k_hi - k_lo + 1)
     values[rng.uniform(size=len(values)) < zeros] = 0.0
     data = NodeData(k_lo, k_hi, values)
     halfway = (np.arange(k_lo, k_hi + 1) + 0.5) / n
-    xs = np.concatenate([rng.uniform(domain.a, domain.b, 40),
+    chunk = operators._CHUNK if layout == "random" else 2**10
+    points = 40
+    if layout != "random":
+        nodes = len(values)
+        points = 2 * chunk // min(2 * operators._half_width(spec, nodes) + 2, nodes) + 7
+    xs = np.concatenate([rng.uniform(domain.a, domain.b, points),
                          halfway[(halfway >= domain.a) & (halfway <= domain.b)][:10]])
-    rng.shuffle(xs)
-    try:
-        want = _dense_eval(spec, data, xs)
-    except ZeroDenominatorError as exc:
-        with pytest.raises(ZeroDenominatorError, match=f"\\(grid index {exc.args[0]}\\)"):
-            eval_grid(spec, data, xs)
-        return
-    got = eval_grid(spec, data, xs)
+    if layout == "sorted":
+        xs.sort()
+    else:
+        rng.shuffle(xs)
+    with mock.patch.object(operators, "_CHUNK", chunk):
+        try:
+            want = _dense_eval(spec, data, xs)
+        except ZeroDenominatorError as exc:
+            with pytest.raises(ZeroDenominatorError,
+                               match=f"\\(grid index {exc.args[0]}\\)"):
+                eval_grid(spec, data, xs)
+            return
+        got = eval_grid(spec, data, xs)
     if family == "linear":
         assert np.all(np.abs(got - want) <= 2.0**-52 + 2.0**-45 * np.abs(want))
     else:
