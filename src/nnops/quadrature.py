@@ -18,23 +18,22 @@ The exact and sub-cell rules run over chunks of consecutive cells that hold
 at most ``_CHUNK`` elements (a cell's pieces, or its r or r + 1 sub-cell
 values), written into one output.  Node data thus peaks at about
 c1 * cells + c2 * _CHUNK bytes: c1 = 16 for the output and the copy
-:class:`NodeData` keeps, and c2 measured at 12-33 (riemann:16 on a callable
-12, trapezoid:64 17, the exact rule 22, trapezoid:15 on a :class:`Signal`
-33), plus what f itself allocates per point.  A sub-cell average is a
-pairwise sum over its cell's own contiguous row, so no bit depends on where
-the chunks start; a BLAS matrix-vector product would not do for the
-trapezoid weights, since its rounding of a row follows how many rows it is
-given.
+:class:`NodeData` keeps, and c2 measured at 9-33 (the exact rule 9,
+riemann:16 on a callable 12, trapezoid:64 17, trapezoid:15 on a
+:class:`Signal` 33), plus what f itself allocates per point.  A sub-cell
+average is a pairwise sum over its cell's own contiguous row, so no bit
+depends on where the chunks start; a BLAS matrix-vector product would not do
+for the trapezoid weights, since its rounding of a row follows how many rows
+it is given.
 
-The exact rule lays a chunk out as (pieces, cells), so every step runs along
-contiguous cells rather than along rows of a few pieces, and adds each
-piece's overlap terms into the averages one piece at a time.  That gives the
-bits of a pairwise row sum too: a piece that misses a cell leaves a +0.0
-term, and adding zero is exact, so a cell that meets at most two pieces sums
-to fl(x + y) in any order.  Only a cell that holds two breakpoints or more,
-which needs pieces narrower than a cell, has three nonzero terms; those
-cells are found by counting them and summed again as contiguous
-(cells, pieces) rows.
+The exact rule sums only the cells a breakpoint cuts.  Two searches of a
+chunk's cell edges find, for each piece that meets the chunk, the run of
+cells wholly inside it.  Such a cell's overlap sum has one nonzero term,
+fl(w * v) with w = |cell|, and +0.0 for every other piece, and adding zero is
+exact, so the cell takes (w * v) / w, the bits of the sum.  The cut cells are
+gathered, and each is summed pairwise over a row of every piece, as the
+per-cell formula sums it.  A chunk holds at most ``_CHUNK`` // pieces cells,
+so that block stays within ``_CHUNK`` elements for any number of pieces.
 """
 
 from __future__ import annotations
@@ -81,30 +80,36 @@ def cell_averages_exact(f: PiecewiseConstant, domain: Domain, n: int) -> NodeDat
 
     Each average is the breakpoint-overlap sum
     sum_i |piece_i intersect cell| * value_i / |cell|, so no quadrature error
-    enters; only the final rounding of each closed-form sum remains.
+    enters; only the final rounding of each closed-form sum remains.  Only
+    the cells a breakpoint cuts are summed (see the module docstring).
     """
     k_lo, k_hi = node_bounds("kantorovich", n, domain)
-    edges = np.array((domain.a, *f.breakpoints, domain.b))[:, None]
-    values = np.array(f.values)[:, None]
-    # one scratch for every chunk: fresh pages for each chunk would be zeroed
-    # and mapped in again (measured at n = 1e5: 3264 page faults a call, not 0)
-    scratch = np.empty((len(values), min(k_hi - k_lo + 1, _cells_per_chunk(len(values)))))
+    edges = np.array((domain.a, *f.breakpoints, domain.b))
+    values = np.array(f.values)
+
+    def overlaps(lo, hi, p):
+        """The terms |piece p intersect [lo, hi]| * value_p, broadcast."""
+        terms = np.minimum(hi, edges[p + 1]) - np.maximum(lo, edges[p])
+        np.clip(terms, 0.0, None, out=terms)
+        return np.multiply(terms, values[p], out=terms)
 
     def averages(ks, out):
         lo, hi = ks / n, (ks + 1) / n
-        terms = scratch[:, :len(ks)]  # (pieces, cells)
-        np.minimum(hi, edges[1:], out=terms)
-        terms -= np.maximum(lo, edges[:-1])
-        np.clip(terms, 0.0, None, out=terms)
-        terms *= values
-        # piece by piece: that order changes no bit of a cell with at most two
-        # nonzero terms; cells with more (two breakpoints or more inside) are
-        # summed again pairwise, each as its own contiguous row
-        np.sum(terms, axis=0, out=out)
-        many = np.count_nonzero(terms, axis=0) > 2
-        if many.any():
-            out[many] = np.ascontiguousarray(terms[:, many].T).sum(axis=1)
-        out /= hi - lo
+        w = hi - lo
+        # pieces p0 .. p1 - 1 meet the chunk, and piece p0 + i holds the run
+        # of cells first[i] .. last[i] - 1 whole
+        p0 = int(np.searchsorted(edges, lo[0], "right")) - 1
+        p1 = int(np.searchsorted(edges, hi[-1]))
+        first = np.searchsorted(lo, edges[p0:p1])
+        last = np.searchsorted(hi, edges[p0 + 1:p1 + 1], "right")
+        cut = np.ones(len(ks), dtype=bool)
+        for v, i, j in zip(values[p0:p1], first, last):
+            np.multiply(w[i:j], v, out=out[i:j])
+            cut[i:j] = False
+        cut = np.flatnonzero(cut)
+        if len(cut):
+            out[cut] = overlaps(lo[cut, None], hi[cut, None], np.arange(len(values))).sum(axis=1)
+        out /= w
 
     return _by_cells(k_lo, k_hi, len(values), averages)
 
@@ -182,18 +187,13 @@ def _sub_cell_averages(f, k_lo: int, k_hi: int, n: int, rule: QuadratureRule) ->
     return _by_cells(k_lo, k_hi, m, averages)
 
 
-def _cells_per_chunk(width: int) -> int:
-    """Cells per chunk of node-data work, at ``width`` elements per cell."""
-    return max(1, _CHUNK // width)
-
-
 def _by_cells(k_lo: int, k_hi: int, width: int, averages) -> NodeData:
     """Node data of the cells k_lo .. k_hi, ``width`` elements per cell:
     ``averages(ks, out)`` writes the averages of the cells ``ks`` to ``out``,
     their slice of one output, for chunks of consecutive cells.  The output
     is clipped to [0, 1] in place."""
     out = np.empty(k_hi - k_lo + 1)
-    step = _cells_per_chunk(width)
+    step = max(1, _CHUNK // width)
     for start in range(0, len(out), step):
         stop = min(start + step, len(out))
         averages(np.arange(k_lo + start, k_lo + stop), out[start:stop])

@@ -264,6 +264,29 @@ class TestEvalGrid:
                 assert {s[0] for s in shapes[1:]} == {2 * h + 2}, (scale, c)
                 assert sum(s[1] for s in shapes[1:]) == len(xs), (scale, c)
 
+    @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
+    def test_narrowed_rows_that_fail_fall_back_to_every_node(self, monkeypatch, family):
+        # logistic at scale 0.1 reaches past all 30 nodes, so the cap is every
+        # node; a node floor 50 times too high narrows each chunk to h = 0,
+        # every row fails its certificate there and is evaluated again on
+        # every node
+        spec = _spec(family=family, n=30, kernel=make_kernel("logistic", scale=0.1))
+        assert operators._half_width(spec, 30) == 30
+        data = NodeData(0, 29, np.random.default_rng(4).uniform(0.3, 1.0, 30))
+        xs = np.linspace(0.0, 1.0, 501)
+        failed = []
+
+        def recording(*args):
+            out, rows = windows(*args)
+            failed.append(len(rows))
+            return out, rows
+
+        windows = operators._eval_windows
+        monkeypatch.setattr(operators, "_eval_windows", recording)
+        monkeypatch.setattr(operators, "phi_floor", lambda k: 50.0 * phi_floor(k))
+        assert np.array_equal(eval_grid(spec, data, xs), _dense_eval(spec, data, xs))
+        assert failed == [501, 0]
+
     @pytest.mark.parametrize("family", ["linear", "maxprod", "maxmin"])
     @pytest.mark.parametrize("variant, scale", [("ramp", 1e-320), ("three", 1e-309),
                                                 ("logistic", 1e-320), ("tanh", 1e-320),

@@ -28,12 +28,14 @@ from nnops.quadrature import node_data
 UNIT = Domain(0.0, 1.0)
 
 
-def _per_cell_loop(f, domain, n):
-    """Reference: the overlap formula of cell_averages_exact, one cell at a time."""
+def _per_cell_loop(f, domain, n, ks=None):
+    """Reference: the overlap formula of cell_averages_exact, one cell at a
+    time, for every cell or for the cells ``ks``."""
     k_lo, k_hi = node_bounds("kantorovich", n, domain)
+    ks = range(k_lo, k_hi + 1) if ks is None else ks
     edges = np.array((domain.a, *f.breakpoints, domain.b))
-    out = np.empty(k_hi - k_lo + 1)
-    for i, k in enumerate(range(k_lo, k_hi + 1)):
+    out = np.empty(len(ks))
+    for i, k in enumerate(ks):
         lo, hi = k / n, (k + 1) / n
         overlap = np.clip(np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1]), 0.0, None)
         out[i] = (overlap * np.array(f.values)).sum() / (hi - lo)
@@ -242,6 +244,11 @@ TWO_PIECES = PiecewiseConstant(UNIT, (0.37,), (0.2, 0.9))
 # four breakpoints in each of the cells [0.2, 0.3] and [0.3, 0.4] at n = 10
 NARROW = PiecewiseConstant(UNIT, (0.21, 0.23, 0.25, 0.27, 0.31, 0.33, 0.35, 0.37),
                            tuple(np.random.default_rng(3).uniform(0.0, 1.0, 9)))
+# at n = 41, 5 cells a chunk: the middle pieces run whole over cells 5-23 and
+# 26-40, across several seams, and the cells 24 and 25, either side of a seam,
+# are each cut by a breakpoint
+RUNS = PiecewiseConstant(UNIT, (4.3 / 41, 24.6 / 41, 25.2 / 41),
+                         tuple(np.random.default_rng(7).uniform(0.0, 1.0, 4)))
 NOISE = Signal(UNIT, np.random.default_rng(11).uniform(0.0, 1.0, 4001))
 
 
@@ -254,6 +261,7 @@ class TestChunkedCells:
         "exact": (7, 2, lambda: cell_averages_exact(TWO_PIECES, UNIT, 10)),
         # 3 cells a chunk: the two crowded cells fall either side of a seam
         "exact-narrow": (27, 9, lambda: cell_averages_exact(NARROW, UNIT, 10)),
+        "exact-runs": (20, 4, lambda: cell_averages_exact(RUNS, UNIT, 41)),
         "exact-step": (2**10, 4, lambda: cell_averages_exact(
             step_test_function(), Domain(0.013, 0.97), 1607)),
         "riemann:1": (7, 1, lambda: node_data(
@@ -304,7 +312,7 @@ class TestChunkedCells:
     ], ids=["exact", "riemann:16", "trapezoid:64", "signal-trapezoid:15"])
     def test_memory_bounded(self, n, rule, make_f):
         # 16 B per cell are the output and NodeData's copy of it; the rest is
-        # one chunk's work, measured at 12-33 B per element
+        # one chunk's work, measured at 9-33 B per element
         f = make_f()
         tracemalloc.start()
         try:
@@ -314,6 +322,28 @@ class TestChunkedCells:
             tracemalloc.stop()
         assert len(data.values) == n
         assert peak <= 16 * n + 64 * quadrature._CHUNK
+
+    def test_memory_bounded_for_thousands_of_pieces(self):
+        # 4096 breakpoints: a chunk holds 16 cells, and each crowded cell's
+        # pairwise sum runs over a row of every piece
+        n = 10**5
+        rng = np.random.default_rng(17)
+        breakpoints = np.unique(rng.uniform(0.0, 1.0, 4096))
+        f = PiecewiseConstant(UNIT, tuple(breakpoints), tuple(rng.uniform(0.0, 1.0, 4097)))
+        tracemalloc.start()
+        try:
+            data = cell_averages_exact(f, UNIT, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n + 64 * quadrature._CHUNK
+        # every crowded cell (two breakpoints or more), some other cut cells
+        # and some whole ones
+        cut = np.floor(breakpoints * n).astype(int)
+        crowded = cut[1:][np.diff(cut) == 0]
+        assert len(crowded)
+        ks = np.unique(np.concatenate([crowded, rng.choice(cut, 300), rng.integers(0, n, 300)]))
+        assert np.array_equal(data.values[ks], _per_cell_loop(f, UNIT, n, ks))
 
 
 def _cells(n, domain):
