@@ -16,11 +16,7 @@ import sys
 
 import numpy as np
 
-from .experiments import (
-    denoise_sweep,
-    error_table,
-    rate_sweep,
-)
+from .experiments import denoise_sweep, error_table, rate_sweep
 from .kernels import (
     Kernel,
     absolute_moment,
@@ -28,12 +24,7 @@ from .kernels import (
     make_kernel,
     phi_floor,
 )
-from .operators import (
-    Domain,
-    OperatorSpec,
-    ZeroDenominatorError,
-    eval_grid,
-)
+from .operators import Domain, OperatorSpec, ZeroDenominatorError, eval_grid
 from .quadrature import QuadratureRule, node_data
 from .signals import (
     Signal,

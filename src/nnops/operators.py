@@ -127,15 +127,15 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class NodeData:
-    """Node values v_k for k in k_lo .. k_hi, all within [0, 1]."""
+    """Node values v_k for k in k_lo .. k_hi, all within [0, 1], read-only;
+    ``values`` is adopted or copied by :func:`read_only`."""
 
     k_lo: int
     k_hi: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float).copy()
-        values.setflags(write=False)
+        values = read_only(self.values)
         object.__setattr__(self, "values", values)
         expected = self.k_hi - self.k_lo + 1
         if values.ndim != 1 or len(values) != expected:
@@ -145,6 +145,17 @@ class NodeData:
             )
         if len(values) and not (values.min() >= 0.0 and values.max() <= 1.0):
             raise ValueError("node values must lie in [0, 1]")  # NaN fails too
+
+
+def read_only(a) -> np.ndarray:
+    """``a`` itself if it is a read-only float64 array that owns its data
+    (its maker gives it up, as the node-data rules do), else a read-only
+    float64 copy, so a caller's writable array or a view is never shared."""
+    if not (type(a) is np.ndarray and a.dtype == np.float64
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
+    return a
 
 
 def _first_node(n: int, a: float) -> int:

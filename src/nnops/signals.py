@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Domain
+from .operators import Domain, read_only
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,14 @@ class Signal:
     """Uniformly sampled trace over a closed domain, endpoints inclusive.
 
     Calling the signal performs nearest-sample lookup (no interpolation).
+    ``samples`` are read-only, adopted or copied by :func:`read_only`.
     """
 
     domain: Domain
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float).copy()
-        samples.setflags(write=False)
+        samples = read_only(self.samples)
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or len(samples) < 2:
             raise ValueError("a signal needs at least 2 samples")
@@ -108,9 +108,12 @@ def add_gaussian_noise(s: Signal, sigma: float, seed: int) -> Signal:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if sigma == 0.0:
         return s
-    rng = np.random.default_rng(seed)
-    noisy = s.samples + sigma * rng.standard_normal(len(s.samples))
-    return Signal(s.domain, np.clip(noisy, 0.0, 1.0))
+    z = np.random.default_rng(seed).standard_normal(len(s))
+    z *= sigma
+    z += s.samples  # samples + sigma * z, bit for bit: addition commutes
+    np.clip(z, 0.0, 1.0, out=z)
+    z.setflags(write=False)
+    return Signal(s.domain, z)
 
 
 def normalize_to_unit(s: Signal) -> tuple[Signal, float, float]:

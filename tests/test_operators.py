@@ -379,6 +379,33 @@ class TestNodeData:
         with pytest.raises(ValueError):
             data.values[0] = 0.9
 
+    def test_writable_array_copied(self):
+        given = np.array([0.1, 0.2, 0.3])
+        data = NodeData(0, 2, given)
+        given[0] = 0.9
+        assert data.values[0] == 0.1 and not np.shares_memory(data.values, given)
+
+    def test_read_only_view_copied(self):
+        base = np.array([0.1, 0.2, 0.3, 0.4])
+        view = base[1:]
+        view.setflags(write=False)
+        data = NodeData(0, 2, view)
+        base[1] = 0.9
+        assert data.values[0] == 0.2 and not np.shares_memory(data.values, base)
+
+    @pytest.mark.parametrize("given", [[0.1, 0.2, 0.3], np.array([0.1, 0.2, 0.3], np.float32)])
+    def test_list_or_other_dtype_converted(self, given):
+        data = NodeData(0, 2, given)
+        assert data.values.dtype == np.float64 and not data.values.flags.writeable
+
+    def test_read_only_owner_adopted(self):
+        given = np.array([0.1, 0.2, 0.3])
+        given.setflags(write=False)
+        data = NodeData(0, 2, given)
+        assert np.shares_memory(data.values, given)
+        with pytest.raises(ValueError):
+            data.values[0] = 0.9
+
     def test_sampling_values_from_function(self):
         spec = _spec(mode="sampling", n=4)
         data = sample_node_values(lambda xs: xs, spec)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nnops import (
     Domain,
     EmptyRangeError,
+    NodeData,
     OperatorSpec,
     PiecewiseConstant,
     QuadratureRule,
@@ -40,6 +41,10 @@ def _per_cell_loop(f, domain, n, ks=None):
         overlap = np.clip(np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1]), 0.0, None)
         out[i] = (overlap * np.array(f.values)).sum() / (hi - lo)
     return np.clip(out, 0.0, 1.0)
+
+
+def _smooth(xs):
+    return 0.5 + 0.4 * np.sin(7.0 * xs)
 
 
 class TestExactCellAverages:
@@ -235,9 +240,20 @@ class TestNodeData:
         with pytest.raises(ValueError, match="rule is for Kantorovich mode"):
             node_data(step, spec, rule)
 
-
-def _smooth(xs):
-    return 0.5 + 0.4 * np.sin(7.0 * xs)
+    @pytest.mark.parametrize("f, rule", [
+        (step_test_function(), None),
+        (_smooth, QuadratureRule("riemann", 4)),
+        (_smooth, QuadratureRule("trapezoid", 4)),
+        (Signal(UNIT, np.linspace(0.0, 1.0, 200)), QuadratureRule("trapezoid", 4)),
+        (Signal(UNIT, np.linspace(0.0, 1.0, 100)), QuadratureRule("pairmean")),
+    ], ids=["exact", "riemann", "trapezoid", "signal-trapezoid", "pairmean"])
+    def test_rules_hand_over_read_only_output(self, monkeypatch, f, rule):
+        # NodeData adopts each rule's output instead of copying it
+        given = []
+        monkeypatch.setattr(quadrature, "NodeData",
+                            lambda k_lo, k_hi, v: given.append(v) or NodeData(k_lo, k_hi, v))
+        data = node_data(f, _kantorovich(50, UNIT), rule)
+        assert data.values is given[0] and not data.values.flags.writeable
 
 
 TWO_PIECES = PiecewiseConstant(UNIT, (0.37,), (0.2, 0.9))
@@ -249,47 +265,70 @@ NARROW = PiecewiseConstant(UNIT, (0.21, 0.23, 0.25, 0.27, 0.31, 0.33, 0.35, 0.37
 # are each cut by a breakpoint
 RUNS = PiecewiseConstant(UNIT, (4.3 / 41, 24.6 / 41, 25.2 / 41),
                          tuple(np.random.default_rng(7).uniform(0.0, 1.0, 4)))
+# at n = 31, 10 cells a chunk and 40 // 8 = 5 cut cells a row-sum block: the
+# chunk of cells 10-19 has the 6 cut cells 11-16, so its cells 11-15 fill one
+# block and the crowded cell 16 opens a second
+BLOCKS = PiecewiseConstant(UNIT, tuple((k + t) / 31 for k, t in (
+    (11, 0.3), (12, 0.3), (13, 0.3), (14, 0.3), (15, 0.3), (16, 0.3), (16, 0.7))),
+    tuple(np.random.default_rng(13).uniform(0.0, 1.0, 8)))
+STEP_DOMAIN = Domain(0.013, 0.97)
 NOISE = Signal(UNIT, np.random.default_rng(11).uniform(0.0, 1.0, 4001))
 
 
 class TestChunkedCells:
-    """Node data is computed over chunks of at most ``_CHUNK`` elements,
-    ``width`` per cell; where the seams between chunks fall changes no bit."""
+    """Node data is computed over chunks of at most ``_CHUNK`` elements, a
+    cell's ``width`` of them for the sub-cell rules and ``_EXACT_WIDTH`` for
+    the exact rule; where the seams between chunks fall changes no bit."""
 
-    # (budget, width, compute): each leaves a one-cell last chunk
+    # (budget, compute, opens): each leaves a one-cell last chunk, and the
+    # cells ``opens`` each open a chunk
     CASES = {
-        "exact": (7, 2, lambda: cell_averages_exact(TWO_PIECES, UNIT, 10)),
+        # 3 cells a chunk: the cut cell 3 opens the second
+        "exact": (12, lambda: cell_averages_exact(TWO_PIECES, UNIT, 10), (3,)),
         # 3 cells a chunk: the two crowded cells fall either side of a seam
-        "exact-narrow": (27, 9, lambda: cell_averages_exact(NARROW, UNIT, 10)),
-        "exact-runs": (20, 4, lambda: cell_averages_exact(RUNS, UNIT, 41)),
-        "exact-step": (2**10, 4, lambda: cell_averages_exact(
-            step_test_function(), Domain(0.013, 0.97), 1607)),
-        "riemann:1": (7, 1, lambda: node_data(
-            _smooth, _kantorovich(15, UNIT), QuadratureRule("riemann", 1))),
-        "riemann:3": (7, 3, lambda: node_data(
-            _smooth, _kantorovich(11, UNIT), QuadratureRule("riemann", 3))),
-        "riemann:16": (2**12, 16, lambda: node_data(
-            _smooth, _kantorovich(1025, UNIT), QuadratureRule("riemann", 16))),
-        "trapezoid:1": (7, 2, lambda: node_data(
-            _smooth, _kantorovich(10, UNIT), QuadratureRule("trapezoid", 1))),
-        "trapezoid:2": (7, 3, lambda: node_data(
-            _smooth, _kantorovich(11, UNIT), QuadratureRule("trapezoid", 2))),
-        "trapezoid:64": (2**12, 65, lambda: node_data(
-            _smooth, _kantorovich(1009, UNIT), QuadratureRule("trapezoid", 64))),
-        "signal-riemann:3": (7, 3, lambda: cell_averages_sampled(
-            NOISE, 11, QuadratureRule("riemann", 3))),
-        "signal-trapezoid:15": (2**12, 16, lambda: cell_averages_sampled(
-            NOISE, 257, QuadratureRule("trapezoid", 15))),
+        "exact-narrow": (12, lambda: cell_averages_exact(NARROW, UNIT, 10), (3,)),
+        "exact-runs": (20, lambda: cell_averages_exact(RUNS, UNIT, 41), (25,)),
+        # 256 cells a chunk from cell 21: the jump in cell 789 opens one
+        "exact-step": (2**10, lambda: cell_averages_exact(
+            step_test_function(STEP_DOMAIN), STEP_DOMAIN, 1607), (789,)),
+        "exact-blocks": (40, lambda: cell_averages_exact(BLOCKS, UNIT, 31), (10, 20)),
+        "riemann:1": (7, lambda: node_data(
+            _smooth, _kantorovich(15, UNIT), QuadratureRule("riemann", 1)), ()),
+        "riemann:3": (7, lambda: node_data(
+            _smooth, _kantorovich(11, UNIT), QuadratureRule("riemann", 3)), ()),
+        "riemann:16": (2**12, lambda: node_data(
+            _smooth, _kantorovich(1025, UNIT), QuadratureRule("riemann", 16)), ()),
+        "trapezoid:1": (7, lambda: node_data(
+            _smooth, _kantorovich(10, UNIT), QuadratureRule("trapezoid", 1)), ()),
+        "trapezoid:2": (7, lambda: node_data(
+            _smooth, _kantorovich(11, UNIT), QuadratureRule("trapezoid", 2)), ()),
+        "trapezoid:64": (2**12, lambda: node_data(
+            _smooth, _kantorovich(1009, UNIT), QuadratureRule("trapezoid", 64)), ()),
+        "signal-riemann:3": (7, lambda: cell_averages_sampled(
+            NOISE, 11, QuadratureRule("riemann", 3)), ()),
+        "signal-trapezoid:15": (2**12, lambda: cell_averages_sampled(
+            NOISE, 257, QuadratureRule("trapezoid", 15)), ()),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_seams_change_no_bit(self, monkeypatch, case):
-        budget, width, compute = self.CASES[case]
+        budget, compute, opens = self.CASES[case]
+        chunks = []
+        by_cells = quadrature._by_cells
+
+        def recorded(k_lo, k_hi, width, averages):
+            def chunk(k0, k1, out):
+                chunks.append((k0, k1))
+                averages(k0, k1, out)
+            return by_cells(k_lo, k_hi, width, chunk)
+
+        monkeypatch.setattr(quadrature, "_by_cells", recorded)
         monkeypatch.setattr(quadrature, "_CHUNK", budget)
-        chunked = compute().values
-        assert len(chunked) % (budget // width) == 1
+        chunked = compute()
+        assert len(chunks) > 1 and chunks[-1] == (chunked.k_hi, chunked.k_hi + 1)
+        assert set(opens) <= {k0 for k0, _ in chunks}
         monkeypatch.setattr(quadrature, "_CHUNK", 2**40)  # one chunk
-        assert np.array_equal(chunked, compute().values)
+        assert np.array_equal(chunked.values, compute().values)
 
     def test_trapezoid_within_rounding_of_exact_sum(self):
         # a cell's weighted row is summed pairwise; over 65 terms numpy's
@@ -311,8 +350,8 @@ class TestChunkedCells:
          lambda: Signal(UNIT, np.linspace(0.0, 1.0, 1_500_001))),
     ], ids=["exact", "riemann:16", "trapezoid:64", "signal-trapezoid:15"])
     def test_memory_bounded(self, n, rule, make_f):
-        # 16 B per cell are the output and NodeData's copy of it; the rest is
-        # one chunk's work, measured at 9-33 B per element
+        # 8 B per cell are the output, which NodeData adopts; the rest is one
+        # chunk's work, measured at 4-32 B per element
         f = make_f()
         tracemalloc.start()
         try:
@@ -321,11 +360,11 @@ class TestChunkedCells:
         finally:
             tracemalloc.stop()
         assert len(data.values) == n
-        assert peak <= 16 * n + 64 * quadrature._CHUNK
+        assert peak <= 8 * n + 64 * quadrature._CHUNK
 
     def test_memory_bounded_for_thousands_of_pieces(self):
-        # 4096 breakpoints: a chunk holds 16 cells, and each crowded cell's
-        # pairwise sum runs over a row of every piece
+        # 4096 breakpoints: a row-sum block holds 16 cut cells, and each
+        # crowded cell's pairwise sum runs over a row of every piece
         n = 10**5
         rng = np.random.default_rng(17)
         breakpoints = np.unique(rng.uniform(0.0, 1.0, 4096))
@@ -336,7 +375,7 @@ class TestChunkedCells:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * n + 64 * quadrature._CHUNK
+        assert peak <= 8 * n + 64 * quadrature._CHUNK
         # every crowded cell (two breakpoints or more), some other cut cells
         # and some whole ones
         cut = np.floor(breakpoints * n).astype(int)

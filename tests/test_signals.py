@@ -18,6 +18,7 @@ from nnops import (
     step_test_function,
     synthetic_ecg,
 )
+from nnops import signals
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 UNIT = Domain(0.0, 1.0)
@@ -88,6 +89,22 @@ class TestGaussianNoise:
         noisy = add_gaussian_noise(s, 0.2, seed=3)
         assert noisy.samples.min() >= 0.0 and noisy.samples.max() <= 1.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**40])
+    @pytest.mark.parametrize("sigma", [1e-3, 0.05, 0.3, 2.0])
+    def test_bitwise_the_clipped_sum(self, seed, sigma):
+        s = Signal(UNIT, np.random.default_rng(99).uniform(0.0, 1.0, 5000))
+        noise = np.random.default_rng(seed).standard_normal(len(s))
+        want = np.clip(s.samples + sigma * noise, 0, 1)
+        got = add_gaussian_noise(s, sigma, seed).samples
+        assert got.tobytes() == want.tobytes()
+
+    def test_output_read_only_and_adopted(self, monkeypatch):
+        given = []
+        real = signals.Signal
+        monkeypatch.setattr(signals, "Signal", lambda d, x: given.append(x) or real(d, x))
+        noisy = add_gaussian_noise(real(UNIT, np.full(100, 0.5)), 0.05, seed=2)
+        assert noisy.samples is given[0] and not noisy.samples.flags.writeable
+
     def test_negative_sigma_rejected(self):
         s = Signal(UNIT, np.array([0.1, 0.9]))
         with pytest.raises(ValueError):
@@ -144,6 +161,34 @@ class TestSignalLookup:
         assert s(0.2) == 0.0
         assert s(0.3) == 0.5
         assert s(0.76) == 1.0
+
+    def test_writable_array_copied(self):
+        given = np.array([0.1, 0.2, 0.3])
+        s = Signal(UNIT, given)
+        given[0] = 0.9
+        assert s.samples[0] == 0.1 and not np.shares_memory(s.samples, given)
+
+    def test_read_only_view_copied(self):
+        base = np.array([0.1, 0.2, 0.3, 0.4])
+        view = base[1:]
+        view.setflags(write=False)
+        s = Signal(UNIT, view)
+        base[1] = 0.9
+        assert s.samples[0] == 0.2 and not np.shares_memory(s.samples, base)
+
+    def test_read_only_owner_adopted(self):
+        given = np.array([0.1, 0.2, 0.3])
+        given.setflags(write=False)
+        s = Signal(UNIT, given)
+        assert np.shares_memory(s.samples, given)
+        with pytest.raises(ValueError):
+            s.samples[0] = 0.9
+
+    def test_samples_immutable(self):
+        s = Signal(UNIT, [0.1, 0.2, 0.3])
+        assert s.samples.dtype == np.float64
+        with pytest.raises(ValueError):
+            s.samples[0] = 0.9
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="a signal needs at least 2 samples"):
