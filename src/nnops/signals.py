@@ -123,7 +123,10 @@ def normalize_to_unit(s: Signal) -> tuple[Signal, float, float]:
     hi = float(s.samples.max())
     if hi == lo:
         raise ValueError("all samples equal; cannot normalize")
-    return Signal(s.domain, (s.samples - lo) / (hi - lo)), lo, hi - lo
+    z = s.samples - lo
+    z /= hi - lo  # (samples - lo) / (hi - lo), bit for bit, in z's own memory
+    z.setflags(write=False)
+    return Signal(s.domain, z), lo, hi - lo
 
 
 def load_signal_csv(path, column: str, domain: Domain = Domain(0.0, 1.0)) -> Signal:
@@ -137,33 +140,38 @@ def load_signal_csv(path, column: str, domain: Domain = Domain(0.0, 1.0)) -> Sig
     non-finite node value poisons every output of the max families.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header, rows = rows[0], rows[1:]
-    if column not in header:
-        raise ValueError(f"{path}: no column named {column!r}")
-    col = header.index(column)
-
-    values = []
-    for i, row in enumerate(rows):
-        if col >= len(row):
-            raise ValueError(f"{path}: row {i} has no column {col}")
-        try:
-            value = float(row[col])
-        except ValueError:
-            raise ValueError(
-                f"{path}: row {i}, column {col}: cannot parse {row[col]!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise ValueError(
-                f"{path}: row {i}, column {col}: non-finite value {row[col]!r}"
-            )
-        values.append(value)
+        # rows are streamed, so only the parsed values are held: 8 B a row
+        rows = (r for r in csv.reader(fh) if r and any(cell.strip() for cell in r))
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if column not in header:
+            raise ValueError(f"{path}: no column named {column!r}")
+        col = header.index(column)
+        values = np.fromiter((_csv_value(path, i, row, col) for i, row in enumerate(rows)),
+                             dtype=float)
     if len(values) < 2:
         raise ValueError(f"{path}: need at least 2 rows, got {len(values)}")
-    return Signal(domain, np.array(values))
+    values.setflags(write=False)
+    return Signal(domain, values)
+
+
+def _csv_value(path, i: int, row: list, col: int) -> float:
+    """The finite value in column ``col`` of data row ``i``; a ValueError
+    names the row and column otherwise."""
+    if col >= len(row):
+        raise ValueError(f"{path}: row {i} has no column {col}")
+    try:
+        value = float(row[col])
+    except ValueError:
+        raise ValueError(
+            f"{path}: row {i}, column {col}: cannot parse {row[col]!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{path}: row {i}, column {col}: non-finite value {row[col]!r}"
+        )
+    return value
 
 
 def signal_to_csv(s: Signal) -> str:
@@ -176,7 +184,10 @@ def signal_to_csv(s: Signal) -> str:
 
 
 def sample_function(f, domain: Domain, num_samples: int) -> Signal:
-    """Sample a callable on the inclusive uniform grid of ``num_samples``."""
+    """Sample a callable on the inclusive uniform grid of ``num_samples``.
+
+    The Signal keeps its own copy of what ``f`` returns, since ``f`` belongs
+    to the caller and may return an array the caller still holds."""
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
     xs = np.linspace(domain.a, domain.b, num_samples)
@@ -204,13 +215,21 @@ def synthetic_ecg(num_samples: int = 1600, beats: int = 5) -> Signal:
         (0.13, 0.26, 0.07),  # T
     )
     out = np.full(num_samples, 0.32)
+    wave = np.empty(num_samples)
     for i in range(beats):
         center = (i + 0.5) * period
         for amp, off, width in waves:
-            mu = center + off * period
-            w = width * period
-            out += amp * np.exp(-0.5 * ((xs - mu) / w) ** 2)
-    return Signal(Domain(0.0, 1.0), np.clip(out, 0.0, 1.0))
+            # amp exp(-((xs - mu) / w)^2 / 2), bit for bit, in one array
+            np.subtract(xs, center + off * period, out=wave)
+            wave /= width * period
+            wave *= wave
+            wave *= -0.5
+            np.exp(wave, out=wave)
+            wave *= amp
+            out += wave
+    np.clip(out, 0.0, 1.0, out=out)
+    out.setflags(write=False)
+    return Signal(Domain(0.0, 1.0), out)
 
 
 def holder_test_function(beta: float, domain: Domain = Domain(0.0, 1.0)):

@@ -170,23 +170,43 @@ class TestEvalGrid:
             grid = eval_grid(spec, data, xs)
             loop = np.array([eval_operator(spec, data, float(x)) for x in xs])
             assert np.array_equal(grid, loop), family
+        # linear grids whose rows mix both paths: summation by parts near the
+        # step's jumps, the window across the noisy stretch
+        for variant in ("logistic", "tanh"):
+            for n in (90, 150):
+                spec = _spec(family="linear", n=n, kernel=make_kernel(variant))
+                data = _step_with_noisy_stretch(step, n)
+                by_parts = _by_parts_rows(spec, data, xs)[0]
+                assert by_parts.any() and not by_parts.all(), (variant, n)
+                grid = eval_grid(spec, data, xs)
+                loop = np.array([eval_operator(spec, data, float(x)) for x in xs])
+                assert np.array_equal(grid, loop), (variant, n)
 
     @pytest.mark.parametrize("family", ["linear", "maxprod", "maxmin"])
     def test_row_result_independent_of_chunk(self, step, family):
-        # two full chunks and a one-row last chunk (tanh at n = 90: chunks
-        # sized for windows of 12 nodes for the max families, 48 for linear);
-        # a (nodes, rows) sum would round a one-row chunk differently from a
-        # full one
-        spec = _spec(family=family, n=90)
-        data = cell_averages_exact(step, UNIT, 90)
-        nodes = len(data.values)
-        width = min(2 * operators._half_width(spec, nodes) + 2, nodes)
-        rows = operators._CHUNK // width
-        xs = np.linspace(0.0, 1.0, 2 * rows + 1)
-        out = eval_grid(spec, data, xs)
-        picks = np.random.default_rng(11).integers(0, len(xs), 50)
-        for i in [rows - 1, rows, 2 * rows - 1, 2 * rows, *picks]:
-            assert out[i] == eval_grid(spec, data, xs[i:i + 1])[0], (family, i)
+        # chunks sized for windows of 12 nodes (the max families, tanh at
+        # n = 90) or of about 4096 rows (linear, whose rows summed by parts go
+        # in blocks padded to their longest row), a one-row last chunk, and a
+        # shuffled grid that puts every row among other rows; a (nodes, rows)
+        # sum would round a one-row chunk differently from a full one.  The
+        # linear grids mix both paths.
+        cases = ([(v, n) for v in ("logistic", "tanh") for n in (90, 150)]
+                 if family == "linear" else [("tanh", 90)])
+        for variant, n in cases:
+            spec = _spec(family=family, n=n, kernel=make_kernel(variant))
+            data = _step_with_noisy_stretch(step, n)
+            nodes = len(data.values)
+            rows = operators._CHUNK // min(2 * operators._half_width(spec, nodes) + 2, nodes)
+            xs = np.linspace(0.0, 1.0, 8 * rows + 1)
+            if family == "linear":
+                by_parts = _by_parts_rows(spec, data, xs)[0]
+                assert by_parts.any() and not by_parts.all(), (variant, n)
+            out = eval_grid(spec, data, xs)
+            order = np.random.default_rng(11).permutation(len(xs))
+            assert np.array_equal(eval_grid(spec, data, xs[order]), out[order]), (variant, n)
+            picks = np.random.default_rng(11).integers(0, len(xs), 50)
+            for i in [rows - 1, rows, 2 * rows - 1, 2 * rows, 8 * rows, *picks]:
+                assert out[i] == eval_grid(spec, data, xs[i:i + 1])[0], (variant, n, i)
 
     def test_memory_bounded_for_large_n(self):
         # chunks hold a bounded number of weights, not a bounded number of
@@ -205,7 +225,7 @@ class TestEvalGrid:
             assert np.all(out == value)
             assert peak < 32 * 2**20, value
 
-    def test_cost_follows_kernel_width(self, monkeypatch):
+    def test_cost_follows_kernel_width(self, monkeypatch, step):
         evaluated = []
 
         def counting(k, x):
@@ -227,13 +247,49 @@ class TestEvalGrid:
         values[10_000] = 0.0
         eval_grid(spec, NodeData(0, 19_999, values), xs)
         assert sum(evaluated) == 5 + 256 * 12
-        evaluated.clear()
+        # linear rows summed by parts evaluate sigma, not the kernel: each
+        # row its nonzero differences in reach, padded to its block's
+        # longest row, plus the 4m = 4 end terms of its denominator; 2 more
+        # check once per call that sigma saturates.  The kernel is evaluated
+        # only by the bisection for h: two weights for each of at most
+        # log2(20000) steps
+        sigmas = []
+
+        def counting_sigma(y):
+            sigmas.append(np.size(y))
+            return twice_sigma(y)
+
+        twice_sigma = operators._twice_sigma
+        monkeypatch.setattr(operators, "_twice_sigma", counting_sigma)
+        bisection = 2 * math.ceil(math.log2(20_000))
         spec = _spec(family="linear", n=20_000)
-        eval_grid(spec, _const_data(spec, 0.5), xs)
-        # 256 windows of 2h + 2 nodes (h = 20), plus the bisection for h: two
-        # weights for each of at most log2(20000) steps
+        # constant data: its nonzero differences lie at the ends, out of reach
+        inner = np.linspace(0.3, 0.7, 256)
+        evaluated.clear()
+        eval_grid(spec, _const_data(spec, 0.5), inner)
+        assert sum(sigmas) == 2 + 256 * 4
+        assert sum(evaluated) <= bisection
+        # the step: near its jumps a row has nonzero differences in reach
+        data = cell_averages_exact(step, UNIT, 20_000)
+        by_parts, count, m = _by_parts_rows(spec, data, xs)
+        assert by_parts.all() and m == 1 and count.max() > 0
+        sigmas.clear()
+        evaluated.clear()
+        eval_grid(spec, data, xs)
+        assert 2 + np.sum(count + 4) <= sum(sigmas) <= 2 + 256 * (count.max() + 4)
+        assert sum(evaluated) <= bisection
+        # noisy data: every difference in reach is nonzero, so each row keeps
+        # its window of 2h + 2 weights (h = 26) and evaluates no sigma past
+        # the check (a row within reach of an end has fewer differences, as
+        # the zeros past the end have none, and may be summed by parts)
+        noisy = NodeData(0, 19_999, np.random.default_rng(8).uniform(0.2, 0.8, 20_000))
+        assert not _by_parts_rows(spec, noisy, inner)[0].any()
+        sigmas.clear()
+        evaluated.clear()
+        eval_grid(spec, noisy, inner)
         width = 2 * _half_width_scan(TANH, 20_000) + 2
-        assert sum(evaluated) <= 256 * width + 2 * math.ceil(math.log2(20_000))
+        assert width == 54 and sum(sigmas) == 2
+        assert 256 * width <= sum(evaluated) <= 256 * width + bisection
 
     @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
     @pytest.mark.parametrize("mode", ["sampling", "kantorovich"])
@@ -315,6 +371,30 @@ class TestEvalGrid:
             eval_grid(spec, data, [0.5, 0.7, np.nan])
         with pytest.raises(ValueError):
             eval_operator(spec, data, np.nan)
+
+
+def _step_with_noisy_stretch(step, n):
+    """The step's exact cell averages at n, with noise on the cells in
+    [0.55, 0.95): rows near the noise keep their windows, and the others
+    are summed by parts."""
+    data = cell_averages_exact(step, UNIT, n)
+    values = data.values.copy()
+    k = np.arange(data.k_lo, data.k_hi + 1)
+    noisy = (k >= 0.55 * n) & (k < 0.95 * n)
+    values[noisy] = np.random.default_rng(5).uniform(0.2, 0.8, noisy.sum())
+    return NodeData(data.k_lo, data.k_hi, values)
+
+
+def _by_parts_rows(spec, data, xs):
+    """Which rows eval_grid sums by parts, each row's nonzero differences in
+    reach, and m = 1/c; no row without a plan."""
+    nodes = len(data.values)
+    width = min(2 * operators._half_width(spec, nodes) + 2, nodes)
+    plan = operators._by_parts(spec, data, width)
+    if plan is None:
+        return np.zeros(len(xs), dtype=bool), np.zeros(len(xs), dtype=int), 0
+    count = operators._by_parts_rows(plan, spec.n * np.asarray(xs))[1]
+    return operators._TERM_COST * (count + 4 * plan.m) < width, count, plan.m
 
 
 def _half_width_scan(k, nodes):
@@ -491,6 +571,58 @@ def test_windowed_matches_dense(kernel, family, mode, n, a, width, floor, zeros,
     else:
         assert np.array_equal(got, want)
     for i in rng.choice(len(xs), 3, replace=False):
+        assert abs(got[i] - brute_force_eval(spec, data, float(xs[i]))) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(variant=st.sampled_from(["logistic", "tanh"]),
+       scale=st.sampled_from([1.0, 0.5, 0.1]),
+       mode=st.sampled_from(["sampling", "kantorovich"]),
+       n=st.integers(1, 600),
+       a=st.floats(-0.5, 0.5), width=st.floats(0.05, 1.5),
+       runs=st.integers(1, 8),
+       ulps=st.sampled_from([0.0, 0.1, 0.5]),
+       noisy=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_by_parts_matches_dense(variant, scale, mode, n, a, width, runs, ulps, noisy, seed):
+    """Linear rows summed by parts lie within the module docstring's bound
+    of the dense evaluation, 2^-50 m (N + 4m) / d + 2^-45 |dense|, and
+    within 1e-12 of the scalar oracle; the other rows within the window's
+    bound.  Node data are runs of equal values, some moved by an ulp as the
+    exact rule leaves them, or noise, on which every row whose reach lies
+    among the nodes keeps its window."""
+    domain = Domain(a, a + width)
+    kernel = make_kernel(variant, scale=scale)
+    spec = OperatorSpec("linear", mode, n, domain, kernel)
+    try:
+        k_lo, k_hi = node_bounds(mode, n, domain)
+    except EmptyRangeError:
+        return
+    rng = np.random.default_rng(seed)
+    nodes = k_hi - k_lo + 1
+    if noisy:
+        values = rng.uniform(0.0, 1.0, nodes)
+    else:
+        cuts = np.sort(rng.integers(0, nodes + 1, runs - 1))
+        values = np.repeat(rng.uniform(0.0, 1.0, runs), np.diff([0, *cuts, nodes]))
+        moved = rng.uniform(size=nodes) < ulps
+        values[moved] = np.nextafter(values[moved], 0.5)
+    data = NodeData(k_lo, k_hi, values)
+    xs = np.concatenate([rng.uniform(domain.a, domain.b, 200), [domain.a, domain.b]])
+    by_parts, count, m = _by_parts_rows(spec, data, xs)
+    if noisy:
+        reach = math.ceil(20.0 / (scale if variant == "tanh" else scale / 2))
+        floor = np.floor(n * xs)
+        inside = (floor - reach > k_lo + m) & (floor + reach < k_hi - m)
+        assert not by_parts[inside].any()
+    got = eval_grid(spec, data, xs)
+    w = eval_kernel(kernel, n * xs[:, None] - np.arange(k_lo, k_hi + 1)[None, :])
+    d = w.sum(axis=1)
+    want = (w * values).sum(axis=1) / d
+    bound = np.where(by_parts, 2.0**-50 * m * (count + 4 * m) / d, 2.0**-52)
+    assert np.all(np.abs(got - want) <= bound + 2.0**-45 * np.abs(want))
+    picks = np.flatnonzero(by_parts)[:4].tolist() + [int(rng.integers(len(xs)))]
+    for i in picks:
         assert abs(got[i] - brute_force_eval(spec, data, float(xs[i]))) <= 1e-12
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,20 @@ from nnops import (
     synthetic_ecg,
 )
 from nnops import signals
+from nnops.kernels import _CHUNK
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 UNIT = Domain(0.0, 1.0)
+
+
+def _peak(make):
+    """What ``make()`` returns, and the peak of memory it allocated."""
+    tracemalloc.start()
+    try:
+        out = make()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestStepTestFunction:
@@ -127,6 +139,15 @@ class TestNormalization:
     def test_records_offset_gain(self):
         s = Signal(UNIT, np.array([2.0, 4.0]))
         assert normalize_to_unit(s)[1:] == (2.0, 2.0)
+
+    def test_memory_bounded(self):
+        # 8 B a sample are the output, mapped in its own memory and adopted
+        # by the Signal, bit for bit the plain formula
+        n = 10**6
+        s = Signal(UNIT, np.random.default_rng(6).uniform(-3.0, 5.0, n))
+        (mapped, lo, gain), peak = _peak(lambda: normalize_to_unit(s))
+        assert peak <= 8 * n + 64 * _CHUNK
+        assert mapped.samples.tobytes() == ((s.samples - lo) / gain).tobytes()
 
     def test_degenerate_range(self):
         s = Signal(UNIT, np.full(5, 3.0))
@@ -236,6 +257,17 @@ class TestCsvLoader:
         with pytest.raises(ValueError, match="need at least 2 rows, got 1"):
             load_signal_csv(p, column="value")
 
+    def test_memory_bounded(self, tmp_path):
+        # rows are streamed, so 8 B a row are the parsed values, adopted by
+        # the Signal; 1e5 rows, as parsing is slow under tracemalloc
+        n = 10**5
+        values = np.random.default_rng(7).uniform(0.0, 1.0, n)
+        p = tmp_path / "big.csv"
+        p.write_text("x,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
+        s, peak = _peak(lambda: load_signal_csv(p, column="value"))
+        assert peak <= 8 * n + 64 * _CHUNK
+        assert np.array_equal(s.samples, values)
+
     def test_ecg_fixture_has_1600_samples(self):
         s = load_signal_csv(DATA_DIR / "ecg_synthetic.csv", column="value")
         assert len(s) == 1600
@@ -268,6 +300,13 @@ class TestSyntheticEcg:
     def test_regenerates_bundled_fixture(self):
         want = (DATA_DIR / "ecg_synthetic.csv").read_bytes()
         assert signal_to_csv(synthetic_ecg()).encode() == want
+
+    def test_memory_bounded(self):
+        # 8 B a sample each for the grid, the output (adopted by the Signal)
+        # and the one wave added at a time
+        n = 10**6
+        _, peak = _peak(lambda: synthetic_ecg(n))
+        assert peak <= 3 * 8 * n + 64 * _CHUNK
 
     def test_unit_range_and_beats(self):
         s = synthetic_ecg(1600, 5)
