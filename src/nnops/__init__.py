@@ -15,7 +15,6 @@ from .kernels import (
     absolute_moment,
     eval_kernel,
     make_kernel,
-    partition_of_unity_defect,
     phi_floor,
 )
 from .metrics import (
@@ -52,9 +51,7 @@ from .signals import (
     load_signal_csv,
     normalize_to_unit,
     sample_function,
-    signal_to_csv,
     step_test_function,
-    synthetic_ecg,
 )
 
 __version__ = "0.1.0"

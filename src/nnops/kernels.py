@@ -197,21 +197,6 @@ def phi_floor(k: Kernel) -> float:
     return float(eval_kernel(k, 2.0))
 
 
-def partition_of_unity_defect(k: Kernel, x: float, window: int) -> float:
-    """Deviation of the truncated integer-shift sum from 1 at ``x``.
-
-    Computes |sum_{|j| <= window} phi(x - j) - 1|.  The identity
-    sum_j phi(x - j) = 1 holds only for unit-scale kernels (the shifts
-    telescope through the activation), so scaled kernels are rejected.
-    """
-    if k.scale != 1.0:
-        raise ValueError("partition of unity holds only for unit-scale kernels")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    js = np.arange(-window, window + 1, dtype=float)
-    return abs(float(np.sum(eval_kernel(k, x - js))) - 1.0)
-
-
 def absolute_moment(k: Kernel, beta: float, resolution: int = 100_000) -> float:
     """Numerical estimate of the generalized absolute moment of order beta.
 

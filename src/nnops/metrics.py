@@ -24,6 +24,18 @@ def _check_grid(grid_points: int) -> None:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
 
 
+def _lp_norm(diff: np.ndarray, p: float, dx: float) -> float:
+    """(sum |diff|^p dx)^(1/p) for finite p and diff >= 0.  Where the plain
+    sum underflows to 0 or overflows, as it does at large p, max |diff| is
+    factored out of it."""
+    total = float((diff**p).sum() * dx)
+    if total == 0.0 or total == math.inf:
+        top = float(diff.max())
+        if 0.0 < top < math.inf:
+            return top * float(((diff / top) ** p).sum() * dx) ** (1.0 / p)
+    return total ** (1.0 / p)
+
+
 def lp_error(g, h, p: float, domain: Domain, grid_points: int = 100_000) -> float:
     """The L^p distance of g and h on [a, b], for 1 <= p <= inf.
 
@@ -43,7 +55,7 @@ def lp_error(g, h, p: float, domain: Domain, grid_points: int = 100_000) -> floa
     diff = np.abs(np.asarray(g(xs), dtype=float) - np.asarray(h(xs), dtype=float))
     if math.isinf(p):
         return float(diff.max())
-    return float((diff**p).sum() * (domain.width / grid_points)) ** (1.0 / p)
+    return _lp_norm(diff, p, domain.width / grid_points)
 
 
 def modulus_of_continuity(
@@ -100,7 +112,7 @@ def kfunctional_upper(f, delta: float, p: float, domain: Domain, alpha: float) -
         gs = np.convolve(fs, win, mode="same") / np.convolve(
             np.ones_like(fs), win, mode="same"
         )
-        dist = float((np.abs(fs - gs) ** p).sum() * dx) ** (1.0 / p)
+        dist = _lp_norm(np.abs(fs - gs), p, dx)
         g_prime = float(np.abs(np.diff(gs)).max() / dx)
         best = min(best, dist ** (alpha / (alpha + 1.0)) + delta * g_prime)
     return best

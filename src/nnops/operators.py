@@ -33,22 +33,30 @@ Each row then carries a certificate:
   taken in another order the row differs from the dense one by at most
   2^-52 + 2^-45 * |dense|.
 
-A max-min or max-product chunk of rows (below) whose rows reach fewer than
-2^16 nodes at the cap narrows h to the smallest h below the cap with
-phi(h) <= v_floor phi(2), v_floor the least value of those nodes.  In exact
-arithmetic its rows pass their certificate: the max-weight node has
-w / d = 1, so the result is at least its value, so at least v_floor; a
-dropped node weighs at most phi(h), the kernel being even and
-non-increasing; and d >= phi(2), as the window holds a node within distance
-2 of every x.  So edge / d <= v_floor <= result.  A chunk of an unsorted or
-sparse grid that reaches 2^16 nodes or more keeps the cap and reads no node
-values.  In the denoising sweep (logistic at scale 0.1, n = 2000, a cap of
-50) the windows are 38 to 102 nodes wide, 67 per row on average.
+Rows go in ascending x (an unsorted grid is sorted first and its results put
+back), in chunks of as many rows as 2^16 window weights hold, one loop for
+every path.  Each chunk cuts its cost by the node values its rows reach: the
+max families narrow h, and linear rows may be summed by parts (both below).
+A row's result depends only on its own x, so neither the order nor the
+chunks move a bit; the order keeps each chunk's reach near its rows, where a
+chunk of a shuffled grid would reach nearly every node.
+
+A max-min or max-product chunk whose rows reach fewer than 2^16 nodes at the
+cap narrows h to the smallest h below the cap with phi(h) <= v_floor phi(2),
+v_floor the least value of those nodes.  In exact arithmetic its rows pass
+their certificate: the max-weight node has w / d = 1, so the result is at
+least its value, so at least v_floor; a dropped node weighs at most phi(h),
+the kernel being even and non-increasing; and d >= phi(2), as the window
+holds a node within distance 2 of every x.  So edge / d <= v_floor <=
+result.  A chunk of a sparse grid that reaches 2^16 nodes or more keeps the
+cap and reads no node values.  In the denoising sweep (logistic at scale
+0.1, n = 2000, a cap of 50) the windows are 38 to 102 nodes wide, 67 per row
+on average.
 
 A row that fails its certificate (for instance one whose node values vanish
 across its window) is evaluated again on all K nodes, as without windowing;
 a vanishing denominator there raises :class:`ZeroDenominatorError` with the
-row's grid index.
+smallest such grid index.
 
 Linear rows can instead be summed by parts, at a cost set by the node
 values' jumps rather than the window.  The kernel is
@@ -73,10 +81,14 @@ v_{L-m+1} .. v_{L+m}, to which the differences at every j <= L telescope
 It costs N + 4m tanh evaluations, N its nonzero differences in reach,
 against the window's 2h + 2 weights, and takes this path when
 2 (N + 4m) is below the window width: where every difference is nonzero
-(noisy data), a term took 1.7 times a weight's time.  The choice depends
-only on the row's own x and the node data.  Each row adds its terms one
-after another, padded to its block's longest row by exact zeros, so its
-result does not depend on the rows around it.
+(noisy data), a term took 1.7 times a weight's time.  A chunk takes the
+node values from its lowest row's L - m + 1 to its highest row's
+L + 2R + m, zero outside k_lo..k_hi, and chooses the path once per
+floor(t), on which a row's path and terms alone depend.  Each row adds its
+terms one after another, padded to its chunk's longest row by exact zeros,
+so its result does not depend on the rows around it.  A row on this path
+has 2 (N + 4m) below the width, so a chunk's rows hold fewer than 2^15
+terms of each kind (N, and 2m node values) with no further bound.
 
 To first order in u = 2^-53, and with tanh within 2 ulps, each doubled
 sigma is within 4u, each partial sum of the doubled numerator lies in
@@ -103,7 +115,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -323,28 +334,13 @@ def _twice_sigma(y: np.ndarray) -> np.ndarray:
     return y
 
 
-class _ByParts(NamedTuple):
-    """What a linear row needs for summation by parts (see the module
-    docstring): the nonzero differences d_j = v_{j+m} - v_{j-m} at their
-    nodes ``jumps``, and the node values padded by 2m zeros on each side.
-    A NamedTuple, as a dataclass takes a millisecond to create at import."""
-
-    m: int  # 1/c
-    s: float  # g(j) = sigma(s (t - j)): s = c for tanh, c/2 for logistic
-    reach: int  # g(j) is exactly 1 at j <= floor(t) - reach, 0 past floor(t) + reach
-    k_lo: int
-    k_hi: int
-    jumps: np.ndarray
-    diffs: np.ndarray
-    padded: np.ndarray
-
-
-def _by_parts(spec: OperatorSpec, data: NodeData, width: int) -> _ByParts | None:
-    """The summation-by-parts plan of a linear spec whose kernel is logistic
-    or tanh at a scale c with m = 1/c a whole number, or None: for other
-    specs, where the computed sigma is not exactly 1 and 0 at +-_CUT, and
-    where no row would cost less than its ``width`` weights by parts.  The
-    plan holds 8 B a node and 16 B a nonzero difference."""
+def _by_parts(spec: OperatorSpec, width: int):
+    """(m, s, reach) of a linear spec whose kernel is logistic or tanh at a
+    scale c with m = 1/c whole: g(j) = sigma(s (t - j)), s = c for tanh and
+    c/2 for logistic, is exactly 1 at j <= floor(t) - reach and 0 past
+    floor(t) + reach.  None for other specs, where the computed sigma is not
+    exactly 1 and 0 at +-_CUT, and where no row could cost less than its
+    ``width`` weights by parts (see the module docstring)."""
     k = spec.kernel
     if (spec.family != "linear" or k.variant not in ("logistic", "tanh")
             or not 1.0 <= 1.0 / k.scale < width / (4 * _TERM_COST)):
@@ -358,64 +354,58 @@ def _by_parts(spec: OperatorSpec, data: NodeData, width: int) -> _ByParts | None
     reach = math.ceil(_CUT / s)
     while reach * s < _CUT:  # so that fl(t - j) s >= _CUT at j <= floor(t) - reach
         reach += 1
-    padded = np.zeros(len(data.values) + 4 * m)
-    padded[2 * m:2 * m + len(data.values)] = data.values
-    diffs = padded[2 * m:] - padded[:-2 * m]  # d_j at j = k_lo - m + index
+    return m, s, reach
+
+
+def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarray):
+    """Fill ``y`` at the rows of a chunk at t = n x whose summation by parts
+    costs less than their window's ``width`` weights (see the module
+    docstring); return the other rows and the rows whose denominator
+    vanished.  Numerator and denominator are both doubled, which rounds
+    alike, so that 2g(j) = tanh(s (t - j)) + 1 needs no halving."""
+    m, s, reach = parts
+    f0, f1 = math.floor(t.min()), math.floor(t.max())
+    # v_i at i = base + index up to f1 + reach + m, which overlaps
+    # k_lo..k_hi, as every row lies within 2 nodes of it and reach >= 20
+    base = f0 - reach - m + 1
+    v = np.zeros(f1 - f0 + 2 * (reach + m))
+    lo, hi = max(data.k_lo, base), min(data.k_hi + 1, base + len(v))
+    v[lo - base:hi - base] = data.values[lo - data.k_lo:hi - data.k_lo]
+    # d_j = v_{j+m} - v_{j-m} at j = f0 - reach + 1 + index; a row at
+    # floor(t) = f0 + r reads its nonzero ones at index r .. r + 2 reach - 1
+    diffs = v[2 * m:] - v[:-2 * m]
     nonzero = np.flatnonzero(diffs)
-    jumps = data.k_lo - m + nonzero
-    # 2 reach more d_j = 0 at j = inf, out of every row's reach, on which rows
-    # pad their terms
-    pad = np.zeros(2 * reach)
-    plan = _ByParts(m, s, reach, data.k_lo, data.k_hi, np.concatenate([jumps, pad + np.inf]),
-                    np.concatenate([diffs[nonzero], pad]), padded)
-    # no plan where no row could take it.  floor(n x) runs from floor(n a) to
-    # floor(n b), and a row's count falls only where floor(n x) - reach
-    # passes a difference, so the least count is at floor(n a) or at one of
-    # those floors
-    first, last = math.floor(spec.n * spec.domain.a), math.floor(spec.n * spec.domain.b)
-    floors = np.append(jumps + reach, first).astype(float)
-    count = _by_parts_rows(plan, floors[(floors >= first) & (floors <= last)])[1]
-    return plan if (_TERM_COST * (count + 4 * m) < width).any() else None
-
-
-def _by_parts_rows(plan: _ByParts, t: np.ndarray):
-    """The first of each row's nonzero differences in reach, and their count."""
-    ft = np.floor(t)
-    first = np.searchsorted(plan.jumps, ft - (plan.reach - 1))
-    count = np.searchsorted(plan.jumps, ft + plan.reach, side="right") - first
-    return first, count
-
-
-def _eval_by_parts(plan: _ByParts, t: np.ndarray, first: np.ndarray, count: np.ndarray):
-    """Rows at t = n x by summation by parts: outputs and the mask of rows
-    whose denominator is positive.
-
-    Numerator and denominator are both doubled, which rounds alike, so that
-    2g(j) = tanh(s (t - j)) + 1 needs no halving.  Each row sums its terms
-    one after another, padded by exact zeros to the block's longest row, so
-    its result does not depend on the block."""
-    m, s = plan.m, plan.s
-    # the 2m node values v_i, i = L - m + 1 .. L + m with L = floor(t) - reach,
-    # whose differences telescope over every j <= L, where g(j) = 1; a window
-    # wholly past either end is clipped onto the zeros there
-    start = np.clip(np.floor(t) - (plan.reach + m - 1), plan.k_lo - 2 * m, plan.k_hi + 1)
-    idx = (start - (plan.k_lo - 2 * m)).astype(np.intp)
-    numer = _sum_terms(plan.padded[idx + np.arange(2 * m)[:, None]])
+    r = np.arange(f1 - f0 + 1)
+    first = np.searchsorted(nonzero, r)
+    count = np.searchsorted(nonzero, r + 2 * reach) - first
+    at = (np.floor(t) - f0).astype(np.intp)
+    mine = (_TERM_COST * (count + 4 * m) < width)[at]
+    rows = np.flatnonzero(mine)
+    if not len(rows):
+        return np.flatnonzero(~mine), rows
+    t, at = t[rows], at[rows]
+    first, count = first[at], count[at]
+    # the 2m node values v_{L-m+1} .. v_{L+m}, L = floor(t) - reach, whose
+    # differences telescope over every j <= L, where g(j) = 1
+    numer = _sum_terms(v[at + np.arange(2 * m)[:, None]])
     numer *= 2.0
-    q = np.arange(count.max(initial=0))[:, None]
-    if len(q):
+    longest = count.max()
+    if longest:
         # past a row's count its terms lie beyond its reach, where g = 0, or
-        # on the padding, where d_j = 0
-        at = first + q
-        g = np.subtract(t, plan.jumps[at])
+        # on the padding at j = inf, where g = d_j = 0
+        jumps = np.append(f0 - reach + 1 + nonzero, np.full(longest, np.inf))
+        d = np.append(diffs[nonzero], np.zeros(longest))
+        q = first + np.arange(longest)[:, None]
+        g = np.subtract(t, jumps[q])
         g *= s
         g = _twice_sigma(g)
-        g *= plan.diffs[at]
+        g *= d[q]
         numer += _sum_terms(g)
     q = np.arange(2 * m)[:, None]
-    denom = (_sum_terms(_twice_sigma((t - (plan.k_lo - m + q)) * s))
-             - _sum_terms(_twice_sigma((t - (plan.k_hi - m + 1 + q)) * s)))
-    return numer / np.where(denom > 0.0, denom, 1.0), denom > 0.0
+    denom = (_sum_terms(_twice_sigma((t - (data.k_lo - m + q)) * s))
+             - _sum_terms(_twice_sigma((t - (data.k_hi - m + 1 + q)) * s)))
+    y[rows] = numer / np.where(denom > 0.0, denom, 1.0)
+    return np.flatnonzero(~mine), rows[denom <= 0.0]
 
 
 def _sum_terms(block: np.ndarray) -> np.ndarray:
@@ -426,63 +416,23 @@ def _sum_terms(block: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _eval_split(spec, data, xs, half, plan):
-    """Evaluate linear rows by summation by parts where that is cheaper than
-    the window (see :func:`_by_parts_chunk`), and the others by
-    :func:`_eval_windows`, in chunks of about _CHUNK / 16 rows, a whole
-    number of its chunks.  Returns as :func:`_eval_windows`.
-    """
-    width = min(2 * half + 2, len(data.values))
-    step = _CHUNK // width * max(1, width // 16)
-    out = np.empty(len(xs))
-    failed = [np.empty(0, dtype=np.intp)]
-    for start in range(0, len(xs), step):
-        chunk = xs[start:start + step]
-        rest, bad = _by_parts_chunk(plan, spec.n * chunk, width, out[start:start + step])
-        failed.append(start + bad)
-        if len(rest):
-            if len(rest) < len(chunk):
-                chunk = chunk[rest]
-            out[start + rest], bad = _eval_windows(spec, data, chunk, half, False)
-            failed.append(start + rest[bad])
-    return out, np.concatenate(failed)
-
-
-def _by_parts_chunk(plan, t, width, y):
-    """Fill ``y`` at the rows of t = n x whose summation by parts costs less
-    than their window: _TERM_COST times the nonzero differences in reach
-    plus the 4m end terms, below the window's weights.  Returns the other
-    rows and the rows whose denominator vanished.
-
-    The rows go in blocks of at most _CHUNK / 2 terms, as three such blocks
-    are alive at once; the chunk's row-length arrays die on return, before
-    the caller evaluates the other rows.
-    """
-    first, count = _by_parts_rows(plan, t)
-    mine = _TERM_COST * (count + 4 * plan.m) < width
-    rows = np.flatnonzero(mine)
-    per = (_CHUNK // 2) // max(count[rows].max(initial=0), 2 * plan.m)
-    failed = [np.empty(0, dtype=np.intp)]
-    for i in range(0, len(rows), per):
-        r = rows[i:i + per]
-        y[r], ok = _eval_by_parts(plan, t[r], first[r], count[r])
-        failed.append(r[~ok])
-    return np.flatnonzero(~mine), np.concatenate(failed)
-
-
 def _eval_windows(spec, data, xs, half, narrow):
     """Evaluate every x on the window of min(2h + 2, K) of the K nodes
     starting at floor(n*x) - h, clipped into k_lo..k_hi, in chunks of as
     many rows as _CHUNK weights hold at h = ``half``.
 
-    With ``narrow`` (the max families) each chunk narrows h below ``half``
-    by the node floor it reaches (see the module docstring).  Returns the
-    outputs and the indices of the rows that failed their certificate.  A
-    window of every node drops nothing, so there only rows whose denominator
-    vanished fail.
+    With ``narrow`` each chunk cuts its cost by the node values it reaches
+    (see the module docstring): the max families narrow h below ``half`` by
+    their node floor, and linear rows are summed by parts where that costs
+    less than the window.  Returns the outputs and the rows that failed
+    their certificate; on a window of every node only a vanished denominator
+    fails.
     """
     nodes = len(data.values)
-    step = max(1, _CHUNK // min(2 * half + 2, nodes))
+    width = min(2 * half + 2, nodes)
+    step = max(1, _CHUNK // width)
+    parts = _by_parts(spec, width) if narrow else None
+    narrow = narrow and spec.family != "linear"
     if narrow:
         phis = eval_kernel(spec.kernel, np.arange(min(half, _CHUNK), dtype=float))
         phi2 = phi_floor(spec.kernel)
@@ -499,13 +449,21 @@ def _eval_windows(spec, data, xs, half, narrow):
             if hi - lo < _CHUNK:
                 below = np.flatnonzero(phis <= data.values[lo:hi].min() * phi2)
                 h = int(below[0]) if len(below) else half
-        out[sl], passed = _eval_chunk(spec, data, chunk, h)
-        failed.append(start + np.flatnonzero(~passed))
+        elif parts:
+            rows, bad = _eval_by_parts(data, parts, spec.n * chunk, width, out[sl])
+            failed.append(start + bad)
+            if len(rows) < len(chunk):  # the other rows take their windows
+                if len(rows):
+                    out[start + rows], bad = _eval_chunk(spec, data, chunk[rows], h)
+                    failed.append(start + rows[bad])
+                continue
+        out[sl], bad = _eval_chunk(spec, data, chunk, h)
+        failed.append(start + bad)
     return out, np.concatenate(failed)
 
 
 def _eval_chunk(spec, data, xs, half):
-    """One chunk of :func:`_eval_windows`: outputs and certificate mask.
+    """One chunk of :func:`_eval_windows`: outputs and failed rows.
 
     The weights are laid out (nodes, rows) for :func:`_combine`; linear's are
     computed (rows, nodes) and passed as a transposed view (see the module
@@ -534,7 +492,7 @@ def _eval_chunk(spec, data, xs, half):
         passed = len(values) * edge <= 2.0**-53 * denom
     else:
         passed = y >= edge / np.where(denom > 0.0, denom, 1.0)
-    return y, passed & (denom > 0.0)
+    return y, np.flatnonzero(~(passed & (denom > 0.0)))
 
 
 def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:
@@ -543,9 +501,10 @@ def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:
     Each row combines only the nodes its kernel window reaches, or a linear
     row the jumps of the node values in its reach; a row that fails its
     certificate is evaluated again on every node (see the module
-    docstring).  A row's result depends only on its own x, so this is
-    bitwise identical to mapping :func:`eval_operator` pointwise.  Errors
-    carry the offending grid index.
+    docstring).  Rows go in ascending x, an unsorted grid sorted first and
+    its results put back.  A row's result depends only on its own x, so
+    this is bitwise identical to mapping :func:`eval_operator` pointwise.
+    Errors carry the smallest offending grid index.
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1:
@@ -557,17 +516,18 @@ def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:
         raise ValueError(f"grid[{i}]={xs[i]} outside the domain [{d.a}, {d.b}]")
     _check_data(spec, data)
     nodes = len(data.values)
-    half = _half_width(spec, nodes)
-    plan = _by_parts(spec, data, min(2 * half + 2, nodes))
-    if plan is None:
-        out, failed = _eval_windows(spec, data, xs, half, spec.family != "linear")
-    else:
-        out, failed = _eval_split(spec, data, xs, half, plan)
+    # in ascending x each chunk reads only the nodes around its own rows
+    order = None if np.all(xs[1:] >= xs[:-1]) else np.argsort(xs)
+    ys = xs if order is None else xs[order]
+    out, failed = _eval_windows(spec, data, ys, _half_width(spec, nodes), True)
     if len(failed):
-        out[failed], still = _eval_windows(spec, data, xs[failed], nodes, False)
+        out[failed], still = _eval_windows(spec, data, ys[failed], nodes, False)
         failed = failed[still]
+    if order is not None:  # the sorted copy takes the results in grid order
+        ys[order], failed = out, order[failed]
+        out = ys
     if len(failed):
-        i = int(failed[0])
+        i = int(failed.min())
         raise ZeroDenominatorError(
             f"ZeroDenominator: all kernel weights vanish at "
             f"x={float(xs[i])!r} (grid index {i})"

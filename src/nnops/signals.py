@@ -9,7 +9,6 @@ mapped signal.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -174,15 +173,6 @@ def _csv_value(path, i: int, row: list, col: int) -> float:
     return value
 
 
-def signal_to_csv(s: Signal) -> str:
-    """``x,value`` rows with 17 significant digits, under that header."""
-    buf = io.StringIO()
-    buf.write("x,value\n")
-    for x, v in zip(s.grid, s.samples):
-        buf.write(f"{x:.17g},{v:.17g}\n")
-    return buf.getvalue()
-
-
 def sample_function(f, domain: Domain, num_samples: int) -> Signal:
     """Sample a callable on the inclusive uniform grid of ``num_samples``.
 
@@ -192,44 +182,6 @@ def sample_function(f, domain: Domain, num_samples: int) -> Signal:
         raise ValueError("need at least 2 samples")
     xs = np.linspace(domain.a, domain.b, num_samples)
     return Signal(domain, np.asarray(f(xs), dtype=float))
-
-
-def synthetic_ecg(num_samples: int = 1600, beats: int = 5) -> Signal:
-    """Deterministic ECG-like trace: per beat a tall narrow R spike, small
-    Q/S dips, and broader P and T bumps, all Gaussian, on a flat baseline.
-
-    Values stay inside [0, 1]; the real thing (for instance record 101 of a
-    public arrhythmia database) can be loaded with :func:`load_signal_csv`
-    after export to CSV.
-    """
-    if beats < 1:
-        raise ValueError("need at least one beat")
-    xs = np.linspace(0.0, 1.0, num_samples)
-    period = 1.0 / beats
-    # (amplitude, center offset within the beat, width), in beat periods
-    waves = (
-        (0.07, -0.22, 0.045),  # P
-        (-0.05, -0.06, 0.012),  # Q
-        (0.52, 0.0, 0.016),  # R
-        (-0.08, 0.06, 0.014),  # S
-        (0.13, 0.26, 0.07),  # T
-    )
-    out = np.full(num_samples, 0.32)
-    wave = np.empty(num_samples)
-    for i in range(beats):
-        center = (i + 0.5) * period
-        for amp, off, width in waves:
-            # amp exp(-((xs - mu) / w)^2 / 2), bit for bit, in one array
-            np.subtract(xs, center + off * period, out=wave)
-            wave /= width * period
-            wave *= wave
-            wave *= -0.5
-            np.exp(wave, out=wave)
-            wave *= amp
-            out += wave
-    np.clip(out, 0.0, 1.0, out=out)
-    out.setflags(write=False)
-    return Signal(Domain(0.0, 1.0), out)
 
 
 def holder_test_function(beta: float, domain: Domain = Domain(0.0, 1.0)):

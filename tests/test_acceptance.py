@@ -28,12 +28,12 @@ from nnops import (
     holder_test_function,
     make_kernel,
     node_bounds,
-    partition_of_unity_defect,
     phi_floor,
     step_test_function,
 )
 from nnops.cli import main as cli_main
 from nnops.experiments import TABLE_FAMILIES, denoise_sweep, error_table, rate_sweep
+from helpers import partition_of_unity_defect
 
 UNIT = Domain(0.0, 1.0)
 

@@ -25,12 +25,12 @@ from nnops import (
     make_kernel,
     normalize_to_unit,
     rate_exponent_holder,
-    signal_to_csv,
     lp_error,
     step_test_function,
 )
 from nnops.cli import build_parser, main
 from nnops.experiments import RateSweep, denoise_sweep, rate_sweep
+from helpers import signal_to_csv
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "approximate_golden.csv"
 ECG = Path(__file__).resolve().parent.parent / "data" / "ecg_synthetic.csv"

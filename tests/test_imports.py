@@ -59,14 +59,22 @@ def _unread_privates(sources: dict[str, str]) -> list[str]:
                 names = []
             defined += [f"{module}: {name}" for name in names
                         if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+        read |= _reads(tree)
     return [entry for entry in defined if entry.split(": ")[1] not in read]
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """The names ``tree`` reads: as a name, as an attribute, or through a
+    ``from`` import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
 
 
 def test_the_scan_finds_an_unread_private_name():
@@ -81,3 +89,27 @@ def test_the_scan_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     assert _unread_privates(sources) == []
+
+
+def _unread_exports(init: str, sources: dict[str, str]) -> list[str]:
+    """Names that ``init`` re-exports through a ``from`` import and that no
+    source in ``sources`` reads: a public name that only front ends outside
+    the package could call, such as a helper only the tests use."""
+    exported = [alias.asname or alias.name for node in ast.parse(init).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    read = set().union(*(_reads(ast.parse(source)) for source in sources.values()))
+    return [name for name in exported if name not in read]
+
+
+def test_the_scan_finds_an_unread_export():
+    init = "from .a import f, g\nfrom .b import h as k\n__version__ = '1'\n"
+    sources = {"a.py": "def f():\n    return 1\ndef g():\n    return f()\n",
+               "b.py": "def h():\n    return 2\n",
+               "c.py": "import a\ndef run():\n    return a.g()\n"}
+    assert _unread_exports(init, sources) == ["k"]
+
+
+def test_every_export_is_read_inside_the_package_or_by_the_benchmark():
+    paths = [*MODULES, *(SRC.parent.parent / "perfbench").glob("*.py")]
+    sources = {str(path): path.read_text() for path in paths}
+    assert _unread_exports((SRC / "__init__.py").read_text(), sources) == []

@@ -17,10 +17,10 @@ from nnops import (
     eval_grid,
     eval_kernel,
     make_kernel,
-    partition_of_unity_defect,
     phi_floor,
 )
 from nnops import cli, kernels, operators
+from helpers import partition_of_unity_defect
 from conftest import NONCOMPACT, VARIANTS
 
 

@@ -18,6 +18,7 @@ from nnops import (
     phi_floor,
     rate_exponent_holder,
 )
+from nnops.experiments import rate_sweep
 
 UNIT = Domain(0.0, 1.0)
 TANH = make_kernel("tanh")
@@ -54,6 +55,12 @@ class TestNorms:
         assert lp_error(_const(1.0), _const(0.0), 2.0, wide, 1000) == pytest.approx(
             2.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("p", [1e3, 1e4, 1e300])
+    def test_large_p_does_not_underflow(self, p):
+        # 0.5^p underflows to 0 from p = 1075 on: the norm factors out max |d|
+        assert lp_error(_const(0.5), _const(0.0), p, UNIT) == pytest.approx(0.5, abs=1e-12)
+        assert lp_error(_const(0.0), _const(0.0), p, UNIT) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -263,6 +270,20 @@ class TestKFunctional:
         # the identity is its own best C^1 candidate: the estimate should be
         # close to delta * 1 once a near-identity smoothing width is tried
         assert kfunctional_upper(lambda xs: np.asarray(xs), 0.05, 1.0, UNIT, 1.0) <= 0.08
+
+    @pytest.mark.parametrize("p", [1e3, 1e4, 1e300])
+    def test_large_p_does_not_underflow(self, step, p):
+        # on a unit interval the distance of each candidate grows with p, and
+        # near delta = 0 the estimate is that distance^(1/2); |f - g| < 1
+        # underflows in |f - g|^p unless its max is factored out
+        low = kfunctional_upper(step, 1e-9, 100.0, UNIT, 1.0)
+        assert low > 0.5
+        assert kfunctional_upper(step, 1e-9, p, UNIT, 1.0) >= low
+
+    def test_bounds_above_errors_on_step_at_large_p(self, step):
+        sweep = rate_sweep("step", step, "maxmin", "kantorovich", TANH, UNIT, [10, 20, 40],
+                           1000.0, 100_000, None)
+        assert all(b >= e for b, e in zip(sweep.bounds, sweep.errors)), sweep
 
     def test_upper_estimate_decreases_with_delta(self, step):
         e1 = kfunctional_upper(step, 0.2, 1.0, UNIT, 1.0)

@@ -24,6 +24,7 @@ from nnops import (
     sample_node_values,
 )
 from nnops import operators
+from helpers import traced_peak
 
 TANH = make_kernel("tanh")
 RAMP = make_kernel("ramp")
@@ -225,6 +226,28 @@ class TestEvalGrid:
             assert np.all(out == value)
             assert peak < 32 * 2**20, value
 
+    def test_one_point_reads_only_its_reach(self, step):
+        # summation by parts takes the node values its rows reach, not all
+        # 1e5 of them
+        spec = _spec(family="linear", n=100_000)
+        data = cell_averages_exact(step, UNIT, 100_000)
+        assert _by_parts_rows(spec, data, [0.37])[0].all()
+        out, peak = traced_peak(lambda: eval_operator(spec, data, 0.37))
+        assert out == eval_grid(spec, data, [0.37])[0]
+        assert peak < 64 * 2**10
+
+    def test_shuffled_grid_evaluated_in_ascending_x(self, step):
+        # a shuffled grid is sorted first, so no chunk reaches the whole node
+        # range; each row's bits are those of the sorted grid
+        spec = _spec(family="linear", n=10**6)
+        data = cell_averages_exact(step, UNIT, 10**6)
+        xs = np.linspace(0.0, 1.0, 10**5)
+        order = np.random.default_rng(6).permutation(len(xs))
+        shuffled = xs[order]
+        out, peak = traced_peak(lambda: eval_grid(spec, data, shuffled))
+        assert peak < 8 * 2**20
+        assert np.array_equal(out, eval_grid(spec, data, xs)[order])
+
     def test_cost_follows_kernel_width(self, monkeypatch, step):
         evaluated = []
 
@@ -248,7 +271,7 @@ class TestEvalGrid:
         eval_grid(spec, NodeData(0, 19_999, values), xs)
         assert sum(evaluated) == 5 + 256 * 12
         # linear rows summed by parts evaluate sigma, not the kernel: each
-        # row its nonzero differences in reach, padded to its block's
+        # row its nonzero differences in reach, padded to its chunk's
         # longest row, plus the 4m = 4 end terms of its denominator; 2 more
         # check once per call that sigma saturates.  The kernel is evaluated
         # only by the bisection for h: two weights for each of at most
@@ -387,14 +410,21 @@ def _step_with_noisy_stretch(step, n):
 
 def _by_parts_rows(spec, data, xs):
     """Which rows eval_grid sums by parts, each row's nonzero differences in
-    reach, and m = 1/c; no row without a plan."""
+    reach, and m = 1/c; no row where the spec cannot be summed by parts.
+    The differences d_j = v_{j+m} - v_{j-m}, v zero outside k_lo..k_hi, are
+    counted over every node, independently of eval_grid's chunks."""
     nodes = len(data.values)
     width = min(2 * operators._half_width(spec, nodes) + 2, nodes)
-    plan = operators._by_parts(spec, data, width)
-    if plan is None:
+    parts = operators._by_parts(spec, width)
+    if parts is None:
         return np.zeros(len(xs), dtype=bool), np.zeros(len(xs), dtype=int), 0
-    count = operators._by_parts_rows(plan, spec.n * np.asarray(xs))[1]
-    return operators._TERM_COST * (count + 4 * plan.m) < width, count, plan.m
+    m, _, reach = parts
+    padded = np.concatenate([np.zeros(2 * m), data.values, np.zeros(2 * m)])
+    jumps = data.k_lo - m + np.flatnonzero(padded[2 * m:] - padded[:-2 * m])
+    ft = np.floor(spec.n * np.asarray(xs))
+    count = (np.searchsorted(jumps, ft + reach, side="right")
+             - np.searchsorted(jumps, ft - (reach - 1)))
+    return operators._TERM_COST * (count + 4 * m) < width, count, m
 
 
 def _half_width_scan(k, nodes):

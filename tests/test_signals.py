@@ -1,4 +1,3 @@
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,25 +14,14 @@ from nnops import (
     holder_test_function,
     load_signal_csv,
     normalize_to_unit,
-    signal_to_csv,
     step_test_function,
-    synthetic_ecg,
 )
 from nnops import signals
 from nnops.kernels import _CHUNK
+from helpers import signal_to_csv, synthetic_ecg, traced_peak
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 UNIT = Domain(0.0, 1.0)
-
-
-def _peak(make):
-    """What ``make()`` returns, and the peak of memory it allocated."""
-    tracemalloc.start()
-    try:
-        out = make()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestStepTestFunction:
@@ -145,7 +133,7 @@ class TestNormalization:
         # by the Signal, bit for bit the plain formula
         n = 10**6
         s = Signal(UNIT, np.random.default_rng(6).uniform(-3.0, 5.0, n))
-        (mapped, lo, gain), peak = _peak(lambda: normalize_to_unit(s))
+        (mapped, lo, gain), peak = traced_peak(lambda: normalize_to_unit(s))
         assert peak <= 8 * n + 64 * _CHUNK
         assert mapped.samples.tobytes() == ((s.samples - lo) / gain).tobytes()
 
@@ -264,7 +252,7 @@ class TestCsvLoader:
         values = np.random.default_rng(7).uniform(0.0, 1.0, n)
         p = tmp_path / "big.csv"
         p.write_text("x,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
-        s, peak = _peak(lambda: load_signal_csv(p, column="value"))
+        s, peak = traced_peak(lambda: load_signal_csv(p, column="value"))
         assert peak <= 8 * n + 64 * _CHUNK
         assert np.array_equal(s.samples, values)
 
@@ -305,7 +293,7 @@ class TestSyntheticEcg:
         # 8 B a sample each for the grid, the output (adopted by the Signal)
         # and the one wave added at a time
         n = 10**6
-        _, peak = _peak(lambda: synthetic_ecg(n))
+        _, peak = traced_peak(lambda: synthetic_ecg(n))
         assert peak <= 3 * 8 * n + 64 * _CHUNK
 
     def test_unit_range_and_beats(self):
