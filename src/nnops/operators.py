@@ -36,7 +36,8 @@ Each row then carries a certificate:
 Rows go in ascending x (an unsorted grid is sorted first and its results put
 back), in chunks of as many rows as 2^16 window weights hold, one loop for
 every path.  Each chunk cuts its cost by the node values its rows reach: the
-max families narrow h, and linear rows may be summed by parts (both below).
+max families narrow h and take flat rows without weights, and linear rows
+may be summed by parts (all below).
 A row's result depends only on its own x, so neither the order nor the
 chunks move a bit; the order keeps each chunk's reach near its rows, where a
 chunk of a shuffled grid would reach nearly every node.
@@ -52,6 +53,28 @@ result.  A chunk of a sparse grid that reaches 2^16 nodes or more keeps the
 cap and reads no node values.  In the denoising sweep (logistic at scale
 0.1, n = 2000, a cap of 50) the windows are 38 to 102 nodes wide, 67 per row
 on average.
+
+Such a chunk that also holds more rows than the nodes it reaches writes
+v to each flat row without a weight: a row whose nodes within distance D of
+t = n x (ceil(t) - D .. floor(t) + D, clipped into k_lo..k_hi) all hold one
+value v, D >= 2 the least with fl(phi(D) / phi(2)) <= v.  That is the dense
+result to the bit.  The nearest node lies within distance 2 <= D, so in the
+run, and weighs the most, d >= phi(2); its term is min(v, d / d) =
+v (d / d) = v.  Every other node of the run gives at most v, as w / d <= 1,
+and every node beyond distance D at most fl(w / d) <= fl(phi(D) / phi(2))
+<= v, as w <= phi(D), its value is at most 1 and rounding is monotone.  So
+the rule needs the computed kernel even and non-increasing, which rules out
+``power``, and phi(2) > 0.  D runs over 2 .. h - 1 below the cap h, from the
+phi(0 .. h - 1) computed once per call, so a cap of 2 or less leaves no row
+flat.  Values are compared with ``!=``, under which -0.0 equals +0.0, and
+:class:`NodeData` stores +0.0 for every -0.0, so a flat row's zero has the
+dense row's sign.  In ascending t each run's flat rows are one stretch,
+found by two searches over the chunk's rows; the other rows keep their
+windows and certificate, as contiguous slices of the chunk, and a chunk
+without a flat row runs as if it had not looked.  On the error table's step
+(tanh, 1e5 points) 0, 50, 83, 90 and 97 % of the max-family rows are flat at
+n = 10, 30, 90, 150 and 500.  The denoising sweep's chunks and a sparse
+grid's reach more nodes than they hold rows, and do not look.
 
 A row that fails its certificate (for instance one whose node values vanish
 across its window) is evaluated again on all K nodes, as without windowing;
@@ -96,8 +119,9 @@ sigma is within 4u, each partial sum of the doubled numerator lies in
 and so a row on this path differs from the dense one by at most
 2^-50 m (N + 4m) / d + 2^-45 |dense|, d = sum_k phi(t - k) >= phi(2).
 Measured deviations are below 2e-15.  On the error table's step (tanh,
-n = 90, 150, 500) N is at most 15, 20 and 2, against windows of 48, 48
-and 50 weights, so only the rows with N = 20 at n = 150 keep their windows.
+n = 30, 90, 150, 500) N is at most 10, 4, 4 and 2, against windows of 30,
+48, 48 and 50 weights, so every row is summed by parts; at n = 10 the
+window of all 10 nodes is cheaper.
 
 Rows are evaluated in chunks laid out (nodes, rows), so every per-row
 reduction runs across contiguous rows; numpy reduces that shape an order of
@@ -177,7 +201,9 @@ class OperatorSpec:
 @dataclass(frozen=True)
 class NodeData:
     """Node values v_k for k in k_lo .. k_hi, all within [0, 1], read-only;
-    ``values`` is adopted or copied by :func:`read_only`."""
+    ``values`` is adopted or copied by :func:`read_only`.  Every -0.0 is
+    stored as +0.0 (in a copy, made only when one is found), so no output's
+    sign of zero depends on the path that computed it."""
 
     k_lo: int
     k_hi: int
@@ -185,15 +211,19 @@ class NodeData:
 
     def __post_init__(self) -> None:
         values = read_only(self.values)
-        object.__setattr__(self, "values", values)
         expected = self.k_hi - self.k_lo + 1
         if values.ndim != 1 or len(values) != expected:
             raise ValueError(
                 f"need {expected} node values for k in {self.k_lo}..{self.k_hi}, "
                 f"got {len(values)}"
             )
-        if len(values) and not (values.min() >= 0.0 and values.max() <= 1.0):
+        least = values.min(initial=1.0)
+        if not (least >= 0.0 and values.max(initial=0.0) <= 1.0):
             raise ValueError("node values must lie in [0, 1]")  # NaN fails too
+        if least == 0.0 and np.signbit(values).any():
+            values = values + 0.0  # -0.0 + 0.0 = +0.0
+            values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
 def read_only(a) -> np.ndarray:
@@ -416,6 +446,43 @@ def _sum_terms(block: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _eval_flat(data: NodeData, lo: int, reach: np.ndarray, t: np.ndarray, ratios, y):
+    """Fill ``y`` at the flat rows of a max-family chunk at ascending t = n x:
+    those whose nodes within distance D of t all hold one value v, with
+    fl(phi(D) / phi(2)) <= v (see the module docstring).  ``reach`` holds the
+    node values from k_lo + lo on, and ``ratios`` the negated fl(phi(D) /
+    phi(2)) for D = 2, 3, ....  Returns the (start, stop) of each stretch of
+    other rows, all of them in one stretch when no row is flat."""
+    # run r holds the nodes k_lo + lo + cuts[r] .. k_lo + lo + cuts[r + 1] - 1
+    cuts = np.flatnonzero(reach[1:] != reach[:-1]) + 1
+    if len(cuts) == len(reach) - 1 and data.k_lo + lo + len(reach) <= data.k_hi:
+        # every run is one node, as on noisy data; a row's nodes within
+        # distance D >= 2 are two or more, unless it lies past k_hi + 1
+        return [(0, len(t))]
+    cuts = np.concatenate(([0], cuts, [len(reach)])) + (data.k_lo + lo)
+    v = reach[cuts[:-1] - cuts[0]]
+    d = np.searchsorted(ratios, -v)  # D - 2 of each run; len(ratios) for none
+    run = np.flatnonzero(d < len(ratios))
+    d = d[run] + 2.0
+    # a row is flat on run r if ceil(t) - D and floor(t) + D, clipped into
+    # k_lo..k_hi, lie in the run: if first + D - 1 < t < stop - D, with
+    # first and stop its first node and the one past its last, each bound
+    # dropped where the run starts at k_lo or ends at k_hi
+    left = np.where(cuts[run] > data.k_lo, cuts[run] + d - 1.0, -np.inf)
+    right = np.where(cuts[run + 1] <= data.k_hi, cuts[run + 1] - d, np.inf)
+    first, last = np.searchsorted(t, left, "right"), np.searchsorted(t, right)
+    some = np.flatnonzero(first < last)
+    rest, end = [], 0
+    for a, b, value in zip(first[some], last[some], v[run[some]]):
+        y[a:b] = value
+        if end < a:
+            rest.append((end, a))
+        end = b
+    if end < len(t):
+        rest.append((end, len(t)))
+    return rest
+
+
 def _eval_windows(spec, data, xs, half, narrow):
     """Evaluate every x on the window of min(2h + 2, K) of the K nodes
     starting at floor(n*x) - h, clipped into k_lo..k_hi, in chunks of as
@@ -423,10 +490,10 @@ def _eval_windows(spec, data, xs, half, narrow):
 
     With ``narrow`` each chunk cuts its cost by the node values it reaches
     (see the module docstring): the max families narrow h below ``half`` by
-    their node floor, and linear rows are summed by parts where that costs
-    less than the window.  Returns the outputs and the rows that failed
-    their certificate; on a window of every node only a vanished denominator
-    fails.
+    their node floor and take flat rows without a window, and linear rows
+    are summed by parts where that costs less than the window.  Returns the
+    outputs and the rows that failed their certificate; on a window of every
+    node only a vanished denominator fails.
     """
     nodes = len(data.values)
     width = min(2 * half + 2, nodes)
@@ -436,19 +503,25 @@ def _eval_windows(spec, data, xs, half, narrow):
     if narrow:
         phis = eval_kernel(spec.kernel, np.arange(min(half, _CHUNK), dtype=float))
         phi2 = phi_floor(spec.kernel)
+        # -fl(phi(D) / phi(2)) for D = 2 .. len(phis) - 1, ascending
+        ratios = (-phis[2:] / phis[2] if len(phis) > 2 and phis[2] > 0.0
+                  and spec.kernel.variant != "power" else None)
     out = np.empty(len(xs))
     failed = [np.empty(0, dtype=np.intp)]
     for start in range(0, len(xs), step):
         sl = slice(start, start + step)
         chunk = xs[sl]
-        h = half
+        h, windowed = half, [(0, len(chunk))]  # the stretches of rows on windows
         if narrow:
             # the nodes lo .. hi - 1 past k_lo that the chunk's rows reach at half
             lo = max(math.floor(spec.n * chunk.min()) - half - data.k_lo, 0)
             hi = min(math.floor(spec.n * chunk.max()) + half + 2 - data.k_lo, nodes)
             if hi - lo < _CHUNK:
-                below = np.flatnonzero(phis <= data.values[lo:hi].min() * phi2)
+                reach = data.values[lo:hi]
+                below = np.flatnonzero(phis <= reach.min() * phi2)
                 h = int(below[0]) if len(below) else half
+                if ratios is not None and len(chunk) > hi - lo:
+                    windowed = _eval_flat(data, lo, reach, spec.n * chunk, ratios, out[sl])
         elif parts:
             rows, bad = _eval_by_parts(data, parts, spec.n * chunk, width, out[sl])
             failed.append(start + bad)
@@ -457,8 +530,9 @@ def _eval_windows(spec, data, xs, half, narrow):
                     out[start + rows], bad = _eval_chunk(spec, data, chunk[rows], h)
                     failed.append(start + rows[bad])
                 continue
-        out[sl], bad = _eval_chunk(spec, data, chunk, h)
-        failed.append(start + bad)
+        for a, b in windowed:
+            out[start + a:start + b], bad = _eval_chunk(spec, data, chunk[a:b], h)
+            failed.append(start + a + bad)
     return out, np.concatenate(failed)
 
 

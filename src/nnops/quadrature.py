@@ -26,12 +26,13 @@ BLAS matrix-vector product rounds a row by how many rows it is given).
 
 The exact rule sums only the cells a breakpoint cuts.  Two searches of a
 chunk's cell edges find, for each piece that meets the chunk, the run of
-cells wholly inside it; such a cell's overlap sum has one nonzero term,
-fl(w * v) with w = |cell|, and adding +0.0 is exact, so it takes (w * v) / w.
-The cut cells, the gaps between runs, are summed pairwise over a row of
-every piece, as the per-cell formula sums them, ``_CHUNK`` // pieces rows a
-block.  The step takes 0.5-0.7 ms at n = 1e5 and 6-7 ms at n = 1e6, 4096
-pieces 0.05-0.07 s at n = 1e5 (2 shared vCPUs).
+cells wholly inside it; such a cell's average is the piece's value v, and it
+takes v itself (the overlap formula's fl(fl(w * v) / w), w = |cell|, can lie
+an ulp off, so a constant piece would leave node values that differ).  The
+cut cells, the gaps between runs, are summed pairwise over a row of every
+piece and divided by their width, ``_CHUNK`` // pieces rows a block.  The
+step takes 0.3-0.5 ms at n = 1e5 and 4 ms at n = 1e6, 4096 pieces
+0.04-0.06 s at n = 1e5 (2 shared vCPUs).
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ class QuadratureRule:
 def cell_averages_exact(f: PiecewiseConstant, domain: Domain, n: int) -> NodeData:
     """Exact cell averages of a piecewise-constant function.
 
-    Each average is the breakpoint-overlap sum
-    sum_i |piece_i intersect cell| * value_i / |cell|, so no quadrature error
-    enters; only the final rounding of each closed-form sum remains.  Only
-    the cells a breakpoint cuts are summed (see the module docstring).
+    A cell inside one piece takes that piece's value; a cell a breakpoint
+    cuts, the overlap sum sum_i |piece_i intersect cell| * value_i / |cell|.
+    So no quadrature error enters; only the rounding of each cut cell's sum
+    remains (see the module docstring).
     """
     k_lo, k_hi = node_bounds("kantorovich", n, domain)
     edges = np.array((domain.a, *f.breakpoints, domain.b))
@@ -84,7 +85,6 @@ def cell_averages_exact(f: PiecewiseConstant, domain: Domain, n: int) -> NodeDat
     def averages(k0, k1, out):
         e = np.arange(k0, k1 + 1, dtype=float) / n  # the bits of k / n
         lo, hi = e[:-1], e[1:]
-        w = hi - lo
         # pieces p0 .. p1 - 1 meet the chunk, and piece p0 + i holds the run
         # of cells first[i] .. last[i] - 1 whole
         p0 = int(np.searchsorted(edges, lo[0], "right")) - 1
@@ -94,15 +94,14 @@ def cell_averages_exact(f: PiecewiseConstant, domain: Domain, n: int) -> NodeDat
         cut, end = [], 0  # the cut cells: the gaps between runs
         for v, i, j in zip(values[p0:p1], first, last):
             cut += range(end, i)
-            np.multiply(w[i:j], v, out=out[i:j])
+            out[i:j] = v
             end = max(i, j)  # a piece narrower than a cell has j < i
         for b in range(0, len(cut), rows):
             c = cut[b:b + rows]
             terms = np.minimum(hi[c, None], edges[1:])
             terms -= np.maximum(lo[c, None], edges[:-1])
             np.clip(terms, 0.0, None, out=terms)
-            out[c] = np.multiply(terms, values, out=terms).sum(axis=1)
-        out /= w
+            out[c] = np.multiply(terms, values, out=terms).sum(axis=1) / (hi[c] - lo[c])
 
     return _by_cells(k_lo, k_hi, _EXACT_WIDTH, averages)
 

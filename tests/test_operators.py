@@ -40,6 +40,12 @@ def _const_data(spec, c):
     return NodeData(k_lo, k_hi, np.full(k_hi - k_lo + 1, c))
 
 
+def _alternating_data(spec, c):
+    """Node values c and 1 in turn: node floor c, and no max-family row flat."""
+    k_lo, k_hi = node_bounds(spec.mode, spec.n, spec.domain)
+    return NodeData(k_lo, k_hi, np.where(np.arange(k_hi - k_lo + 1) % 2, 1.0, c))
+
+
 class TestDomain:
     @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
                                       (0.0, np.nan)])
@@ -257,12 +263,26 @@ class TestEvalGrid:
 
         monkeypatch.setattr(operators, "eval_kernel", counting)
         xs = np.linspace(0.0, 1.0, 256)
-        spec = _spec(n=20_000)
         # the window's half-width caps at h = ceil(decay_l) = 5; phi(0..4) are
         # computed once, and at a node floor of 0.5 the first h < 5 with
-        # phi(h) <= 0.5 phi(2) is 3, so each row takes 2h + 2 = 8 weights
-        eval_grid(spec, _const_data(spec, 0.5), xs)
+        # phi(h) <= 0.5 phi(2) is 3, so each row takes 2h + 2 = 8 weights.
+        # Node values 0.5 and 1 in turn leave no row flat, at any n
         assert math.ceil(TANH.decay_l) == 5
+        for n in (100, 20_000):
+            spec = _spec(n=n)
+            evaluated.clear()
+            eval_grid(spec, _alternating_data(spec, 0.5), xs)
+            assert sum(evaluated) == 5 + 256 * 8, n
+        # constant data at n = 100: each chunk holds more rows than the nodes
+        # it reaches, so it looks for flat rows, and every row is flat and
+        # takes no weight; at n = 20_000 the chunk reaches more nodes than it
+        # has rows and keeps its windows
+        evaluated.clear()
+        eval_grid(_spec(n=100), _const_data(_spec(n=100), 0.5), xs)
+        assert sum(evaluated) == 5
+        evaluated.clear()
+        spec = _spec(n=20_000)
+        eval_grid(spec, _const_data(spec, 0.5), xs)
         assert sum(evaluated) == 5 + 256 * 8
         evaluated.clear()
         # one zero node within the chunk's reach keeps h at 5
@@ -319,8 +339,10 @@ class TestEvalGrid:
     @pytest.mark.parametrize("variant", ["logistic", "tanh"])
     def test_window_narrows_to_node_floor(self, monkeypatch, variant, mode, family):
         # every row takes 2h + 2 nodes, h the first h below ceil(decay_l)
-        # with phi(h) <= c phi(2) on constant data c, and none falls back to
-        # every node
+        # with phi(h) <= c phi(2) on node values c and 1 in turn, where no
+        # row is flat, and none falls back to every node; on constant data c
+        # and a grid of more rows than nodes the rows are flat and take no
+        # weight
         shapes = []
 
         def counting(k, x):
@@ -330,6 +352,7 @@ class TestEvalGrid:
         monkeypatch.setattr(operators, "eval_kernel", counting)
         domain = Domain(0.013, 0.97)
         xs = np.linspace(domain.a, domain.b, 300)
+        dense = np.linspace(domain.a, domain.b, 3000)
         for scale in (0.1, 1.0, 3.0):
             k = make_kernel(variant, scale=scale)
             cap = math.ceil(k.decay_l)
@@ -338,10 +361,16 @@ class TestEvalGrid:
                 h = next((h for h in range(cap) if eval_kernel(k, float(h)) <= c * phi_floor(k)),
                          cap)
                 shapes.clear()
-                assert np.all(eval_grid(spec, _const_data(spec, c), xs) == c)
+                data = _alternating_data(spec, c)
+                assert np.array_equal(eval_grid(spec, data, xs), _dense_eval(spec, data, xs))
                 assert shapes[0] == (cap,)  # phi(0), ..., phi(cap - 1)
                 assert {s[0] for s in shapes[1:]} == {2 * h + 2}, (scale, c)
                 assert sum(s[1] for s in shapes[1:]) == len(xs), (scale, c)
+                shapes.clear()
+                assert np.all(eval_grid(spec, _const_data(spec, c), dense) == c)
+                # at scale 3 the cap is 2, and phi(0), phi(1) tell no D
+                windowed = sum(s[1] for s in shapes[1:])
+                assert windowed == (0 if cap > 2 else len(dense)), (scale, c)
 
     @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
     def test_narrowed_rows_that_fail_fall_back_to_every_node(self, monkeypatch, family):
@@ -365,6 +394,54 @@ class TestEvalGrid:
         monkeypatch.setattr(operators, "phi_floor", lambda k: 50.0 * phi_floor(k))
         assert np.array_equal(eval_grid(spec, data, xs), _dense_eval(spec, data, xs))
         assert failed == [501, 0]
+
+    @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_power_kernels_take_no_flat_row(self, family, gamma):
+        # a power kernel's tail can round up by an ulp, so no D is certain:
+        # on constant data every row takes its window, and a logistic kernel
+        # none
+        spec = _spec(family=family, n=100, kernel=make_kernel("power", alpha=gamma))
+        data = _const_data(spec, 0.5)
+        xs = np.linspace(0.0, 1.0, 2001)
+        out, windowed = _windowed_rows(spec, data, xs)
+        assert np.all(out == 0.5) and windowed == len(xs)
+        logistic = _spec(family=family, n=100, kernel=make_kernel("logistic"))
+        out, windowed = _windowed_rows(logistic, data, xs)
+        assert np.all(out == 0.5) and windowed == 0
+
+    def test_sign_of_zero_independent_of_path(self):
+        # -0.0 on half the nodes: a linear row summed by parts whose reach
+        # holds only zeros kept -0.0 alone but took +0.0 from the padding of
+        # a chunk whose other rows had terms; NodeData stores +0.0
+        spec = _spec(family="linear", n=500)
+        data = NodeData(0, 499, np.where(np.arange(500) < 250, -0.0, 1.0))
+        assert not np.signbit(data.values).any()
+        xs = np.sort(np.append(np.linspace(0.0, 1.0, 1001), 0.3))
+        assert _by_parts_rows(spec, data, xs)[0].all()
+        got = eval_grid(spec, data, xs)[np.searchsorted(xs, 0.3)]
+        assert got == 0.0 and np.signbit(got) == np.signbit(eval_operator(spec, data, 0.3))
+
+    @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
+    def test_runs_of_signed_zeros(self, family):
+        # runs of +-0.0 among runs of 0.6 and 1, under a kernel whose
+        # support (3 nodes each side) a run of zeros can cover: the rows give
+        # zeros without a sign bit, as the dense evaluation and
+        # eval_operator do, whether they are flat (in the runs of 1) or not
+        spec = _spec(family=family, n=100, kernel=make_kernel("ramp", scale=0.5))
+        rng = np.random.default_rng(7)
+        values = np.repeat(rng.choice([0.0, 0.6, 1.0], 10), 10)
+        zeros = values == 0.0
+        values[zeros] = rng.choice([-0.0, 0.0], zeros.sum())
+        data = NodeData(0, 99, values)
+        assert not np.signbit(data.values).any()
+        xs = np.linspace(0.0, 1.0, 2001)
+        got, windowed = _windowed_rows(spec, data, xs)
+        assert 0 < windowed < len(xs)
+        assert got.tobytes() == _dense_eval(spec, data, xs).tobytes()
+        assert not np.signbit(got).any() and (got == 0.0).any()
+        for x in xs[got == 0.0][::10]:
+            assert not np.signbit(eval_operator(spec, data, float(x)))
 
     @pytest.mark.parametrize("family", ["linear", "maxprod", "maxmin"])
     @pytest.mark.parametrize("variant, scale", [("ramp", 1e-320), ("three", 1e-309),
@@ -394,6 +471,21 @@ class TestEvalGrid:
             eval_grid(spec, data, [0.5, 0.7, np.nan])
         with pytest.raises(ValueError):
             eval_operator(spec, data, np.nan)
+
+
+def _windowed_rows(spec, data, xs):
+    """eval_grid's outputs, and how many rows it evaluated on windows; the
+    other rows were flat or summed by parts."""
+    rows = []
+    chunk = operators._eval_chunk
+
+    def recording(spec, data, xs, half):
+        rows.append(len(xs))
+        return chunk(spec, data, xs, half)
+
+    with mock.patch.object(operators, "_eval_chunk", recording):
+        out = eval_grid(spec, data, xs)
+    return out, sum(rows)
 
 
 def _step_with_noisy_stretch(step, n):
@@ -507,6 +599,17 @@ class TestNodeData:
     def test_list_or_other_dtype_converted(self, given):
         data = NodeData(0, 2, given)
         assert data.values.dtype == np.float64 and not data.values.flags.writeable
+
+    def test_negative_zero_stored_as_positive(self):
+        given = np.array([0.5, -0.0, 0.0, 1.0])
+        given.setflags(write=False)
+        data = NodeData(0, 3, given)
+        assert np.array_equal(np.signbit(data.values), [False] * 4)
+        assert not data.values.flags.writeable and np.signbit(given[1])
+        # without a -0.0 the array is adopted as it is
+        given = np.array([0.5, 0.0, 1.0])
+        given.setflags(write=False)
+        assert NodeData(0, 2, given).values is given
 
     def test_read_only_owner_adopted(self):
         given = np.array([0.1, 0.2, 0.3])
@@ -654,6 +757,104 @@ def test_by_parts_matches_dense(variant, scale, mode, n, a, width, runs, ulps, n
     picks = np.flatnonzero(by_parts)[:4].tolist() + [int(rng.integers(len(xs)))]
     for i in picks:
         assert abs(got[i] - brute_force_eval(spec, data, float(xs[i]))) <= 1e-12
+
+
+FLAT_KERNELS = {(v, c): make_kernel(v, scale=c)
+                for v in ("logistic", "tanh", "ramp", "three") for c in (0.1, 0.5, 1.0, 3.0)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel=st.sampled_from(sorted(FLAT_KERNELS)),
+       family=st.sampled_from(["maxprod", "maxmin"]),
+       mode=st.sampled_from(["sampling", "kantorovich"]),
+       n=st.integers(1, 300),
+       kinds=st.lists(st.sampled_from(["zero", "one", "uniform"]), min_size=1, max_size=3),
+       longest=st.sampled_from([1, 3, 40]),
+       rows_per_node=st.integers(2, 6),
+       small_chunks=st.booleans(),
+       shuffled=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_flat_rows_match_dense(kernel, family, mode, n, kinds, longest, rows_per_node,
+                               small_chunks, shuffled, seed):
+    """Max-family rows on run-structured node data (runs of 1 to 40 nodes,
+    each 0, 1 or uniform; all of one node, as noise is, when ``longest`` is
+    1) are bitwise equal to the dense evaluation, whether they are flat or
+    take their windows.  The grids hold more rows than nodes, so chunks look
+    for flat rows; chunks of 2^10 weights split a sorted grid into several."""
+    domain = Domain(-0.3, 0.77)
+    spec = OperatorSpec(family, mode, n, domain, FLAT_KERNELS[kernel])
+    try:
+        k_lo, k_hi = node_bounds(mode, n, domain)
+    except EmptyRangeError:
+        return
+    rng = np.random.default_rng(seed)
+    nodes = k_hi - k_lo + 1
+    lengths = rng.integers(1, longest + 1, nodes)
+    pick = {"zero": lambda: 0.0, "one": lambda: 1.0, "uniform": rng.uniform}
+    values = np.repeat([pick[kinds[i % len(kinds)]]() for i in range(nodes)], lengths)[:nodes]
+    data = NodeData(k_lo, k_hi, values)
+    xs = rng.uniform(domain.a, domain.b, rows_per_node * nodes + 1)
+    if shuffled:
+        rng.shuffle(xs)
+    else:
+        xs.sort()
+    with mock.patch.object(operators, "_CHUNK", 2**10 if small_chunks else operators._CHUNK):
+        try:
+            want = _dense_eval(spec, data, xs)
+        except ZeroDenominatorError as exc:
+            with pytest.raises(ZeroDenominatorError,
+                               match=f"\\(grid index {exc.args[0]}\\)"):
+                eval_grid(spec, data, xs)
+            return
+        got = eval_grid(spec, data, xs)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_flat_rows_occur_on_the_step(step):
+    # the share of flat rows grows with n, as the step's runs grow
+    xs = np.linspace(0.0, 1.0, 20_001)
+    shares = []
+    for n in (10, 30, 90, 150, 500):
+        spec = _spec(n=n)
+        data = cell_averages_exact(step, UNIT, n)
+        out, windowed = _windowed_rows(spec, data, xs)
+        assert np.array_equal(out, _dense_eval(spec, data, xs))
+        shares.append(1.0 - windowed / len(xs))
+    assert shares[0] == 0.0 and np.all(np.diff(shares) > 0.0) and shares[-1] > 0.95
+
+
+@pytest.mark.parametrize("layout", ["noise", "noise ending in 1", "runs"])
+@pytest.mark.parametrize("variant", ["tanh", "ramp"])
+def test_every_flat_row_takes_no_window(variant, layout):
+    # one chunk of more rows than nodes: the rows on windows are exactly
+    # those the flat rule, checked row by row, leaves; n b = 30.8 puts rows
+    # past k_hi + 1 = 30, whose nodes within distance 2 are node 29 alone
+    domain = Domain(-0.3, 0.77)
+    kernel = make_kernel(variant, scale=0.5)
+    spec = OperatorSpec("maxmin", "kantorovich", 40, domain, kernel)
+    k_lo, k_hi = node_bounds("kantorovich", 40, domain)
+    assert k_hi == 29
+    rng = np.random.default_rng(12)
+    if layout == "runs":
+        values = np.repeat(rng.choice([0.3, 0.8, 1.0], 10), 5)[:k_hi - k_lo + 1]
+    else:
+        values = rng.uniform(0.2, 0.8, k_hi - k_lo + 1)
+        values[-1] = 1.0 if layout == "noise ending in 1" else values[-1]
+    data = NodeData(k_lo, k_hi, values)
+    xs = np.linspace(domain.a, domain.b, 4001)
+    cap = operators._half_width(spec, len(values))
+    ratios = eval_kernel(kernel, np.arange(2.0, cap)) / phi_floor(kernel)
+    flat = 0
+    for t in 40 * xs:
+        v = values[min(max(math.floor(t), k_lo), k_hi) - k_lo]
+        d = next((d for d, r in enumerate(ratios, 2) if r <= v), None)
+        if d is not None:
+            near = values[max(math.ceil(t) - d, k_lo) - k_lo:min(math.floor(t) + d, k_hi) - k_lo + 1]
+            flat += bool(np.all(near == v))
+    out, windowed = _windowed_rows(spec, data, xs)
+    assert np.array_equal(out, _dense_eval(spec, data, xs))
+    assert windowed == len(xs) - flat
+    assert flat > 0 if layout != "noise" else flat == 0
 
 
 @settings(max_examples=200, deadline=None)

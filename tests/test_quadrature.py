@@ -30,14 +30,19 @@ UNIT = Domain(0.0, 1.0)
 
 
 def _per_cell_loop(f, domain, n, ks=None):
-    """Reference: the overlap formula of cell_averages_exact, one cell at a
-    time, for every cell or for the cells ``ks``."""
+    """Reference: the rule of cell_averages_exact, one cell at a time, for
+    every cell or for the cells ``ks``: a cell inside one piece takes that
+    piece's value, a cut cell the overlap formula."""
     k_lo, k_hi = node_bounds("kantorovich", n, domain)
     ks = range(k_lo, k_hi + 1) if ks is None else ks
     edges = np.array((domain.a, *f.breakpoints, domain.b))
     out = np.empty(len(ks))
     for i, k in enumerate(ks):
         lo, hi = k / n, (k + 1) / n
+        inside = [v for a, b, v in zip(edges[:-1], edges[1:], f.values) if a <= lo and hi <= b]
+        if inside:
+            out[i] = inside[0]
+            continue
         overlap = np.clip(np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1]), 0.0, None)
         out[i] = (overlap * np.array(f.values)).sum() / (hi - lo)
     return np.clip(out, 0.0, 1.0)
@@ -50,8 +55,16 @@ def _smooth(xs):
 class TestExactCellAverages:
     def test_cell_inside_constant_piece(self, step):
         data = cell_averages_exact(step, UNIT, 10)
-        # cell [0.1, 0.2] sits inside the first piece
-        assert data.values[1] == pytest.approx(0.2, abs=1e-15)
+        # cell [0.1, 0.2] sits inside the first piece and takes its value
+        assert data.values[1] == 0.2
+
+    @pytest.mark.parametrize("n", [10, 30, 90, 150, 500, 100_000])
+    def test_step_changes_value_only_at_its_jumps(self, step, n):
+        # (w v) / w would leave some cells of a piece an ulp off its value,
+        # 89 value changes at n = 150 instead of 3
+        values = cell_averages_exact(step, UNIT, n).values
+        assert np.count_nonzero(np.diff(values)) == 3
+        assert np.array_equal(np.unique(values), sorted(step.values))
 
     def test_cell_straddling_breakpoint(self, step):
         data = cell_averages_exact(step, UNIT, 4)
