@@ -54,8 +54,8 @@ cap and reads no node values.  In the denoising sweep (logistic at scale
 0.1, n = 2000, a cap of 50) the windows are 38 to 102 nodes wide, 67 per row
 on average.
 
-Such a chunk that also holds more rows than the nodes it reaches writes
-v to each flat row without a weight: a row whose nodes within distance D of
+A max-min or max-product call on more rows than nodes writes v to each
+flat row without a weight: a row whose nodes within distance D of
 t = n x (ceil(t) - D .. floor(t) + D, clipped into k_lo..k_hi) all hold one
 value v, D >= 2 the least with fl(phi(D) / phi(2)) <= v.  That is the dense
 result to the bit.  The nearest node lies within distance 2 <= D, so in the
@@ -68,13 +68,16 @@ the rule needs the computed kernel even and non-increasing, which rules out
 phi(0 .. h - 1) computed once per call, so a cap of 2 or less leaves no row
 flat.  Values are compared with ``!=``, under which -0.0 equals +0.0, and
 :class:`NodeData` stores +0.0 for every -0.0, so a flat row's zero has the
-dense row's sign.  In ascending t each run's flat rows are one stretch,
-found by two searches over the chunk's rows; the other rows keep their
-windows and certificate, as contiguous slices of the chunk, and a chunk
-without a flat row runs as if it had not looked.  On the error table's step
-(tanh, 1e5 points) 0, 50, 83, 90 and 97 % of the max-family rows are flat at
-n = 10, 30, 90, 150 and 500.  The denoising sweep's chunks and a sparse
-grid's reach more nodes than they hold rows, and do not look.
+dense row's sign.  The call finds the runs once, at a cost below the rows',
+and keeps those with a flat row in reach of its own: a run of fewer than 2D
+nodes that holds neither k_lo nor k_hi has none.  In ascending t each run's
+flat rows are one stretch, found by two searches over a chunk's rows; the
+other rows keep their windows and certificate, as contiguous slices of the
+chunk, and a chunk without a flat row runs as if no run were kept.  On the
+error table's step (tanh, 1e5 points) 0, 50, 83, 90 and 97 % of the
+max-family rows are flat at n = 10, 30, 90, 150 and 500; at n = 10 (runs of
+2 and 3 nodes, D = 3) no run is kept.  The denoising sweep (as many rows as
+nodes) and a sparse grid do not look.
 
 A row that fails its certificate (for instance one whose node values vanish
 across its window) is evaluated again on all K nodes, as without windowing;
@@ -446,34 +449,43 @@ def _sum_terms(block: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _eval_flat(data: NodeData, lo: int, reach: np.ndarray, t: np.ndarray, ratios, y):
-    """Fill ``y`` at the flat rows of a max-family chunk at ascending t = n x:
-    those whose nodes within distance D of t all hold one value v, with
-    fl(phi(D) / phi(2)) <= v (see the module docstring).  ``reach`` holds the
-    node values from k_lo + lo on, and ``ratios`` the negated fl(phi(D) /
-    phi(2)) for D = 2, 3, ....  Returns the (start, stop) of each stretch of
-    other rows, all of them in one stretch when no row is flat."""
-    # run r holds the nodes k_lo + lo + cuts[r] .. k_lo + lo + cuts[r + 1] - 1
-    cuts = np.flatnonzero(reach[1:] != reach[:-1]) + 1
-    if len(cuts) == len(reach) - 1 and data.k_lo + lo + len(reach) <= data.k_hi:
-        # every run is one node, as on noisy data; a row's nodes within
-        # distance D >= 2 are two or more, unless it lies past k_hi + 1
-        return [(0, len(t))]
-    cuts = np.concatenate(([0], cuts, [len(reach)])) + (data.k_lo + lo)
-    v = reach[cuts[:-1] - cuts[0]]
-    d = np.searchsorted(ratios, -v)  # D - 2 of each run; len(ratios) for none
-    run = np.flatnonzero(d < len(ratios))
-    d = d[run] + 2.0
+def _flat_runs(data: NodeData, phis: np.ndarray, t0: float, t1: float):
+    """The runs of equal node values on which a max-family row at t = n x in
+    t0 .. t1 can be flat (see the module docstring): the bounds
+    left < t < right of the t whose row is flat on each, and its value, in
+    ascending t, or None where no run has such a row.  ``phis`` holds
+    phi(0), phi(1), ... with phi(2) > 0."""
+    values = data.values
+    # run r holds the nodes cuts[r] .. cuts[r + 1] - 1
+    cuts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    v = values[np.concatenate(([0], cuts))]
+    cuts = np.concatenate(([0], cuts, [len(values)])) + data.k_lo
+    # each run's D, the least D >= 2 with fl(phi(D) / phi(2)) <= v, or
+    # len(phis) for none
+    d = np.searchsorted(-phis[2:] / phis[2], -v) + 2.0
     # a row is flat on run r if ceil(t) - D and floor(t) + D, clipped into
-    # k_lo..k_hi, lie in the run: if first + D - 1 < t < stop - D, with
-    # first and stop its first node and the one past its last, each bound
-    # dropped where the run starts at k_lo or ends at k_hi
-    left = np.where(cuts[run] > data.k_lo, cuts[run] + d - 1.0, -np.inf)
-    right = np.where(cuts[run + 1] <= data.k_hi, cuts[run + 1] - d, np.inf)
-    first, last = np.searchsorted(t, left, "right"), np.searchsorted(t, right)
-    some = np.flatnonzero(first < last)
+    # k_lo..k_hi, lie in the run: if cuts[r] + D - 1 < t < cuts[r + 1] - D,
+    # each bound dropped at k_lo and k_hi, so a run of fewer than 2D nodes
+    # between them has no flat row
+    left = np.concatenate(([-np.inf], cuts[1:-1] + d[1:] - 1.0))
+    right = np.append(cuts[1:-1] - d[:-1], np.inf)
+    keep = (d < len(phis)) & (left < right) & (left < t1) & (right > t0)
+    return (left[keep], right[keep], v[keep]) if keep.any() else None
+
+
+def _eval_flat(runs, t: np.ndarray, y: np.ndarray):
+    """Fill ``y`` at the flat rows of a max-family chunk at ascending t = n x,
+    on the ``runs`` from :func:`_flat_runs`; return the (start, stop) of each
+    stretch of other rows."""
+    left, right, v = runs
+    # the bounds ascend, left[0] < right[0] < left[1] < ..., as the runs
+    # are disjoint; the runs i .. j - 1 reach t[0] .. t[-1]
+    i, j = np.searchsorted(right, t[0], "right"), np.searchsorted(left, t[-1])
+    first, last = np.searchsorted(t, left[i:j], "right"), np.searchsorted(t, right[i:j])
     rest, end = [], 0
-    for a, b, value in zip(first[some], last[some], v[run[some]]):
+    for a, b, value in zip(first, last, v[i:j]):
+        if a == b:
+            continue
         y[a:b] = value
         if end < a:
             rest.append((end, a))
@@ -503,9 +515,11 @@ def _eval_windows(spec, data, xs, half, narrow):
     if narrow:
         phis = eval_kernel(spec.kernel, np.arange(min(half, _CHUNK), dtype=float))
         phi2 = phi_floor(spec.kernel)
-        # -fl(phi(D) / phi(2)) for D = 2 .. len(phis) - 1, ascending
-        ratios = (-phis[2:] / phis[2] if len(phis) > 2 and phis[2] > 0.0
-                  and spec.kernel.variant != "power" else None)
+        # found once, at a cost below the rows', where the rows outnumber
+        # the nodes
+        runs = (_flat_runs(data, phis, spec.n * xs[0], spec.n * xs[-1])
+                if len(xs) > nodes and len(phis) > 2 and phis[2] > 0.0
+                and spec.kernel.variant != "power" else None)
     out = np.empty(len(xs))
     failed = [np.empty(0, dtype=np.intp)]
     for start in range(0, len(xs), step):
@@ -520,8 +534,8 @@ def _eval_windows(spec, data, xs, half, narrow):
                 reach = data.values[lo:hi]
                 below = np.flatnonzero(phis <= reach.min() * phi2)
                 h = int(below[0]) if len(below) else half
-                if ratios is not None and len(chunk) > hi - lo:
-                    windowed = _eval_flat(data, lo, reach, spec.n * chunk, ratios, out[sl])
+            if runs is not None:
+                windowed = _eval_flat(runs, spec.n * chunk, out[sl])
         elif parts:
             rows, bad = _eval_by_parts(data, parts, spec.n * chunk, width, out[sl])
             failed.append(start + bad)

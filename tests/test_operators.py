@@ -273,10 +273,10 @@ class TestEvalGrid:
             evaluated.clear()
             eval_grid(spec, _alternating_data(spec, 0.5), xs)
             assert sum(evaluated) == 5 + 256 * 8, n
-        # constant data at n = 100: each chunk holds more rows than the nodes
-        # it reaches, so it looks for flat rows, and every row is flat and
-        # takes no weight; at n = 20_000 the chunk reaches more nodes than it
-        # has rows and keeps its windows
+        # constant data at n = 100: the grid holds more rows than nodes, so
+        # the call looks for flat rows, and every row is flat and takes no
+        # weight; at n = 20_000 the grid holds fewer rows than nodes and
+        # keeps its windows
         evaluated.clear()
         eval_grid(_spec(n=100), _const_data(_spec(n=100), 0.5), xs)
         assert sum(evaluated) == 5
@@ -779,8 +779,9 @@ def test_flat_rows_match_dense(kernel, family, mode, n, kinds, longest, rows_per
     """Max-family rows on run-structured node data (runs of 1 to 40 nodes,
     each 0, 1 or uniform; all of one node, as noise is, when ``longest`` is
     1) are bitwise equal to the dense evaluation, whether they are flat or
-    take their windows.  The grids hold more rows than nodes, so chunks look
-    for flat rows; chunks of 2^10 weights split a sorted grid into several."""
+    take their windows.  The grids hold more rows than nodes, so the call
+    looks for flat rows; chunks of 2^10 weights split a sorted grid into
+    several."""
     domain = Domain(-0.3, 0.77)
     spec = OperatorSpec(family, mode, n, domain, FLAT_KERNELS[kernel])
     try:
@@ -823,10 +824,36 @@ def test_flat_rows_occur_on_the_step(step):
     assert shares[0] == 0.0 and np.all(np.diff(shares) > 0.0) and shares[-1] > 0.95
 
 
+def test_runs_too_short_for_a_flat_row_are_not_kept(step):
+    # on the step at n = 10 (runs of 2 and 3 nodes, D = 3) no run can hold a
+    # flat row, inside k_lo..k_hi or at either end, so no chunk searches; at
+    # n = 30 the runs of 6 and 9 nodes hold some.  A grid of no more rows
+    # than nodes does not look for runs
+    xs = np.linspace(0.0, 1.0, 2001)
+    for n, kept in ((10, None), (30, [0.2, 0.9, 0.3, 0.6])):
+        spec = _spec(n=n)
+        data = cell_averages_exact(step, UNIT, n)
+        phis = eval_kernel(TANH, np.arange(operators._half_width(spec, n), dtype=float))
+        runs = operators._flat_runs(data, phis, n * xs[0], n * xs[-1])
+        assert (runs if runs is None else runs[2].tolist()) == kept
+    searched = []
+
+    def recording(runs, t, y):
+        searched.append(len(t))
+        return flat(runs, t, y)
+
+    flat = operators._eval_flat
+    with mock.patch.object(operators, "_eval_flat", recording):
+        for n, grid in ((10, xs), (30, xs), (30, xs[:30])):
+            eval_grid(_spec(n=n), cell_averages_exact(step, UNIT, n), grid)
+            assert sum(searched) == (len(xs) if n == 30 and len(grid) > 30 else 0)
+            searched.clear()
+
+
 @pytest.mark.parametrize("layout", ["noise", "noise ending in 1", "runs"])
 @pytest.mark.parametrize("variant", ["tanh", "ramp"])
 def test_every_flat_row_takes_no_window(variant, layout):
-    # one chunk of more rows than nodes: the rows on windows are exactly
+    # one chunk, of more rows than nodes: the rows on windows are exactly
     # those the flat rule, checked row by row, leaves; n b = 30.8 puts rows
     # past k_hi + 1 = 30, whose nodes within distance 2 are node 29 alone
     domain = Domain(-0.3, 0.77)
