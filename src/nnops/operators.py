@@ -54,30 +54,39 @@ cap and reads no node values.  In the denoising sweep (logistic at scale
 0.1, n = 2000, a cap of 50) the windows are 38 to 102 nodes wide, 67 per row
 on average.
 
-A max-min or max-product call on more rows than nodes writes v to each
-flat row without a weight: a row whose nodes within distance D of
-t = n x (ceil(t) - D .. floor(t) + D, clipped into k_lo..k_hi) all hold one
-value v, D >= 2 the least with fl(phi(D) / phi(2)) <= v.  That is the dense
-result to the bit.  The nearest node lies within distance 2 <= D, so in the
-run, and weighs the most, d >= phi(2); its term is min(v, d / d) =
-v (d / d) = v.  Every other node of the run gives at most v, as w / d <= 1,
-and every node beyond distance D at most fl(w / d) <= fl(phi(D) / phi(2))
-<= v, as w <= phi(D), its value is at most 1 and rounding is monotone.  So
-the rule needs the computed kernel even and non-increasing, which rules out
-``power``, and phi(2) > 0.  D runs over 2 .. h - 1 below the cap h, from the
-phi(0 .. h - 1) computed once per call, so a cap of 2 or less leaves no row
-flat.  Values are compared with ``!=``, under which -0.0 equals +0.0, and
+A max-min or max-product call on more rows than nodes writes v_c to each
+row at t = n x within 1/2 of a dominant node c, without a weight.  Node c
+is dominant when no node closer than D to it holds a larger value, D >= 1
+the least up to the cap h with fl(phi(D - 1/2) / phi(1/2)) <= v_c.  That
+is the dense result to the bit.  The nearest node is c, which weighs the
+most, d = w_c >= phi(1/2) > 0; its term is min(v_c, d / d) = v_c (d / d) =
+v_c.  A node of no larger value gives at most its value, as w / d <= 1.  A
+larger node k lies at |t - k| >= |k - c| - 1/2 >= D - 1/2, so it gives at
+most fl(w_k / d) <= fl(phi(D - 1/2) / phi(1/2)) <= v_c, as its value is at
+most 1 and rounding is monotone (t - k and t - c round alike, and
+|t - c| <= 1/2 rounds to at most 1/2).  The rows past an end node c lie up
+to 1 from it, or up to 2 past k_hi in Kantorovich mode (n b = 30.8 puts
+rows 1.8 past k_hi = 29), so they take d >= phi(2) and
+|t - k| >= |k - c| instead: they take v_c if no node closer than E to c
+holds more, E >= 1 the least below h with fl(phi(E) / phi(2)) <= v_c.  So
+the rule needs the computed kernel even and non-increasing, which rules
+out ``power``, and phi(1/2) > 0, and phi(2) > 0 and h > 2 for the end
+rows.  Values are compared with ``>``, under which -0.0 equals +0.0, and
 :class:`NodeData` stores +0.0 for every -0.0, so a flat row's zero has the
-dense row's sign.  The call finds the runs once, at a cost below the rows',
-and keeps those with a flat row in reach of its own: a run of fewer than 2D
-nodes that holds neither k_lo nor k_hi has none.  In ascending t each run's
-flat rows are one stretch, found by two searches over a chunk's rows; the
-other rows keep their windows and certificate, as contiguous slices of the
-chunk, and a chunk without a flat row runs as if no run were kept.  On the
-error table's step (tanh, 1e5 points) 0, 50, 83, 90 and 97 % of the
-max-family rows are flat at n = 10, 30, 90, 150 and 500; at n = 10 (runs of
-2 and 3 nodes, D = 3) no run is kept.  The denoising sweep (as many rows as
-nodes) and a sparse grid do not look.
+dense row's sign.  Adjacent dominant nodes share one value, as D = 1
+needs v_c = 1, and each stretch of them, with its end rows, is one pair of
+bounds left <= t <= right.  The call finds them once, in O(K D)
+comparisons, a cost below the rows'; in ascending t each stretch's rows are
+found by two searches over a chunk's rows, the other rows keep their
+windows and certificate, as contiguous slices of the chunk, and a chunk
+without a flat row runs as if none were found.  On the error table's step
+(tanh, 1e5 points) 55, 80, 93, 96 and 98.8 % of the max-family rows are
+flat at n = 10, 30, 90, 150 and 500: every row nearest a node D or more
+from a larger piece, which includes each row inside a run of equal values
+whose nodes within distance D' all hold its value (the rule this one
+replaced, with D' >= 2 the least with fl(phi(D') / phi(2)) <= v, flattened
+0, 50, 83, 90 and 97 %).  The denoising sweep (as many rows as nodes) and a
+sparse grid do not look.
 
 A row that fails its certificate (for instance one whose node values vanish
 across its window) is evaluated again on all K nodes, as without windowing;
@@ -104,7 +113,10 @@ tanh at c = 1) and L = floor(t) - R, a row sums the 2m node values
 v_{L-m+1} .. v_{L+m}, to which the differences at every j <= L telescope
 (g(j) = 1 there), then g(j) d_j over the nonzero d_j with L < j <= L + 2R
 (g(j) = 0 past them), and takes its denominator from the 4m end terms.
-It costs N + 4m tanh evaluations, N its nonzero differences in reach,
+An interior row, with k_lo + m - 1 <= L and floor(t) + R < k_hi - m + 1,
+has every left end term 2g = 2 and every right one 0, so its doubled
+denominator is 4m exactly and takes no tanh.  A row costs at most N + 4m
+tanh evaluations, N its nonzero differences in reach,
 against the window's 2h + 2 weights, and takes this path when
 2 (N + 4m) is below the window width: where every difference is nonzero
 (noisy data), a term took 1.7 times a weight's time.  A chunk takes the
@@ -434,9 +446,16 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
         g = _twice_sigma(g)
         g *= d[q]
         numer += _sum_terms(g)
-    q = np.arange(2 * m)[:, None]
-    denom = (_sum_terms(_twice_sigma((t - (data.k_lo - m + q)) * s))
-             - _sum_terms(_twice_sigma((t - (data.k_hi - m + 1 + q)) * s)))
+    # an interior row's end terms are all 2g = 2 on the left and 0 on the
+    # right, so its denominator is 4m; the others sum them
+    denom = np.full(len(rows), 4.0 * m)
+    floor = f0 + at
+    edge = np.flatnonzero((floor - reach < data.k_lo + m - 1)
+                          | (floor + reach >= data.k_hi - m + 1))
+    if len(edge):
+        q, te = np.arange(2 * m)[:, None], t[edge]
+        denom[edge] = (_sum_terms(_twice_sigma((te - (data.k_lo - m + q)) * s))
+                       - _sum_terms(_twice_sigma((te - (data.k_hi - m + 1 + q)) * s)))
     y[rows] = numer / np.where(denom > 0.0, denom, 1.0)
     return np.flatnonzero(~mine), rows[denom <= 0.0]
 
@@ -449,39 +468,53 @@ def _sum_terms(block: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _flat_runs(data: NodeData, phis: np.ndarray, t0: float, t1: float):
-    """The runs of equal node values on which a max-family row at t = n x in
-    t0 .. t1 can be flat (see the module docstring): the bounds
-    left < t < right of the t whose row is flat on each, and its value, in
-    ascending t, or None where no run has such a row.  ``phis`` holds
-    phi(0), phi(1), ... with phi(2) > 0."""
-    values = data.values
-    # run r holds the nodes cuts[r] .. cuts[r + 1] - 1
-    cuts = np.flatnonzero(values[1:] != values[:-1]) + 1
-    v = values[np.concatenate(([0], cuts))]
-    cuts = np.concatenate(([0], cuts, [len(values)])) + data.k_lo
-    # each run's D, the least D >= 2 with fl(phi(D) / phi(2)) <= v, or
-    # len(phis) for none
-    d = np.searchsorted(-phis[2:] / phis[2], -v) + 2.0
-    # a row is flat on run r if ceil(t) - D and floor(t) + D, clipped into
-    # k_lo..k_hi, lie in the run: if cuts[r] + D - 1 < t < cuts[r + 1] - D,
-    # each bound dropped at k_lo and k_hi, so a run of fewer than 2D nodes
-    # between them has no flat row
-    left = np.concatenate(([-np.inf], cuts[1:-1] + d[1:] - 1.0))
-    right = np.append(cuts[1:-1] - d[:-1], np.inf)
-    keep = (d < len(phis)) & (left < right) & (left < t1) & (right > t0)
-    return (left[keep], right[keep], v[keep]) if keep.any() else None
+def _dominant_nodes(data: NodeData, halves: np.ndarray, phis: np.ndarray):
+    """The bounds left <= t <= right of the max-family rows at t = n x that
+    take a dominant node's value (see the module docstring), and that value,
+    in ascending t, or None where no row does.  ``halves`` holds phi(1/2),
+    phi(3/2), ... with phi(1/2) > 0, and ``phis`` phi(0), phi(1), ...; the
+    rows past an end node also need phi(2) > 0."""
+    v = data.values
+    # each node's D, the least D >= 1 with fl(phi(D - 1/2) / phi(1/2)) <= v,
+    # or len(halves) + 1 for none; a node is dominant if no node closer than
+    # its D holds a larger value
+    reach = np.searchsorted(-halves / halves[0], -v) + 1
+    dominant = reach <= len(halves)
+    for d in range(1, min(len(halves), len(v))):
+        far = dominant & (reach > d)
+        if not far.any():
+            break
+        dominant[d:] &= ~(far[d:] & (v[:-d] > v[d:]))
+        dominant[:-d] &= ~(far[:-d] & (v[d:] > v[:-d]))
+    low = high = 0
+    if len(phis) > 2 and phis[2] > 0.0:
+        # each end node's E >= 1, the least with fl(phi(E) / phi(2)) <= v, or
+        # len(phis) for none; the rows past it take its value if no node
+        # closer than E to it holds a larger one
+        e = np.searchsorted(-phis[1:] / phis[2], -v[[0, -1]]) + 1
+        low = int(e[0] < len(phis) and v[:e[0]].max() <= v[0])
+        high = int(e[1] < len(phis) and v[max(len(v) - e[1], 0):].max() <= v[-1])
+    ks = np.flatnonzero(dominant) + data.k_lo
+    left = np.concatenate(([-np.inf] * low, ks - 0.5, [data.k_hi] * high))
+    right = np.concatenate(([data.k_lo] * low, ks + 0.5, [np.inf] * high))
+    value = np.concatenate((v[:low], v[ks - data.k_lo], v[len(v) - high:]))
+    if not len(left):
+        return None
+    # one bound pair for each stretch of touching bounds of one value
+    first = np.flatnonzero(np.append(True, (left[1:] > right[:-1])
+                                      | (value[1:] != value[:-1])))
+    return left[first], right[np.append(first[1:], len(left)) - 1], value[first]
 
 
-def _eval_flat(runs, t: np.ndarray, y: np.ndarray):
+def _eval_flat(flat, t: np.ndarray, y: np.ndarray):
     """Fill ``y`` at the flat rows of a max-family chunk at ascending t = n x,
-    on the ``runs`` from :func:`_flat_runs`; return the (start, stop) of each
-    stretch of other rows."""
-    left, right, v = runs
-    # the bounds ascend, left[0] < right[0] < left[1] < ..., as the runs
-    # are disjoint; the runs i .. j - 1 reach t[0] .. t[-1]
-    i, j = np.searchsorted(right, t[0], "right"), np.searchsorted(left, t[-1])
-    first, last = np.searchsorted(t, left[i:j], "right"), np.searchsorted(t, right[i:j])
+    on the bounds from :func:`_dominant_nodes`; return the (start, stop) of
+    each stretch of other rows."""
+    left, right, v = flat
+    # the bounds ascend, left[0] <= right[0] < left[1] <= ..., so the
+    # stretches i .. j - 1 reach t[0] .. t[-1]
+    i, j = np.searchsorted(right, t[0]), np.searchsorted(left, t[-1], "right")
+    first, last = np.searchsorted(t, left[i:j]), np.searchsorted(t, right[i:j], "right")
     rest, end = [], 0
     for a, b, value in zip(first, last, v[i:j]):
         if a == b:
@@ -515,11 +548,13 @@ def _eval_windows(spec, data, xs, half, narrow):
     if narrow:
         phis = eval_kernel(spec.kernel, np.arange(min(half, _CHUNK), dtype=float))
         phi2 = phi_floor(spec.kernel)
+        flat = None
         # found once, at a cost below the rows', where the rows outnumber
         # the nodes
-        runs = (_flat_runs(data, phis, spec.n * xs[0], spec.n * xs[-1])
-                if len(xs) > nodes and len(phis) > 2 and phis[2] > 0.0
-                and spec.kernel.variant != "power" else None)
+        if len(xs) > nodes and spec.kernel.variant != "power":
+            halves = eval_kernel(spec.kernel, np.arange(len(phis)) + 0.5)
+            if halves[0] > 0.0:
+                flat = _dominant_nodes(data, halves, phis)
     out = np.empty(len(xs))
     failed = [np.empty(0, dtype=np.intp)]
     for start in range(0, len(xs), step):
@@ -534,8 +569,8 @@ def _eval_windows(spec, data, xs, half, narrow):
                 reach = data.values[lo:hi]
                 below = np.flatnonzero(phis <= reach.min() * phi2)
                 h = int(below[0]) if len(below) else half
-            if runs is not None:
-                windowed = _eval_flat(runs, spec.n * chunk, out[sl])
+            if flat is not None:
+                windowed = _eval_flat(flat, spec.n * chunk, out[sl])
         elif parts:
             rows, bad = _eval_by_parts(data, parts, spec.n * chunk, width, out[sl])
             failed.append(start + bad)

@@ -41,7 +41,8 @@ def _const_data(spec, c):
 
 
 def _alternating_data(spec, c):
-    """Node values c and 1 in turn: node floor c, and no max-family row flat."""
+    """Node values c and 1 in turn: node floor c, and no max-family row flat
+    but those nearest a node of 1."""
     k_lo, k_hi = node_bounds(spec.mode, spec.n, spec.domain)
     return NodeData(k_lo, k_hi, np.where(np.arange(k_hi - k_lo + 1) % 2, 1.0, c))
 
@@ -266,20 +267,24 @@ class TestEvalGrid:
         # the window's half-width caps at h = ceil(decay_l) = 5; phi(0..4) are
         # computed once, and at a node floor of 0.5 the first h < 5 with
         # phi(h) <= 0.5 phi(2) is 3, so each row takes 2h + 2 = 8 weights.
-        # Node values 0.5 and 1 in turn leave no row flat, at any n
+        # At n = 100 the grid holds more rows than nodes, so the call also
+        # computes phi(1/2 .. 9/2) once and takes the rows nearest the
+        # nodes of value 1 without a window; at n = 20_000 it does not look
         assert math.ceil(TANH.decay_l) == 5
         for n in (100, 20_000):
             spec = _spec(n=n)
+            data = _alternating_data(spec, 0.5)
+            windowed = len(xs) - _dominance_flat(spec, data, xs).sum()
             evaluated.clear()
-            eval_grid(spec, _alternating_data(spec, 0.5), xs)
-            assert sum(evaluated) == 5 + 256 * 8, n
-        # constant data at n = 100: the grid holds more rows than nodes, so
-        # the call looks for flat rows, and every row is flat and takes no
-        # weight; at n = 20_000 the grid holds fewer rows than nodes and
-        # keeps its windows
+            eval_grid(spec, data, xs)
+            assert sum(evaluated) == (10 if n == 100 else 5) + windowed * 8, n
+            assert 0 < windowed < 256 if n == 100 else windowed == 256
+        # constant data at n = 100: every node is dominant, so every row is
+        # flat and takes no weight; at n = 20_000 the grid holds fewer rows
+        # than nodes and keeps its windows
         evaluated.clear()
         eval_grid(_spec(n=100), _const_data(_spec(n=100), 0.5), xs)
-        assert sum(evaluated) == 5
+        assert sum(evaluated) == 10
         evaluated.clear()
         spec = _spec(n=20_000)
         eval_grid(spec, _const_data(spec, 0.5), xs)
@@ -292,10 +297,11 @@ class TestEvalGrid:
         assert sum(evaluated) == 5 + 256 * 12
         # linear rows summed by parts evaluate sigma, not the kernel: each
         # row its nonzero differences in reach, padded to its chunk's
-        # longest row, plus the 4m = 4 end terms of its denominator; 2 more
-        # check once per call that sigma saturates.  The kernel is evaluated
-        # only by the bisection for h: two weights for each of at most
-        # log2(20000) steps
+        # longest row, plus, if it lies within reach + m - 1 of an end node,
+        # the 4m = 4 end terms of its denominator (an interior row's is 4m
+        # exactly); 2 more check once per call that sigma saturates.  The
+        # kernel is evaluated only by the bisection for h: two weights for
+        # each of at most log2(20000) steps
         sigmas = []
 
         def counting_sigma(y):
@@ -308,18 +314,23 @@ class TestEvalGrid:
         spec = _spec(family="linear", n=20_000)
         # constant data: its nonzero differences lie at the ends, out of reach
         inner = np.linspace(0.3, 0.7, 256)
+        assert not _edge_rows(spec, inner).any()
+        sigmas.clear()
         evaluated.clear()
         eval_grid(spec, _const_data(spec, 0.5), inner)
-        assert sum(sigmas) == 2 + 256 * 4
+        assert sum(sigmas) == 2
         assert sum(evaluated) <= bisection
-        # the step: near its jumps a row has nonzero differences in reach
+        # the step: near its jumps a row has nonzero differences in reach;
+        # the grid's first and last rows lie within reach of an end node
         data = cell_averages_exact(step, UNIT, 20_000)
         by_parts, count, m = _by_parts_rows(spec, data, xs)
         assert by_parts.all() and m == 1 and count.max() > 0
+        ends = 4 * _edge_rows(spec, xs).sum()
+        assert ends == 8
         sigmas.clear()
         evaluated.clear()
         eval_grid(spec, data, xs)
-        assert 2 + np.sum(count + 4) <= sum(sigmas) <= 2 + 256 * (count.max() + 4)
+        assert 2 + np.sum(count) + ends <= sum(sigmas) <= 2 + 256 * count.max() + ends
         assert sum(evaluated) <= bisection
         # noisy data: every difference in reach is nonzero, so each row keeps
         # its window of 2h + 2 weights (h = 26) and evaluates no sigma past
@@ -339,10 +350,11 @@ class TestEvalGrid:
     @pytest.mark.parametrize("variant", ["logistic", "tanh"])
     def test_window_narrows_to_node_floor(self, monkeypatch, variant, mode, family):
         # every row takes 2h + 2 nodes, h the first h below ceil(decay_l)
-        # with phi(h) <= c phi(2) on node values c and 1 in turn, where no
-        # row is flat, and none falls back to every node; on constant data c
-        # and a grid of more rows than nodes the rows are flat and take no
-        # weight
+        # with phi(h) <= c phi(2) on node values c and 1 in turn and a grid
+        # of fewer rows than nodes, which does not look for flat rows, and
+        # none falls back to every node; on constant data c and a grid of
+        # more rows than nodes the rows are flat, every node being dominant,
+        # and take no weight
         shapes = []
 
         def counting(k, x):
@@ -366,18 +378,27 @@ class TestEvalGrid:
                 assert shapes[0] == (cap,)  # phi(0), ..., phi(cap - 1)
                 assert {s[0] for s in shapes[1:]} == {2 * h + 2}, (scale, c)
                 assert sum(s[1] for s in shapes[1:]) == len(xs), (scale, c)
+                assert not _dominance_flat(spec, data, xs).any()
                 shapes.clear()
-                assert np.all(eval_grid(spec, _const_data(spec, c), dense) == c)
-                # at scale 3 the cap is 2, and phi(0), phi(1) tell no D
-                windowed = sum(s[1] for s in shapes[1:])
-                assert windowed == (0 if cap > 2 else len(dense)), (scale, c)
+                data = _const_data(spec, c)
+                assert np.all(eval_grid(spec, data, dense) == c)
+                # phi(1/2), ..., phi(cap - 1/2) are computed once; at scale 3
+                # the cap is 2, and phi(0), phi(1) tell no E, so the rows
+                # more than 1/2 past an end node keep their windows
+                assert shapes[1] == (cap,)
+                windowed = sum(s[1] for s in shapes[2:])
+                assert windowed == len(dense) - _dominance_flat(spec, data, dense).sum()
+                t = 500 * dense
+                ends = np.sum((t < data.k_lo - 0.5) | (t > data.k_hi + 0.5))
+                assert windowed == (0 if cap > 2 else ends), (scale, c)
+                assert (ends > 0) == (mode == "kantorovich")
 
     @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
     def test_narrowed_rows_that_fail_fall_back_to_every_node(self, monkeypatch, family):
         # logistic at scale 0.1 reaches past all 30 nodes, so the cap is every
         # node; a node floor 50 times too high narrows each chunk to h = 0,
-        # every row fails its certificate there and is evaluated again on
-        # every node
+        # every row on a window (all but those nearest a dominant node)
+        # fails its certificate there and is evaluated again on every node
         spec = _spec(family=family, n=30, kernel=make_kernel("logistic", scale=0.1))
         assert operators._half_width(spec, 30) == 30
         data = NodeData(0, 29, np.random.default_rng(4).uniform(0.3, 1.0, 30))
@@ -391,9 +412,11 @@ class TestEvalGrid:
 
         windows = operators._eval_windows
         monkeypatch.setattr(operators, "_eval_windows", recording)
+        windowed = 501 - _dominance_flat(spec, data, xs).sum()
+        assert 0 < windowed < 501
         monkeypatch.setattr(operators, "phi_floor", lambda k: 50.0 * phi_floor(k))
         assert np.array_equal(eval_grid(spec, data, xs), _dense_eval(spec, data, xs))
-        assert failed == [501, 0]
+        assert failed == [windowed, 0]
 
     @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
     @pytest.mark.parametrize("gamma", [0.5, 1.0])
@@ -404,11 +427,11 @@ class TestEvalGrid:
         spec = _spec(family=family, n=100, kernel=make_kernel("power", alpha=gamma))
         data = _const_data(spec, 0.5)
         xs = np.linspace(0.0, 1.0, 2001)
-        out, windowed = _windowed_rows(spec, data, xs)
-        assert np.all(out == 0.5) and windowed == len(xs)
+        out, windowed = _windowed_mask(spec, data, xs)
+        assert np.all(out == 0.5) and windowed.all()
         logistic = _spec(family=family, n=100, kernel=make_kernel("logistic"))
-        out, windowed = _windowed_rows(logistic, data, xs)
-        assert np.all(out == 0.5) and windowed == 0
+        out, windowed = _windowed_mask(logistic, data, xs)
+        assert np.all(out == 0.5) and not windowed.any()
 
     def test_sign_of_zero_independent_of_path(self):
         # -0.0 on half the nodes: a linear row summed by parts whose reach
@@ -436,8 +459,8 @@ class TestEvalGrid:
         data = NodeData(0, 99, values)
         assert not np.signbit(data.values).any()
         xs = np.linspace(0.0, 1.0, 2001)
-        got, windowed = _windowed_rows(spec, data, xs)
-        assert 0 < windowed < len(xs)
+        got, windowed = _windowed_mask(spec, data, xs)
+        assert 0 < windowed.sum() < len(xs)
         assert got.tobytes() == _dense_eval(spec, data, xs).tobytes()
         assert not np.signbit(got).any() and (got == 0.0).any()
         for x in xs[got == 0.0][::10]:
@@ -473,19 +496,78 @@ class TestEvalGrid:
             eval_operator(spec, data, np.nan)
 
 
-def _windowed_rows(spec, data, xs):
-    """eval_grid's outputs, and how many rows it evaluated on windows; the
-    other rows were flat or summed by parts."""
+def _windowed_mask(spec, data, xs):
+    """eval_grid's outputs on an ascending grid of distinct points, and which
+    rows it evaluated on windows; the others were flat or summed by parts."""
     rows = []
     chunk = operators._eval_chunk
 
     def recording(spec, data, xs, half):
-        rows.append(len(xs))
+        rows.append(xs)
         return chunk(spec, data, xs, half)
 
     with mock.patch.object(operators, "_eval_chunk", recording):
         out = eval_grid(spec, data, xs)
-    return out, sum(rows)
+    return out, np.isin(xs, np.concatenate(rows or [[]]))
+
+
+def _clear(values, k_lo, c, radius):
+    """Whether no node closer than ``radius`` to node c holds more than it."""
+    near = values[max(c - radius + 1, k_lo) - k_lo:c + radius - k_lo]
+    return bool(np.all(near <= values[c - k_lo]))
+
+
+def _least(ratios, v, first):
+    """The first index, counted from ``first``, whose ratio is at most v."""
+    return next((i for i, r in enumerate(ratios, first) if r <= v), None)
+
+
+def _dominance_flat(spec, data, xs):
+    """Which rows of a max-family call the dominance rule, checked node by
+    node and row by row, takes without a window; none on a grid of no more
+    rows than nodes.
+
+    Node c is dominant if no node closer than D to it holds more, D >= 1
+    the least up to the cap h with fl(phi(D - 1/2) / phi(1/2)) <= v_c; a row
+    at t = n x with |t - c| <= 1/2 then takes v_c.  A row past an end node c
+    takes v_c if no node closer than E to c holds more, E >= 1 the least
+    below h with fl(phi(E) / phi(2)) <= v_c.  No row for ``power`` or for
+    phi(1/2) = 0, and no end row for h <= 2 or phi(2) = 0."""
+    k, values, k_lo, k_hi = spec.kernel, data.values, data.k_lo, data.k_hi
+    t = spec.n * np.asarray(xs)
+    flat = np.zeros(len(t), dtype=bool)
+    cap = operators._half_width(spec, len(values))
+    halves = eval_kernel(k, np.arange(cap) + 0.5)
+    phis = eval_kernel(k, np.arange(float(cap)))
+    if len(t) <= len(values) or k.variant == "power" or not halves[0] > 0.0:
+        return flat
+    for c in range(k_lo, k_hi + 1):
+        d = _least(halves / halves[0], values[c - k_lo], 1)
+        if d is not None and _clear(values, k_lo, c, d):
+            flat |= (c - 0.5 <= t) & (t <= c + 0.5)
+    if cap > 2 and phis[2] > 0.0:
+        for c, past in ((k_lo, t <= k_lo), (k_hi, t >= k_hi)):
+            e = _least(phis[1:] / phis[2], values[c - k_lo], 1)
+            if e is not None and _clear(values, k_lo, c, e):
+                flat |= past
+    return flat
+
+
+def _run_flat(spec, data, xs):
+    """Which rows the rule for runs of equal node values took without a
+    window: a row at t = n x whose nodes within distance D of t (clipped
+    into k_lo..k_hi) all hold the value v at clip(floor(t)), D >= 2 the
+    least below the cap with fl(phi(D) / phi(2)) <= v."""
+    k, values, k_lo, k_hi = spec.kernel, data.values, data.k_lo, data.k_hi
+    t = spec.n * np.asarray(xs)
+    cap = operators._half_width(spec, len(values))
+    ratios = eval_kernel(k, np.arange(2.0, cap)) / phi_floor(k)
+    at = np.clip(np.floor(t), k_lo, k_hi).astype(int) - k_lo
+    reach = np.array([_least(ratios, v, 2) or 0 for v in values])[at]
+    run = np.append(0, np.cumsum(values[1:] != values[:-1]))
+    lo = np.clip(np.ceil(t) - reach, k_lo, k_hi).astype(int) - k_lo
+    hi = np.clip(np.floor(t) + reach, k_lo, k_hi).astype(int) - k_lo
+    return (reach > 0) & (run[lo] == run[hi])
 
 
 def _step_with_noisy_stretch(step, n):
@@ -517,6 +599,17 @@ def _by_parts_rows(spec, data, xs):
     count = (np.searchsorted(jumps, ft + reach, side="right")
              - np.searchsorted(jumps, ft - (reach - 1)))
     return operators._TERM_COST * (count + 4 * m) < width, count, m
+
+
+def _edge_rows(spec, xs):
+    """Which linear rows summed by parts lie within reach + m - 1 of an end
+    node, whose denominators take their 4m end terms."""
+    k_lo, k_hi = node_bounds(spec.mode, spec.n, spec.domain)
+    nodes = k_hi - k_lo + 1
+    width = min(2 * operators._half_width(spec, nodes) + 2, nodes)
+    m, _, reach = operators._by_parts(spec, width)
+    floor = np.floor(spec.n * np.asarray(xs))
+    return (floor - reach < k_lo + m - 1) | (floor + reach >= k_hi - m + 1)
 
 
 def _half_width_scan(k, nodes):
@@ -812,41 +905,58 @@ def test_flat_rows_match_dense(kernel, family, mode, n, kinds, longest, rows_per
 
 
 def test_flat_rows_occur_on_the_step(step):
-    # the share of flat rows grows with n, as the step's runs grow
-    xs = np.linspace(0.0, 1.0, 20_001)
+    # on the error table's 1e5-point norm grid the share of flat rows grows
+    # with n, as the step's pieces hold more nodes: the rows on windows are
+    # those the dominance rule leaves, no more than the bounds below, and
+    # among those the rule for runs of equal values left
+    xs = (np.arange(100_000) + 0.5) / 100_000
+    bounds = {10: 45_000, 30: 20_000, 90: 6_667, 150: 4_001, 500: 1_200}
     shares = []
-    for n in (10, 30, 90, 150, 500):
+    for n, most in bounds.items():
         spec = _spec(n=n)
         data = cell_averages_exact(step, UNIT, n)
-        out, windowed = _windowed_rows(spec, data, xs)
-        assert np.array_equal(out, _dense_eval(spec, data, xs))
-        shares.append(1.0 - windowed / len(xs))
-    assert shares[0] == 0.0 and np.all(np.diff(shares) > 0.0) and shares[-1] > 0.95
+        out, windowed = _windowed_mask(spec, data, xs)
+        assert np.array_equal(out[::5], _dense_eval(spec, data, xs[::5]))
+        assert np.array_equal(windowed, ~_dominance_flat(spec, data, xs))
+        assert windowed.sum() <= most and not (windowed & _run_flat(spec, data, xs)).any()
+        shares.append(1.0 - windowed.mean())
+    assert shares[0] > 0.5 and np.all(np.diff(shares) > 0.0) and shares[-1] > 0.95
 
 
-def test_runs_too_short_for_a_flat_row_are_not_kept(step):
-    # on the step at n = 10 (runs of 2 and 3 nodes, D = 3) no run can hold a
-    # flat row, inside k_lo..k_hi or at either end, so no chunk searches; at
-    # n = 30 the runs of 6 and 9 nodes hold some.  A grid of no more rows
-    # than nodes does not look for runs
+def test_nodes_that_dominate_no_row_are_not_kept(step):
+    # on the step at n = 10 the pieces of 0.9 and 0.6 dominate their rows,
+    # the latter with the rows past k_hi, while the nodes of 0.2 and 0.3
+    # lie within D of a larger node; at n = 30 every piece dominates some.
+    # Scaled by 1e-3 every value lies below phi(9/2) / phi(1/2) and
+    # phi(4) / phi(2), so no node has a D or an E and none is kept, and no
+    # chunk searches.  A grid of no more rows than nodes does not look
     xs = np.linspace(0.0, 1.0, 2001)
-    for n, kept in ((10, None), (30, [0.2, 0.9, 0.3, 0.6])):
+    scaled = NodeData(0, 29, 1e-3 * cell_averages_exact(step, UNIT, 30).values)
+    cases = [(10, cell_averages_exact(step, UNIT, 10), [0.9, 0.6]),
+             (30, cell_averages_exact(step, UNIT, 30), [0.2, 0.9, 0.3, 0.6]),
+             (30, scaled, None)]
+    for n, data, kept in cases:
         spec = _spec(n=n)
-        data = cell_averages_exact(step, UNIT, n)
-        phis = eval_kernel(TANH, np.arange(operators._half_width(spec, n), dtype=float))
-        runs = operators._flat_runs(data, phis, n * xs[0], n * xs[-1])
-        assert (runs if runs is None else runs[2].tolist()) == kept
+        cap = operators._half_width(spec, n)
+        halves = eval_kernel(TANH, np.arange(cap) + 0.5)
+        phis = eval_kernel(TANH, np.arange(float(cap)))
+        flat = operators._dominant_nodes(data, halves, phis)
+        assert (flat if flat is None else flat[2].tolist()) == kept
+        t = n * xs
+        covered = np.zeros(len(xs), dtype=bool) if flat is None else np.any(
+            (flat[0][:, None] <= t) & (t <= flat[1][:, None]), axis=0)
+        assert np.array_equal(covered, _dominance_flat(spec, data, xs))
     searched = []
 
-    def recording(runs, t, y):
+    def recording(flat, t, y):
         searched.append(len(t))
-        return flat(runs, t, y)
+        return found(flat, t, y)
 
-    flat = operators._eval_flat
+    found = operators._eval_flat
     with mock.patch.object(operators, "_eval_flat", recording):
-        for n, grid in ((10, xs), (30, xs), (30, xs[:30])):
-            eval_grid(_spec(n=n), cell_averages_exact(step, UNIT, n), grid)
-            assert sum(searched) == (len(xs) if n == 30 and len(grid) > 30 else 0)
+        for (n, data, kept), grid in zip(cases + cases[1:2], [xs, xs, xs, xs[:30]]):
+            eval_grid(_spec(n=n), data, grid)
+            assert sum(searched) == (len(xs) if kept and len(grid) > n else 0)
             searched.clear()
 
 
@@ -854,8 +964,10 @@ def test_runs_too_short_for_a_flat_row_are_not_kept(step):
 @pytest.mark.parametrize("variant", ["tanh", "ramp"])
 def test_every_flat_row_takes_no_window(variant, layout):
     # one chunk, of more rows than nodes: the rows on windows are exactly
-    # those the flat rule, checked row by row, leaves; n b = 30.8 puts rows
-    # past k_hi + 1 = 30, whose nodes within distance 2 are node 29 alone
+    # those the dominance rule, checked row by row, leaves; n b = 30.8 puts
+    # rows up to 1.8 past k_hi = 29, which take node 29's value only if no
+    # node closer than its E holds more.  Noise has flat rows nearest its
+    # local maxima, and a last node of 1 adds those past k_hi
     domain = Domain(-0.3, 0.77)
     kernel = make_kernel(variant, scale=0.5)
     spec = OperatorSpec("maxmin", "kantorovich", 40, domain, kernel)
@@ -869,19 +981,12 @@ def test_every_flat_row_takes_no_window(variant, layout):
         values[-1] = 1.0 if layout == "noise ending in 1" else values[-1]
     data = NodeData(k_lo, k_hi, values)
     xs = np.linspace(domain.a, domain.b, 4001)
-    cap = operators._half_width(spec, len(values))
-    ratios = eval_kernel(kernel, np.arange(2.0, cap)) / phi_floor(kernel)
-    flat = 0
-    for t in 40 * xs:
-        v = values[min(max(math.floor(t), k_lo), k_hi) - k_lo]
-        d = next((d for d, r in enumerate(ratios, 2) if r <= v), None)
-        if d is not None:
-            near = values[max(math.ceil(t) - d, k_lo) - k_lo:min(math.floor(t) + d, k_hi) - k_lo + 1]
-            flat += bool(np.all(near == v))
-    out, windowed = _windowed_rows(spec, data, xs)
+    flat = _dominance_flat(spec, data, xs)
+    out, windowed = _windowed_mask(spec, data, xs)
     assert np.array_equal(out, _dense_eval(spec, data, xs))
-    assert windowed == len(xs) - flat
-    assert flat > 0 if layout != "noise" else flat == 0
+    assert np.array_equal(windowed, ~flat)
+    past = 40 * xs > k_hi + 0.5
+    assert flat.any() and (flat[past].all() or layout != "noise ending in 1")
 
 
 @settings(max_examples=200, deadline=None)
@@ -914,6 +1019,44 @@ def test_maxmin_dominates_maxprod(kernel, mode, n, a, width, zeros, seed):
             eval_grid(maxprod, data, xs)
         return
     assert np.all(got >= eval_grid(maxprod, data, xs))
+
+
+@pytest.mark.parametrize("family", ["maxprod", "maxmin"])
+def test_end_rows_reach_two_nodes_past_k_hi(family):
+    # at n = 40 on [-0.3, 0.77] the Kantorovich nodes end at k_hi = 29 and
+    # n b = 30.8, so rows lie up to 1.8 past k_hi: their max weight is only
+    # known to be at least phi(2), not phi(1)
+    domain = Domain(-0.3, 0.77)
+    k_lo, k_hi = node_bounds("kantorovich", 40, domain)
+    values = np.random.default_rng(3).uniform(0.2, 0.8, k_hi - k_lo + 1)
+    values[-3:] = 0.9
+    data = NodeData(k_lo, k_hi, values)
+    xs = np.linspace(domain.a, domain.b, 2001)
+    t = 40 * xs
+    past = t > k_hi + 0.5
+    assert k_hi == 29 and t[-1] > k_hi + 1.75
+    # tanh: phi(2) > 0 and fl(phi(3) / phi(2)) <= 0.9, and nodes 27 and 28
+    # hold no more than node 29, so the rows past k_hi take 0.9 unwindowed
+    spec = OperatorSpec(family, "kantorovich", 40, domain, TANH)
+    out, windowed = _windowed_mask(spec, data, xs)
+    assert out.tobytes() == _dense_eval(spec, data, xs).tobytes()
+    assert not windowed[past].any() and np.all(out[past] == 0.9)
+    # ramp at scale 1 vanishes from distance 3/2 on, so phi(2) = 0: the rows
+    # past k_hi keep their windows, though node 29 holds 1, the most any
+    # node can, and those 3/2 or more past it, where every weight vanishes,
+    # raise as the dense evaluation does
+    spec = OperatorSpec(family, "kantorovich", 40, domain, RAMP)
+    assert phi_floor(RAMP) == 0.0
+    data = NodeData(k_lo, k_hi, np.append(values[:-1], 1.0))
+    defined = t < k_hi + 1.5
+    out, windowed = _windowed_mask(spec, data, xs[defined])
+    assert out.tobytes() == _dense_eval(spec, data, xs[defined]).tobytes()
+    assert windowed[past[defined]].all() and past[defined].sum() > 0
+    assert not windowed[~past[defined]][-10:].any()  # up to 1/2 past node 29
+    with pytest.raises(ZeroDenominatorError) as dense:
+        _dense_eval(spec, data, xs)
+    with pytest.raises(ZeroDenominatorError, match=f"\\(grid index {dense.value.args[0]}\\)"):
+        eval_grid(spec, data, xs)
 
 
 @pytest.mark.parametrize("variant", ["ramp", "three"])
