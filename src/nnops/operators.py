@@ -34,23 +34,27 @@ Each row then carries a certificate:
   2^-52 + 2^-45 * |dense|.
 
 Rows go in ascending x (an unsorted grid is sorted first and its results put
-back), in chunks of as many rows as 2^16 window weights hold, one loop for
-every path.  Each chunk cuts its cost by the node values its rows reach: the
-max families narrow h and take flat rows without weights, and linear rows
-may be summed by parts (all below).
-A row's result depends only on its own x, so neither the order nor the
-chunks move a bit; the order keeps each chunk's reach near its rows, where a
-chunk of a shuffled grid would reach nearly every node.
+back), in chunks of as many rows as 2^16 window weights hold at the cap, and
+every chunk cuts its cost by the node values its rows reach in the same
+three steps (all below).  First one node-value rule fills the rows it can
+without a window: the max families' flat rows, or linear rows summed by
+parts.  Its rows lie together in ascending x, so it leaves the others as
+stretches of consecutive rows.  Then a max-min or max-product chunk with a
+stretch left narrows h.  Last, each stretch takes its windows.  A row's
+result depends only on its own x, so neither the order nor the chunks move
+a bit; the order keeps each chunk's reach near its rows, where a chunk of a
+shuffled grid would reach nearly every node.
 
 A max-min or max-product chunk whose rows reach fewer than 2^16 nodes at the
-cap narrows h to the smallest h below the cap with phi(h) <= v_floor phi(2),
-v_floor the least value of those nodes.  In exact arithmetic its rows pass
+cap narrows h to the smallest h with phi(h) <= v_floor phi(2), if that lies
+below the cap, v_floor the least value of those nodes.  In exact arithmetic its rows pass
 their certificate: the max-weight node has w / d = 1, so the result is at
 least its value, so at least v_floor; a dropped node weighs at most phi(h),
 the kernel being even and non-increasing; and d >= phi(2), as the window
 holds a node within distance 2 of every x.  So edge / d <= v_floor <=
 result.  A chunk of a sparse grid that reaches 2^16 nodes or more keeps the
-cap and reads no node values.  In the denoising sweep (logistic at scale
+cap, and one whose rows are all flat keeps it too; neither reads its node
+values.  In the denoising sweep (logistic at scale
 0.1, n = 2000, a cap of 50) the windows are 38 to 102 nodes wide, 67 per row
 on average.
 
@@ -68,30 +72,28 @@ most 1 and rounding is monotone (t - k and t - c round alike, and
 to 1 from it, or up to 2 past k_hi in Kantorovich mode (n b = 30.8 puts
 rows 1.8 past k_hi = 29), so they take d >= phi(2) and
 |t - k| >= |k - c| instead: they take v_c if no node closer than E to c
-holds more, E >= 1 the least below h with fl(phi(E) / phi(2)) <= v_c.  So
+holds more, E >= 1 the least up to h with fl(phi(E) / phi(2)) <= v_c.  So
 the rule needs the computed kernel even and non-increasing, which rules
-out ``power``, and phi(1/2) > 0, and phi(2) > 0 and h > 2 for the end
+out ``power``, and phi(1/2) > 0, and phi(2) > 0 and h >= 2 for the end
 rows.  Values are compared with ``>``, under which -0.0 equals +0.0, and
 :class:`NodeData` stores +0.0 for every -0.0, so a flat row's zero has the
 dense row's sign.  Adjacent dominant nodes share one value, as D = 1
 needs v_c = 1, and each stretch of them, with its end rows, is one pair of
 bounds left <= t <= right.  The call finds them once, in O(K D)
 comparisons, a cost below the rows'; in ascending t each stretch's rows are
-found by two searches over a chunk's rows, the other rows keep their
-windows and certificate, as contiguous slices of the chunk, and a chunk
-without a flat row runs as if none were found.  On the error table's step
-(tanh, 1e5 points) 55, 80, 93, 96 and 98.8 % of the max-family rows are
-flat at n = 10, 30, 90, 150 and 500: every row nearest a node D or more
-from a larger piece, which includes each row inside a run of equal values
-whose nodes within distance D' all hold its value (the rule this one
-replaced, with D' >= 2 the least with fl(phi(D') / phi(2)) <= v, flattened
-0, 50, 83, 90 and 97 %).  The denoising sweep (as many rows as nodes) and a
-sparse grid do not look.
+found by two searches over a chunk's rows, and the stretches between them
+keep their windows and certificate.  On the error table's step (tanh, 1e5
+points) 55, 80, 93, 96 and 98.8 % of the max-family rows are flat at n =
+10, 30, 90, 150 and 500: every row nearest a node D or more from a larger
+piece.  The denoising sweep (as many rows as nodes) and a sparse grid do
+not look.
 
 A row that fails its certificate (for instance one whose node values vanish
-across its window) is evaluated again on all K nodes, as without windowing;
-a vanishing denominator there raises :class:`ZeroDenominatorError` with the
-smallest such grid index.
+across its window) is evaluated again after the first pass, on all K nodes
+as without windowing, in chunks of as many rows as 2^16 weights hold at K
+nodes, with no node-value rule and no narrowing.  A vanishing denominator
+there raises :class:`ZeroDenominatorError` with the smallest such grid
+index.
 
 Linear rows can instead be summed by parts, at a cost set by the node
 values' jumps rather than the window.  The kernel is
@@ -122,7 +124,8 @@ against the window's 2h + 2 weights, and takes this path when
 (noisy data), a term took 1.7 times a weight's time.  A chunk takes the
 node values from its lowest row's L - m + 1 to its highest row's
 L + 2R + m, zero outside k_lo..k_hi, and chooses the path once per
-floor(t), on which a row's path and terms alone depend.  Each row adds its
+floor(t), on which a row's path and terms alone depend, so the rows it
+leaves to their windows are stretches of consecutive rows.  Each row adds its
 terms one after another, padded to its chunk's longest row by exact zeros,
 so its result does not depend on the rows around it.  A row on this path
 has 2 (N + 4m) below the width, so a chunk's rows hold fewer than 2^15
@@ -403,13 +406,14 @@ def _by_parts(spec: OperatorSpec, width: int):
 
 
 def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarray):
-    """Fill ``y`` at the rows of a chunk at t = n x whose summation by parts
-    costs less than their window's ``width`` weights (see the module
-    docstring); return the other rows and the rows whose denominator
-    vanished.  Numerator and denominator are both doubled, which rounds
-    alike, so that 2g(j) = tanh(s (t - j)) + 1 needs no halving."""
+    """Fill ``y`` at the rows of a chunk at ascending t = n x whose summation
+    by parts costs less than their window's ``width`` weights (see the
+    module docstring); return the (start, stop) of each stretch of other
+    rows and the rows whose denominator vanished.  Numerator and denominator
+    are both doubled, which rounds alike, so that 2g(j) = tanh(s (t - j)) + 1
+    needs no halving."""
     m, s, reach = parts
-    f0, f1 = math.floor(t.min()), math.floor(t.max())
+    f0, f1 = math.floor(t[0]), math.floor(t[-1])
     # v_i at i = base + index up to f1 + reach + m, which overlaps
     # k_lo..k_hi, as every row lies within 2 nodes of it and reach >= 20
     base = f0 - reach - m + 1
@@ -423,12 +427,18 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
     r = np.arange(f1 - f0 + 1)
     first = np.searchsorted(nonzero, r)
     count = np.searchsorted(nonzero, r + 2 * reach) - first
+    cheap = _TERM_COST * (count + 4 * m) < width
     at = (np.floor(t) - f0).astype(np.intp)
-    mine = (_TERM_COST * (count + 4 * m) < width)[at]
-    rows = np.flatnonzero(mine)
-    if not len(rows):
-        return np.flatnonzero(~mine), rows
-    t, at = t[rows], at[rows]
+    rows, rest = np.arange(len(t)), []
+    if not cheap.all():
+        rows = np.flatnonzero(cheap[at])
+        if not len(rows):
+            return [(0, len(t))], rows
+        # t ascends, so a floor's rows lie together, and the rows summed by
+        # parts form runs of consecutive rows
+        ends = np.flatnonzero(np.diff(rows) > 1)
+        rest = _gaps(rows[np.append(0, ends + 1)], rows[np.append(ends, -1)] + 1, len(t))
+        t, at = t[rows], at[rows]
     first, count = first[at], count[at]
     # the 2m node values v_{L-m+1} .. v_{L+m}, L = floor(t) - reach, whose
     # differences telescope over every j <= L, where g(j) = 1
@@ -457,7 +467,7 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
         denom[edge] = (_sum_terms(_twice_sigma((te - (data.k_lo - m + q)) * s))
                        - _sum_terms(_twice_sigma((te - (data.k_hi - m + 1 + q)) * s)))
     y[rows] = numer / np.where(denom > 0.0, denom, 1.0)
-    return np.flatnonzero(~mine), rows[denom <= 0.0]
+    return rest, rows[denom <= 0.0]
 
 
 def _sum_terms(block: np.ndarray) -> np.ndarray:
@@ -515,44 +525,45 @@ def _eval_flat(flat, t: np.ndarray, y: np.ndarray):
     # stretches i .. j - 1 reach t[0] .. t[-1]
     i, j = np.searchsorted(right, t[0]), np.searchsorted(left, t[-1], "right")
     first, last = np.searchsorted(t, left[i:j]), np.searchsorted(t, right[i:j], "right")
-    rest, end = [], 0
     for a, b, value in zip(first, last, v[i:j]):
-        if a == b:
-            continue
         y[a:b] = value
-        if end < a:
-            rest.append((end, a))
-        end = b
-    if end < len(t):
-        rest.append((end, len(t)))
-    return rest
+    return _gaps(first, last, len(t))
 
 
-def _eval_windows(spec, data, xs, half, narrow):
-    """Evaluate every x on the window of min(2h + 2, K) of the K nodes
-    starting at floor(n*x) - h, clipped into k_lo..k_hi, in chunks of as
-    many rows as _CHUNK weights hold at h = ``half``.
+def _gaps(first: np.ndarray, last: np.ndarray, rows: int):
+    """The (start, stop) of each stretch of rows 0 .. rows - 1 that the
+    ascending, disjoint stretches first[i] .. last[i] - 1 leave; an empty
+    one splits no stretch."""
+    full = first < last
+    return [(a, b) for a, b in zip([0, *last[full]], [*first[full], rows]) if a < b]
 
-    With ``narrow`` each chunk cuts its cost by the node values it reaches
-    (see the module docstring): the max families narrow h below ``half`` by
-    their node floor and take flat rows without a window, and linear rows
-    are summed by parts where that costs less than the window.  Returns the
-    outputs and the rows that failed their certificate; on a window of every
-    node only a vanished denominator fails.
+
+def _eval_windows(spec, data, xs):
+    """The first pass of :func:`eval_grid` over ascending ``xs``: every x on
+    the window of min(2h + 2, K) of the K nodes starting at floor(n*x) - h,
+    clipped into k_lo..k_hi, h at most the cap from :func:`_half_width`, in
+    chunks of as many rows as _CHUNK weights hold at the cap.
+
+    Each chunk cuts its cost by the node values it reaches (see the module
+    docstring): a node-value rule first fills its rows (flat max-family rows,
+    or linear rows summed by parts) and leaves stretches of rows; a max-family
+    chunk with a stretch left narrows h by its node floor; and each stretch
+    takes its windows.  Returns the outputs and the rows that failed their
+    certificate.
     """
     nodes = len(data.values)
+    half = _half_width(spec, nodes)
     width = min(2 * half + 2, nodes)
     step = max(1, _CHUNK // width)
-    parts = _by_parts(spec, width) if narrow else None
-    narrow = narrow and spec.family != "linear"
-    if narrow:
-        phis = eval_kernel(spec.kernel, np.arange(min(half, _CHUNK), dtype=float))
+    parts = _by_parts(spec, width)
+    phis = flat = None
+    if spec.family != "linear":
+        phis = eval_kernel(spec.kernel, np.arange(min(half + 1, _CHUNK), dtype=float))
         phi2 = phi_floor(spec.kernel)
-        flat = None
         # found once, at a cost below the rows', where the rows outnumber
         # the nodes
         if len(xs) > nodes and spec.kernel.variant != "power":
-            halves = eval_kernel(spec.kernel, np.arange(len(phis)) + 0.5)
+            halves = eval_kernel(spec.kernel, np.arange(min(half, _CHUNK)) + 0.5)
             if halves[0] > 0.0:
                 flat = _dominant_nodes(data, halves, phis)
     out = np.empty(len(xs))
@@ -560,25 +571,20 @@ def _eval_windows(spec, data, xs, half, narrow):
     for start in range(0, len(xs), step):
         sl = slice(start, start + step)
         chunk = xs[sl]
-        h, windowed = half, [(0, len(chunk))]  # the stretches of rows on windows
-        if narrow:
-            # the nodes lo .. hi - 1 past k_lo that the chunk's rows reach at half
-            lo = max(math.floor(spec.n * chunk.min()) - half - data.k_lo, 0)
-            hi = min(math.floor(spec.n * chunk.max()) + half + 2 - data.k_lo, nodes)
-            if hi - lo < _CHUNK:
-                reach = data.values[lo:hi]
-                below = np.flatnonzero(phis <= reach.min() * phi2)
-                h = int(below[0]) if len(below) else half
-            if flat is not None:
-                windowed = _eval_flat(flat, spec.n * chunk, out[sl])
+        windowed = [(0, len(chunk))]  # the stretches of rows on windows
+        if flat is not None:
+            windowed = _eval_flat(flat, spec.n * chunk, out[sl])
         elif parts:
-            rows, bad = _eval_by_parts(data, parts, spec.n * chunk, width, out[sl])
+            windowed, bad = _eval_by_parts(data, parts, spec.n * chunk, width, out[sl])
             failed.append(start + bad)
-            if len(rows) < len(chunk):  # the other rows take their windows
-                if len(rows):
-                    out[start + rows], bad = _eval_chunk(spec, data, chunk[rows], h)
-                    failed.append(start + rows[bad])
-                continue
+        h = half
+        if phis is not None and windowed:
+            # the nodes lo .. hi - 1 past k_lo that the chunk's rows reach at half
+            lo = max(math.floor(spec.n * chunk[0]) - half - data.k_lo, 0)
+            hi = min(math.floor(spec.n * chunk[-1]) + half + 2 - data.k_lo, nodes)
+            if hi - lo < _CHUNK:
+                below = np.flatnonzero(phis <= data.values[lo:hi].min() * phi2)
+                h = int(below[0]) if len(below) else half
         for a, b in windowed:
             out[start + a:start + b], bad = _eval_chunk(spec, data, chunk[a:b], h)
             failed.append(start + a + bad)
@@ -586,7 +592,8 @@ def _eval_windows(spec, data, xs, half, narrow):
 
 
 def _eval_chunk(spec, data, xs, half):
-    """One chunk of :func:`_eval_windows`: outputs and failed rows.
+    """Outputs and failed rows of a chunk of rows on windows of half-width
+    ``half`` (see :func:`_eval_windows`).
 
     The weights are laid out (nodes, rows) for :func:`_combine`; linear's are
     computed (rows, nodes) and passed as a transposed view (see the module
@@ -621,10 +628,11 @@ def _eval_chunk(spec, data, xs, half):
 def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:
     """Evaluate the operator at every grid point.
 
-    Each row combines only the nodes its kernel window reaches, or a linear
-    row the jumps of the node values in its reach; a row that fails its
-    certificate is evaluated again on every node (see the module
-    docstring).  Rows go in ascending x, an unsorted grid sorted first and
+    Each row combines only the nodes its kernel window reaches, or takes a
+    node-value rule instead: a flat max-family row its dominant node's
+    value, a linear row the jumps of the node values in its reach.  A row
+    that fails its certificate is evaluated again on every node (see the
+    module docstring).  Rows go in ascending x, an unsorted grid sorted first and
     its results put back.  A row's result depends only on its own x, so
     this is bitwise identical to mapping :func:`eval_operator` pointwise.
     Errors carry the smallest offending grid index.
@@ -642,10 +650,14 @@ def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:
     # in ascending x each chunk reads only the nodes around its own rows
     order = None if np.all(xs[1:] >= xs[:-1]) else np.argsort(xs)
     ys = xs if order is None else xs[order]
-    out, failed = _eval_windows(spec, data, ys, _half_width(spec, nodes), True)
-    if len(failed):
-        out[failed], still = _eval_windows(spec, data, ys[failed], nodes, False)
-        failed = failed[still]
+    out, failed = _eval_windows(spec, data, ys)
+    still = [failed[:0]]
+    step = max(1, _CHUNK // nodes)
+    for i in range(0, len(failed), step):  # again on every node
+        rows = failed[i:i + step]
+        out[rows], bad = _eval_chunk(spec, data, ys[rows], nodes)
+        still.append(rows[bad])
+    failed = np.concatenate(still)
     if order is not None:  # the sorted copy takes the results in grid order
         ys[order], failed = out, order[failed]
         out = ys

@@ -264,7 +264,7 @@ class TestEvalGrid:
 
         monkeypatch.setattr(operators, "eval_kernel", counting)
         xs = np.linspace(0.0, 1.0, 256)
-        # the window's half-width caps at h = ceil(decay_l) = 5; phi(0..4) are
+        # the window's half-width caps at h = ceil(decay_l) = 5; phi(0..5) are
         # computed once, and at a node floor of 0.5 the first h < 5 with
         # phi(h) <= 0.5 phi(2) is 3, so each row takes 2h + 2 = 8 weights.
         # At n = 100 the grid holds more rows than nodes, so the call also
@@ -277,24 +277,24 @@ class TestEvalGrid:
             windowed = len(xs) - _dominance_flat(spec, data, xs).sum()
             evaluated.clear()
             eval_grid(spec, data, xs)
-            assert sum(evaluated) == (10 if n == 100 else 5) + windowed * 8, n
+            assert sum(evaluated) == (11 if n == 100 else 6) + windowed * 8, n
             assert 0 < windowed < 256 if n == 100 else windowed == 256
         # constant data at n = 100: every node is dominant, so every row is
         # flat and takes no weight; at n = 20_000 the grid holds fewer rows
         # than nodes and keeps its windows
         evaluated.clear()
         eval_grid(_spec(n=100), _const_data(_spec(n=100), 0.5), xs)
-        assert sum(evaluated) == 10
+        assert sum(evaluated) == 11
         evaluated.clear()
         spec = _spec(n=20_000)
         eval_grid(spec, _const_data(spec, 0.5), xs)
-        assert sum(evaluated) == 5 + 256 * 8
+        assert sum(evaluated) == 6 + 256 * 8
         evaluated.clear()
         # one zero node within the chunk's reach keeps h at 5
         values = np.full(20_000, 0.5)
         values[10_000] = 0.0
         eval_grid(spec, NodeData(0, 19_999, values), xs)
-        assert sum(evaluated) == 5 + 256 * 12
+        assert sum(evaluated) == 6 + 256 * 12
         # linear rows summed by parts evaluate sigma, not the kernel: each
         # row its nonzero differences in reach, padded to its chunk's
         # longest row, plus, if it lies within reach + m - 1 of an end node,
@@ -375,7 +375,7 @@ class TestEvalGrid:
                 shapes.clear()
                 data = _alternating_data(spec, c)
                 assert np.array_equal(eval_grid(spec, data, xs), _dense_eval(spec, data, xs))
-                assert shapes[0] == (cap,)  # phi(0), ..., phi(cap - 1)
+                assert shapes[0] == (cap + 1,)  # phi(0), ..., phi(cap)
                 assert {s[0] for s in shapes[1:]} == {2 * h + 2}, (scale, c)
                 assert sum(s[1] for s in shapes[1:]) == len(xs), (scale, c)
                 assert not _dominance_flat(spec, data, xs).any()
@@ -383,8 +383,9 @@ class TestEvalGrid:
                 data = _const_data(spec, c)
                 assert np.all(eval_grid(spec, data, dense) == c)
                 # phi(1/2), ..., phi(cap - 1/2) are computed once; at scale 3
-                # the cap is 2, and phi(0), phi(1) tell no E, so the rows
-                # more than 1/2 past an end node keep their windows
+                # the cap is 2, and phi(1) / phi(2) and phi(2) / phi(2) = 1
+                # both exceed c, so no end node has an E, and the rows more
+                # than 1/2 past an end node keep their windows
                 assert shapes[1] == (cap,)
                 windowed = sum(s[1] for s in shapes[2:])
                 assert windowed == len(dense) - _dominance_flat(spec, data, dense).sum()
@@ -398,25 +399,27 @@ class TestEvalGrid:
         # logistic at scale 0.1 reaches past all 30 nodes, so the cap is every
         # node; a node floor 50 times too high narrows each chunk to h = 0,
         # every row on a window (all but those nearest a dominant node)
-        # fails its certificate there and is evaluated again on every node
+        # fails its certificate there and is evaluated again on every node,
+        # h = K = 30, where none fails
         spec = _spec(family=family, n=30, kernel=make_kernel("logistic", scale=0.1))
         assert operators._half_width(spec, 30) == 30
         data = NodeData(0, 29, np.random.default_rng(4).uniform(0.3, 1.0, 30))
         xs = np.linspace(0.0, 1.0, 501)
-        failed = []
+        calls = {0: [0, 0], 30: [0, 0]}  # h: [rows, failed rows]
 
-        def recording(*args):
-            out, rows = windows(*args)
-            failed.append(len(rows))
-            return out, rows
+        def recording(spec, data, xs, half):
+            out, bad = chunk(spec, data, xs, half)
+            calls[half][0] += len(xs)
+            calls[half][1] += len(bad)
+            return out, bad
 
-        windows = operators._eval_windows
-        monkeypatch.setattr(operators, "_eval_windows", recording)
+        chunk = operators._eval_chunk
+        monkeypatch.setattr(operators, "_eval_chunk", recording)
         windowed = 501 - _dominance_flat(spec, data, xs).sum()
         assert 0 < windowed < 501
         monkeypatch.setattr(operators, "phi_floor", lambda k: 50.0 * phi_floor(k))
         assert np.array_equal(eval_grid(spec, data, xs), _dense_eval(spec, data, xs))
-        assert failed == [windowed, 0]
+        assert calls == {0: [windowed, windowed], 30: [windowed, 0]}
 
     @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
     @pytest.mark.parametrize("gamma", [0.5, 1.0])
@@ -531,21 +534,21 @@ def _dominance_flat(spec, data, xs):
     the least up to the cap h with fl(phi(D - 1/2) / phi(1/2)) <= v_c; a row
     at t = n x with |t - c| <= 1/2 then takes v_c.  A row past an end node c
     takes v_c if no node closer than E to c holds more, E >= 1 the least
-    below h with fl(phi(E) / phi(2)) <= v_c.  No row for ``power`` or for
-    phi(1/2) = 0, and no end row for h <= 2 or phi(2) = 0."""
+    up to h with fl(phi(E) / phi(2)) <= v_c.  No row for ``power`` or for
+    phi(1/2) = 0, and no end row for h < 2 or phi(2) = 0."""
     k, values, k_lo, k_hi = spec.kernel, data.values, data.k_lo, data.k_hi
     t = spec.n * np.asarray(xs)
     flat = np.zeros(len(t), dtype=bool)
     cap = operators._half_width(spec, len(values))
     halves = eval_kernel(k, np.arange(cap) + 0.5)
-    phis = eval_kernel(k, np.arange(float(cap)))
+    phis = eval_kernel(k, np.arange(cap + 1.0))
     if len(t) <= len(values) or k.variant == "power" or not halves[0] > 0.0:
         return flat
     for c in range(k_lo, k_hi + 1):
         d = _least(halves / halves[0], values[c - k_lo], 1)
         if d is not None and _clear(values, k_lo, c, d):
             flat |= (c - 0.5 <= t) & (t <= c + 0.5)
-    if cap > 2 and phis[2] > 0.0:
+    if cap >= 2 and phis[2] > 0.0:
         for c, past in ((k_lo, t <= k_lo), (k_hi, t >= k_hi)):
             e = _least(phis[1:] / phis[2], values[c - k_lo], 1)
             if e is not None and _clear(values, k_lo, c, e):
@@ -928,7 +931,7 @@ def test_nodes_that_dominate_no_row_are_not_kept(step):
     # the latter with the rows past k_hi, while the nodes of 0.2 and 0.3
     # lie within D of a larger node; at n = 30 every piece dominates some.
     # Scaled by 1e-3 every value lies below phi(9/2) / phi(1/2) and
-    # phi(4) / phi(2), so no node has a D or an E and none is kept, and no
+    # phi(5) / phi(2), so no node has a D or an E and none is kept, and no
     # chunk searches.  A grid of no more rows than nodes does not look
     xs = np.linspace(0.0, 1.0, 2001)
     scaled = NodeData(0, 29, 1e-3 * cell_averages_exact(step, UNIT, 30).values)
@@ -939,7 +942,7 @@ def test_nodes_that_dominate_no_row_are_not_kept(step):
         spec = _spec(n=n)
         cap = operators._half_width(spec, n)
         halves = eval_kernel(TANH, np.arange(cap) + 0.5)
-        phis = eval_kernel(TANH, np.arange(float(cap)))
+        phis = eval_kernel(TANH, np.arange(cap + 1.0))
         flat = operators._dominant_nodes(data, halves, phis)
         assert (flat if flat is None else flat[2].tolist()) == kept
         t = n * xs
@@ -967,7 +970,9 @@ def test_every_flat_row_takes_no_window(variant, layout):
     # those the dominance rule, checked row by row, leaves; n b = 30.8 puts
     # rows up to 1.8 past k_hi = 29, which take node 29's value only if no
     # node closer than its E holds more.  Noise has flat rows nearest its
-    # local maxima, and a last node of 1 adds those past k_hi
+    # local maxima, and a last node of 1 adds those past k_hi, as do the
+    # runs, which end in 0.3, 0.8, 0.8.  For ramp at scale 0.5 the cap h
+    # is 3 and phi(3) = 0, so node 29's E is at most h
     domain = Domain(-0.3, 0.77)
     kernel = make_kernel(variant, scale=0.5)
     spec = OperatorSpec("maxmin", "kantorovich", 40, domain, kernel)
@@ -986,7 +991,8 @@ def test_every_flat_row_takes_no_window(variant, layout):
     assert np.array_equal(out, _dense_eval(spec, data, xs))
     assert np.array_equal(windowed, ~flat)
     past = 40 * xs > k_hi + 0.5
-    assert flat.any() and (flat[past].all() or layout != "noise ending in 1")
+    assert flat.any() and past.sum() == 122
+    assert flat[past].all() if layout != "noise" else not flat[past].any()
 
 
 @settings(max_examples=200, deadline=None)
