@@ -434,8 +434,8 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
         rows = np.flatnonzero(cheap[at])
         if not len(rows):
             return [(0, len(t))], rows
-        # t ascends, so a floor's rows lie together, and the rows summed by
-        # parts form runs of consecutive rows
+        # the other rows lie in the gaps between the runs of consecutive
+        # rows summed by parts, few as t ascends
         ends = np.flatnonzero(np.diff(rows) > 1)
         rest = _gaps(rows[np.append(0, ends + 1)], rows[np.append(ends, -1)] + 1, len(t))
         t, at = t[rows], at[rows]
