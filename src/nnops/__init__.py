@@ -35,13 +35,13 @@ from .operators import (
     eval_grid,
     eval_operator,
     node_bounds,
-    sample_node_values,
 )
 from .quadrature import (
     QuadratureRule,
     cell_averages_exact,
     cell_averages_sampled,
     pairmean_order,
+    sample_node_values,
 )
 from .signals import (
     PiecewiseConstant,

@@ -121,15 +121,19 @@ denominator is 4m exactly and takes no tanh.  A row costs at most N + 4m
 tanh evaluations, N its nonzero differences in reach,
 against the window's 2h + 2 weights, and takes this path when
 2 (N + 4m) is below the window width: where every difference is nonzero
-(noisy data), a term took 1.7 times a weight's time.  A chunk takes the
-node values from its lowest row's L - m + 1 to its highest row's
-L + 2R + m, zero outside k_lo..k_hi, and chooses the path once per
-floor(t), on which a row's path and terms alone depend, so the rows it
-leaves to their windows are stretches of consecutive rows.  Each row adds its
-terms one after another, padded to its chunk's longest row by exact zeros,
-so its result does not depend on the rows around it.  A row on this path
-has 2 (N + 4m) below the width, so a chunk's rows hold fewer than 2^15
-terms of each kind (N, and 2m node values) with no further bound.
+(noisy data), a term took 1.7 times a weight's time.  A row reads the
+2 (R + m) node values v_{L-m+1} .. v_{L+2R+m}, zero outside k_lo..k_hi.
+A chunk takes them in one slice, from its lowest row's to its highest
+row's, unless that slice would hold more than 2 (R + m) values a row (a
+sparse grid at large n); then each run of its rows at most 2 (R + m) apart
+takes its own slice, the slices laid end to end, so a chunk reads O(R) node
+values a row whatever n.  A row's path and terms depend on floor(t) alone,
+so the rows a chunk leaves to their windows are stretches of consecutive
+rows.  Each row adds its terms one after another, padded to its chunk's
+longest row by exact zeros, so its result depends neither on the rows
+around it nor on how its chunk laid out the node values.  A row on this
+path has 2 (N + 4m) below the width, so a chunk's rows hold fewer than
+2^15 terms of each kind (N, and 2m node values) with no further bound.
 
 To first order in u = 2^-53, and with tanh within 2 ulps, each doubled
 sigma is within 4u, each partial sum of the doubled numerator lies in
@@ -292,37 +296,27 @@ def node_bounds(mode: str, n: int, domain: Domain) -> tuple[int, int]:
     return k_lo, k_hi
 
 
-def sample_node_values(f, spec: OperatorSpec) -> NodeData:
-    """Sampling-mode node data: f evaluated at the nodes k/n.
-
-    ``f`` must accept an ndarray of points in [a, b] and return values in
-    [0, 1]; signals use their nearest-sample lookup.  The node data keep
-    their own copy of what ``f`` returns, since ``f`` belongs to the caller
-    and may return an array the caller still holds.
-    """
-    if spec.mode != "sampling":
-        raise ValueError("sample_node_values is for sampling-mode specs")
-    k_lo, k_hi = node_bounds(spec.mode, spec.n, spec.domain)
-    ks = np.arange(k_lo, k_hi + 1)
-    return NodeData(k_lo, k_hi, np.asarray(f(ks / spec.n), dtype=float))
-
-
-def _combine(family: str, values: np.ndarray, w: np.ndarray):
+def _combine(family: str, values: np.ndarray, w: np.ndarray, edge: np.ndarray,
+             nodes: int):
     """Combine (nodes, rows) node values and kernel weights column by column,
-    overwriting ``w``.
+    overwriting ``w``, and certify each row by ``edge``, its bound on every
+    weight its window drops from the ``nodes`` nodes (see the module
+    docstring).
 
-    Returns the outputs and the per-row denominators (weight sum for linear,
-    max weight otherwise).  Rows whose denominator is 0 get a meaningless
-    output; the caller decides what they mean.
+    Returns the outputs and the rows that failed: their certificate, or a
+    denominator (weight sum for linear, max weight otherwise) of 0, where
+    the output means nothing.
     """
     denom = w.sum(axis=0) if family == "linear" else w.max(axis=0)
     safe = np.where(denom > 0.0, denom, 1.0)
     if family == "linear":
-        return np.multiply(w, values, out=w).sum(axis=0) / safe, denom
-    r = np.divide(w, safe, out=w)
-    if family == "maxmin":
-        return np.minimum(values, r, out=r).max(axis=0), denom
-    return np.multiply(values, r, out=r).max(axis=0), denom
+        y = np.multiply(w, values, out=w).sum(axis=0) / safe
+        passed = nodes * edge <= 2.0**-53 * denom
+    else:
+        r = np.divide(w, safe, out=w)
+        y = (np.minimum if family == "maxmin" else np.multiply)(values, r, out=r).max(axis=0)
+        passed = y >= edge / safe
+    return y, np.flatnonzero(~(passed & (denom > 0.0)))
 
 
 def _check_data(spec: OperatorSpec, data: NodeData) -> None:
@@ -409,46 +403,65 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
     """Fill ``y`` at the rows of a chunk at ascending t = n x whose summation
     by parts costs less than their window's ``width`` weights (see the
     module docstring); return the (start, stop) of each stretch of other
-    rows and the rows whose denominator vanished.  Numerator and denominator
-    are both doubled, which rounds alike, so that 2g(j) = tanh(s (t - j)) + 1
-    needs no halving."""
+    rows, to be taken on windows, as is a row whose denominator is not
+    positive.  Numerator and denominator are both doubled, which rounds
+    alike, so that 2g(j) = tanh(s (t - j)) + 1 needs no halving."""
     m, s, reach = parts
-    f0, f1 = math.floor(t[0]), math.floor(t[-1])
-    # v_i at i = base + index up to f1 + reach + m, which overlaps
-    # k_lo..k_hi, as every row lies within 2 nodes of it and reach >= 20
-    base = f0 - reach - m + 1
-    v = np.zeros(f1 - f0 + 2 * (reach + m))
-    lo, hi = max(data.k_lo, base), min(data.k_hi + 1, base + len(v))
-    v[lo - base:hi - base] = data.values[lo - data.k_lo:hi - data.k_lo]
-    # d_j = v_{j+m} - v_{j-m} at j = f0 - reach + 1 + index; a row at
-    # floor(t) = f0 + r reads its nonzero ones at index r .. r + 2 reach - 1
+    span = 2 * (reach + m)  # a row reads v_{floor(t)-reach-m+1} .. v_{floor(t)+reach+m}
+    floor = np.floor(t).astype(np.intp)
+    f0, f1 = floor[0], floor[-1]
+    index = None
+    if f1 - f0 <= span * len(t):
+        # v_i at i = base + index up to f1 + reach + m, which overlaps
+        # k_lo..k_hi, as every row lies within 2 nodes of it and reach >= 20
+        base = f0 - reach - m + 1
+        v = np.zeros(f1 - f0 + span)
+        lo, hi = max(data.k_lo, base), min(data.k_hi + 1, base + len(v))
+        v[lo - base:hi - base] = data.values[lo - data.k_lo:hi - data.k_lo]
+        keys, at = np.arange(f1 - f0 + 1), floor - f0
+    else:
+        # a sparse chunk reads only what its rows reach: each run of rows
+        # at most span apart takes one stretch of node values, the stretches
+        # laid end to end, v[p] = v_i at i = index[p]
+        runs = np.concatenate(([0], np.flatnonzero(np.diff(floor) > span) + 1, [len(t)]))
+        head = floor[runs[:-1]]
+        size = floor[runs[1:] - 1] - head + span
+        offset = np.cumsum(size) - size
+        index = np.arange(size.sum()) + np.repeat(head - reach - m + 1 - offset, size)
+        inside = (index >= data.k_lo) & (index <= data.k_hi)
+        v = np.zeros(len(index))
+        v[inside] = data.values[index[inside] - data.k_lo]
+        keys, at = floor + np.repeat(offset - head, np.diff(runs)), np.arange(len(t))
+    # d_j = v_{j+m} - v_{j-m} at diffs[p], j the node at v[p + m]; a row with
+    # v_{floor(t)-reach-m+1} at v[key] reads its nonzero ones at p = key ..
+    # key + 2 reach - 1, every one within its stretch of v
     diffs = v[2 * m:] - v[:-2 * m]
     nonzero = np.flatnonzero(diffs)
-    r = np.arange(f1 - f0 + 1)
-    first = np.searchsorted(nonzero, r)
-    count = np.searchsorted(nonzero, r + 2 * reach) - first
+    first = np.searchsorted(nonzero, keys)
+    count = np.searchsorted(nonzero, keys + 2 * reach) - first
     cheap = _TERM_COST * (count + 4 * m) < width
-    at = (np.floor(t) - f0).astype(np.intp)
     rows, rest = np.arange(len(t)), []
     if not cheap.all():
         rows = np.flatnonzero(cheap[at])
         if not len(rows):
-            return [(0, len(t))], rows
+            return [(0, len(t))]
         # the other rows lie in the gaps between the runs of consecutive
         # rows summed by parts, few as t ascends
         ends = np.flatnonzero(np.diff(rows) > 1)
         rest = _gaps(rows[np.append(0, ends + 1)], rows[np.append(ends, -1)] + 1, len(t))
-        t, at = t[rows], at[rows]
-    first, count = first[at], count[at]
+        t, at, floor = t[rows], at[rows], floor[rows]
+    first, count, key = first[at], count[at], keys[at]
     # the 2m node values v_{L-m+1} .. v_{L+m}, L = floor(t) - reach, whose
     # differences telescope over every j <= L, where g(j) = 1
-    numer = _sum_terms(v[at + np.arange(2 * m)[:, None]])
+    numer = _sum_terms(v[key + np.arange(2 * m)[:, None]])
     numer *= 2.0
     longest = count.max()
     if longest:
-        # past a row's count its terms lie beyond its reach, where g = 0, or
-        # on the padding at j = inf, where g = d_j = 0
-        jumps = np.append(f0 - reach + 1 + nonzero, np.full(longest, np.inf))
+        # past a row's count its terms lie beyond its reach, where g = 0
+        # (those of a later stretch of v too), or on the padding at j = inf,
+        # where g = d_j = 0
+        j = f0 - reach + 1 + nonzero if index is None else index[m + nonzero]
+        jumps = np.append(j, np.full(longest, np.inf))
         d = np.append(diffs[nonzero], np.zeros(longest))
         q = first + np.arange(longest)[:, None]
         g = np.subtract(t, jumps[q])
@@ -459,7 +472,6 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
     # an interior row's end terms are all 2g = 2 on the left and 0 on the
     # right, so its denominator is 4m; the others sum them
     denom = np.full(len(rows), 4.0 * m)
-    floor = f0 + at
     edge = np.flatnonzero((floor - reach < data.k_lo + m - 1)
                           | (floor + reach >= data.k_hi - m + 1))
     if len(edge):
@@ -467,7 +479,7 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
         denom[edge] = (_sum_terms(_twice_sigma((te - (data.k_lo - m + q)) * s))
                        - _sum_terms(_twice_sigma((te - (data.k_hi - m + 1 + q)) * s)))
     y[rows] = numer / np.where(denom > 0.0, denom, 1.0)
-    return rest, rows[denom <= 0.0]
+    return rest + [(i, i + 1) for i in rows[denom <= 0.0]]
 
 
 def _sum_terms(block: np.ndarray) -> np.ndarray:
@@ -575,8 +587,7 @@ def _eval_windows(spec, data, xs):
         if flat is not None:
             windowed = _eval_flat(flat, spec.n * chunk, out[sl])
         elif parts:
-            windowed, bad = _eval_by_parts(data, parts, spec.n * chunk, width, out[sl])
-            failed.append(start + bad)
+            windowed = _eval_by_parts(data, parts, spec.n * chunk, width, out[sl])
         h = half
         if phis is not None and windowed:
             # the nodes lo .. hi - 1 past k_lo that the chunk's rows reach at half
@@ -617,12 +628,8 @@ def _eval_chunk(spec, data, xs, half):
     # a bound on every dropped weight: the window's edge weight on that side
     edge = np.maximum(np.where(lo > k_lo, w[0], 0.0),
                       np.where(lo + width - 1 < k_hi, w[-1], 0.0))
-    y, denom = _combine(spec.family, windows[(lo - k_lo).astype(np.int64)].T, w)
-    if spec.family == "linear":
-        passed = len(values) * edge <= 2.0**-53 * denom
-    else:
-        passed = y >= edge / np.where(denom > 0.0, denom, 1.0)
-    return y, np.flatnonzero(~(passed & (denom > 0.0)))
+    return _combine(spec.family, windows[(lo - k_lo).astype(np.int64)].T, w, edge,
+                    len(values))
 
 
 def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:

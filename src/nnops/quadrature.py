@@ -1,8 +1,10 @@
 """Node data: the values v_k an operator combines, on any domain [a, b].
 
-:func:`node_data` decides which rule turns which input into node values:
+:func:`node_data` decides which rule turns which input into node values,
+and every rule is this module's own:
 
-* sampling specs take f at the nodes k/n, and no rule;
+* sampling specs take f at the nodes k/n (:func:`sample_node_values`), and
+  no quadrature rule;
 * exact piecewise integration for analytic piecewise-constant test functions;
 * refined Riemann / trapezoid sums at the sub-cell points k/n + j/(n r),
   evaluated directly for a callable and by nearest-sample lookup for a
@@ -43,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _CHUNK
-from .operators import (Domain, EmptyRangeError, NodeData, OperatorSpec, node_bounds,
-                        sample_node_values)
+from .operators import Domain, EmptyRangeError, NodeData, OperatorSpec, node_bounds
 from .signals import PiecewiseConstant, Signal
 
 RULE_KINDS = ("riemann", "trapezoid", "pairmean")
@@ -193,6 +194,21 @@ def _by_cells(k_lo: int, k_hi: int, width: int, averages) -> NodeData:
     np.clip(out, 0.0, 1.0, out=out)
     out.setflags(write=False)
     return NodeData(k_lo, k_hi, out)
+
+
+def sample_node_values(f, spec: OperatorSpec) -> NodeData:
+    """Sampling-mode node data: f evaluated at the nodes k/n.
+
+    ``f`` must accept an ndarray of points in [a, b] and return values in
+    [0, 1]; signals use their nearest-sample lookup.  The node data keep
+    their own copy of what ``f`` returns, since ``f`` belongs to the caller
+    and may return an array the caller still holds.
+    """
+    if spec.mode != "sampling":
+        raise ValueError("sample_node_values is for sampling-mode specs")
+    k_lo, k_hi = node_bounds(spec.mode, spec.n, spec.domain)
+    ks = np.arange(k_lo, k_hi + 1)
+    return NodeData(k_lo, k_hi, np.asarray(f(ks / spec.n), dtype=float))
 
 
 def node_data(f, spec: OperatorSpec, rule: QuadratureRule | None = None) -> NodeData:

@@ -81,10 +81,6 @@ class Signal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.domain.a, self.domain.b, len(self.samples))
-
     def __call__(self, x):
         d = self.domain
         pos = (np.asarray(x, dtype=float) - d.a) / d.width * (len(self.samples) - 1)

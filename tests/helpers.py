@@ -29,7 +29,8 @@ def signal_to_csv(s: Signal) -> str:
     """``x,value`` rows with 17 significant digits, under that header."""
     buf = io.StringIO()
     buf.write("x,value\n")
-    for x, v in zip(s.grid, s.samples):
+    xs = np.linspace(s.domain.a, s.domain.b, len(s.samples))
+    for x, v in zip(xs, s.samples):
         buf.write(f"{x:.17g},{v:.17g}\n")
     return buf.getvalue()
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnops import (
@@ -242,6 +242,18 @@ class TestEvalGrid:
         out, peak = traced_peak(lambda: eval_operator(spec, data, 0.37))
         assert out == eval_grid(spec, data, [0.37])[0]
         assert peak < 64 * 2**10
+
+    def test_sparse_grid_reads_only_its_reach(self, step):
+        # a chunk whose rows lie far apart reads each row's reach of node
+        # values, not every node between its first and last row
+        spec = _spec(family="linear", n=10**6)
+        data = cell_averages_exact(step, UNIT, 10**6)
+        xs = np.linspace(0.0, 1.0, 256)
+        assert _by_parts_rows(spec, data, xs)[0].all()
+        out, peak = traced_peak(lambda: eval_grid(spec, data, xs))
+        assert peak < 2 * 2**20
+        for i in (0, 51, 128, 255):
+            assert out[i] == eval_grid(spec, data, xs[i:i + 1])[0]
 
     def test_shuffled_grid_evaluated_in_ascending_x(self, step):
         # a shuffled grid is sorted first, so no chunk reaches the whole node
@@ -755,10 +767,16 @@ KERNELS = {(v, g, c): make_kernel(v, scale=c, alpha=g)
        zeros=st.sampled_from([0.0, 0.01, 0.5, 0.95, 1.0]),
        layout=st.sampled_from(["random", "sorted", "shuffled"]),
        seed=st.integers(0, 2**32 - 1))
+# linear rows summed by parts near k_hi, off by more than the window's bound
+@example(kernel=("logistic", 1.0, 1.0), family="linear", mode="sampling", n=282, a=0.0,
+         width=0.296875, floor=0.05, zeros=0.5, layout="random", seed=973365823)
+@example(kernel=("tanh", 1.0, 1.0), family="linear", mode="kantorovich", n=211, a=0.0,
+         width=1.1033954566225035, floor=0.9, zeros=0.5, layout="random", seed=29)
 def test_windowed_matches_dense(kernel, family, mode, n, a, width, floor, zeros, layout,
                                 seed):
-    """Max families bitwise, linear within the module docstring's bound, and
-    every family within 1e-12 of the scalar oracle; zero-heavy data forces
+    """Max families bitwise, linear within the module docstring's bounds
+    (by parts for the rows summed so, else the window's), and every family
+    within 1e-12 of the scalar oracle; zero-heavy data forces
     rows back to all nodes, and grid points halfway between nodes make
     compact kernels at scale 3 vanish there.  Node values above a floor let
     the max families narrow their windows: a sorted grid of several chunks
@@ -796,7 +814,10 @@ def test_windowed_matches_dense(kernel, family, mode, n, a, width, floor, zeros,
             return
         got = eval_grid(spec, data, xs)
     if family == "linear":
-        assert np.all(np.abs(got - want) <= 2.0**-52 + 2.0**-45 * np.abs(want))
+        by_parts, count, m = _by_parts_rows(spec, data, xs)
+        d = eval_kernel(spec.kernel, n * xs[:, None] - np.arange(k_lo, k_hi + 1)).sum(axis=1)
+        bound = np.where(by_parts, 2.0**-50 * m * (count + 4 * m) / d, 2.0**-52)
+        assert np.all(np.abs(got - want) <= bound + 2.0**-45 * np.abs(want))
     else:
         assert np.array_equal(got, want)
     for i in rng.choice(len(xs), 3, replace=False):
