@@ -833,14 +833,19 @@ def test_windowed_matches_dense(kernel, family, mode, n, a, width, floor, zeros,
        runs=st.integers(1, 8),
        ulps=st.sampled_from([0.0, 0.1, 0.5]),
        noisy=st.booleans(),
+       sparse=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_by_parts_matches_dense(variant, scale, mode, n, a, width, runs, ulps, noisy, seed):
+def test_by_parts_matches_dense(variant, scale, mode, n, a, width, runs, ulps, noisy,
+                                sparse, seed):
     """Linear rows summed by parts lie within the module docstring's bound
     of the dense evaluation, 2^-50 m (N + 4m) / d + 2^-45 |dense|, and
     within 1e-12 of the scalar oracle; the other rows within the window's
     bound.  Node data are runs of equal values, some moved by an ulp as the
     exact rule leaves them, or noise, on which every row whose reach lies
-    among the nodes keeps its window."""
+    among the nodes keeps its window.  Five points at 100 times the order
+    lie far apart: a sparse chunk, which reads each run of rows' reach on
+    its own."""
+    n, points = (100 * n, 5) if sparse else (n, 200)
     domain = Domain(a, a + width)
     kernel = make_kernel(variant, scale=scale)
     spec = OperatorSpec("linear", mode, n, domain, kernel)
@@ -858,7 +863,7 @@ def test_by_parts_matches_dense(variant, scale, mode, n, a, width, runs, ulps, n
         moved = rng.uniform(size=nodes) < ulps
         values[moved] = np.nextafter(values[moved], 0.5)
     data = NodeData(k_lo, k_hi, values)
-    xs = np.concatenate([rng.uniform(domain.a, domain.b, 200), [domain.a, domain.b]])
+    xs = np.concatenate([rng.uniform(domain.a, domain.b, points), [domain.a, domain.b]])
     by_parts, count, m = _by_parts_rows(spec, data, xs)
     if noisy:
         reach = math.ceil(20.0 / (scale if variant == "tanh" else scale / 2))
