@@ -412,7 +412,7 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
     f0, f1 = floor[0], floor[-1]
     index = None
     if f1 - f0 <= span * len(t):
-        # v_i at i = base + index up to f1 + reach + m, which overlaps
+        # v[p] = v_i at i = base + p up to f1 + reach + m, which overlaps
         # k_lo..k_hi, as every row lies within 2 nodes of it and reach >= 20
         base = f0 - reach - m + 1
         v = np.zeros(f1 - f0 + span)
