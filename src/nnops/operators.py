@@ -123,11 +123,11 @@ against the window's 2h + 2 weights, and takes this path when
 2 (N + 4m) is below the window width: where every difference is nonzero
 (noisy data), a term took 1.7 times a weight's time.  A row reads the
 2 (R + m) node values v_{L-m+1} .. v_{L+2R+m}, zero outside k_lo..k_hi.
-A chunk takes them in one slice, from its lowest row's to its highest
-row's, unless that slice would hold more than 2 (R + m) values a row (a
-sparse grid at large n); then each run of its rows at most 2 (R + m) apart
-takes its own slice, the slices laid end to end, so a chunk reads O(R) node
-values a row whatever n.  A row's path and terms depend on floor(t) alone,
+Each run of a chunk's rows whose floors lie at most 2 (R + m) apart takes
+one slice, from its lowest row's to its highest row's, the slices laid end
+to end beside their node indices, so a chunk reads O(R) node values a row
+whatever n (one slice on a dense grid, one a row on a sparse grid at large
+n).  A row's path and terms depend on floor(t) alone,
 so the rows a chunk leaves to their windows are stretches of consecutive
 rows.  Each row adds its terms one after another, padded to its chunk's
 longest row by exact zeros, so its result depends neither on the rows
@@ -409,32 +409,23 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
     m, s, reach = parts
     span = 2 * (reach + m)  # a row reads v_{floor(t)-reach-m+1} .. v_{floor(t)+reach+m}
     floor = np.floor(t).astype(np.intp)
-    f0, f1 = floor[0], floor[-1]
-    index = None
-    if f1 - f0 <= span * len(t):
-        # v[p] = v_i at i = base + p up to f1 + reach + m, which overlaps
-        # k_lo..k_hi, as every row lies within 2 nodes of it and reach >= 20
-        base = f0 - reach - m + 1
-        v = np.zeros(f1 - f0 + span)
-        lo, hi = max(data.k_lo, base), min(data.k_hi + 1, base + len(v))
-        v[lo - base:hi - base] = data.values[lo - data.k_lo:hi - data.k_lo]
-        keys, at = np.arange(f1 - f0 + 1), floor - f0
-    else:
-        # a sparse chunk reads only what its rows reach: each run of rows
-        # at most span apart takes one stretch of node values, the stretches
-        # laid end to end, v[p] = v_i at i = index[p]
-        runs = np.concatenate(([0], np.flatnonzero(np.diff(floor) > span) + 1, [len(t)]))
-        head = floor[runs[:-1]]
-        size = floor[runs[1:] - 1] - head + span
-        offset = np.cumsum(size) - size
-        index = np.arange(size.sum()) + np.repeat(head - reach - m + 1 - offset, size)
-        inside = (index >= data.k_lo) & (index <= data.k_hi)
-        v = np.zeros(len(index))
-        v[inside] = data.values[index[inside] - data.k_lo]
-        keys, at = floor + np.repeat(offset - head, np.diff(runs)), np.arange(len(t))
-    # d_j = v_{j+m} - v_{j-m} at diffs[p], j the node at v[p + m]; a row with
-    # v_{floor(t)-reach-m+1} at v[key] reads its nonzero ones at p = key ..
-    # key + 2 reach - 1, every one within its stretch of v
+    # the chunk reads only what its rows reach: each run of rows whose floors
+    # lie at most span apart takes one stretch of node values (zero past
+    # k_lo..k_hi), the stretches laid end to end, v[p] = v_i at i = index[p]
+    runs = np.concatenate(([0], np.flatnonzero(np.diff(floor) > span) + 1, [len(t)]))
+    head = floor[runs[:-1]]
+    size = floor[runs[1:] - 1] - head + span
+    offset = np.cumsum(size) - size
+    index = np.arange(size.sum()) + np.repeat(head - reach - m + 1 - offset, size)
+    inside = (index >= data.k_lo) & (index <= data.k_hi)
+    v = np.zeros(len(index))
+    v[inside] = data.values[index[inside] - data.k_lo]
+    # a row's v_{floor(t)-reach-m+1} lies at v[at], one of 0 .. len(v) - span
+    at = floor + np.repeat(offset - head, np.diff(runs))
+    keys = np.arange(len(v) - span + 1)
+    # d_j = v_{j+m} - v_{j-m} at diffs[p], j the node at v[p + m] = index[p + m];
+    # a row with v_{floor(t)-reach-m+1} at v[key] reads its nonzero ones at
+    # p = key .. key + 2 reach - 1, every one within its stretch of v
     diffs = v[2 * m:] - v[:-2 * m]
     nonzero = np.flatnonzero(diffs)
     first = np.searchsorted(nonzero, keys)
@@ -450,18 +441,17 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
         ends = np.flatnonzero(np.diff(rows) > 1)
         rest = _gaps(rows[np.append(0, ends + 1)], rows[np.append(ends, -1)] + 1, len(t))
         t, at, floor = t[rows], at[rows], floor[rows]
-    first, count, key = first[at], count[at], keys[at]
+    first, count = first[at], count[at]
     # the 2m node values v_{L-m+1} .. v_{L+m}, L = floor(t) - reach, whose
     # differences telescope over every j <= L, where g(j) = 1
-    numer = _sum_terms(v[key + np.arange(2 * m)[:, None]])
+    numer = _sum_terms(v[at + np.arange(2 * m)[:, None]])
     numer *= 2.0
     longest = count.max()
     if longest:
         # past a row's count its terms lie beyond its reach, where g = 0
         # (those of a later stretch of v too), or on the padding at j = inf,
         # where g = d_j = 0
-        j = f0 - reach + 1 + nonzero if index is None else index[m + nonzero]
-        jumps = np.append(j, np.full(longest, np.inf))
+        jumps = np.append(index[m + nonzero], np.full(longest, np.inf))
         d = np.append(diffs[nonzero], np.zeros(longest))
         q = first + np.arange(longest)[:, None]
         g = np.subtract(t, jumps[q])

@@ -824,28 +824,40 @@ def test_windowed_matches_dense(kernel, family, mode, n, a, width, floor, zeros,
         assert abs(got[i] - brute_force_eval(spec, data, float(xs[i]))) <= 1e-12
 
 
+BY_PARTS_INPUTS = dict(variant=st.sampled_from(["logistic", "tanh"]),
+                       scale=st.sampled_from([1.0, 0.5, 0.1]),
+                       mode=st.sampled_from(["sampling", "kantorovich"]),
+                       n=st.integers(1, 600),
+                       a=st.floats(-0.5, 0.5), width=st.floats(0.05, 1.5),
+                       runs=st.integers(1, 8),
+                       ulps=st.sampled_from([0.0, 0.1, 0.5]),
+                       noisy=st.booleans(),
+                       seed=st.integers(0, 2**32 - 1))
+
+
 @settings(max_examples=300, deadline=None)
-@given(variant=st.sampled_from(["logistic", "tanh"]),
-       scale=st.sampled_from([1.0, 0.5, 0.1]),
-       mode=st.sampled_from(["sampling", "kantorovich"]),
-       n=st.integers(1, 600),
-       a=st.floats(-0.5, 0.5), width=st.floats(0.05, 1.5),
-       runs=st.integers(1, 8),
-       ulps=st.sampled_from([0.0, 0.1, 0.5]),
-       noisy=st.booleans(),
-       sparse=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_by_parts_matches_dense(variant, scale, mode, n, a, width, runs, ulps, noisy,
-                                sparse, seed):
+@given(**BY_PARTS_INPUTS)
+def test_by_parts_matches_dense(variant, scale, mode, n, a, width, runs, ulps, noisy, seed):
     """Linear rows summed by parts lie within the module docstring's bound
     of the dense evaluation, 2^-50 m (N + 4m) / d + 2^-45 |dense|, and
     within 1e-12 of the scalar oracle; the other rows within the window's
     bound.  Node data are runs of equal values, some moved by an ulp as the
     exact rule leaves them, or noise, on which every row whose reach lies
-    among the nodes keeps its window.  Five points at 100 times the order
-    lie far apart: a sparse chunk, which reads each run of rows' reach on
-    its own."""
-    n, points = (100 * n, 5) if sparse else (n, 200)
+    among the nodes keeps its window."""
+    _check_by_parts(variant, scale, mode, n, a, width, runs, ulps, noisy, seed, 200)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**BY_PARTS_INPUTS)
+def test_by_parts_matches_dense_far_apart(variant, scale, mode, n, a, width, runs, ulps,
+                                          noisy, seed):
+    """As :func:`test_by_parts_matches_dense`, on five points at 100 times
+    the drawn order: they lie far apart, so a chunk lays several runs of
+    rows' reach end to end."""
+    _check_by_parts(variant, scale, mode, 100 * n, a, width, runs, ulps, noisy, seed, 5)
+
+
+def _check_by_parts(variant, scale, mode, n, a, width, runs, ulps, noisy, seed, points):
     domain = Domain(a, a + width)
     kernel = make_kernel(variant, scale=scale)
     spec = OperatorSpec("linear", mode, n, domain, kernel)
