@@ -409,20 +409,19 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
     m, s, reach = parts
     span = 2 * (reach + m)  # a row reads v_{floor(t)-reach-m+1} .. v_{floor(t)+reach+m}
     floor = np.floor(t).astype(np.intp)
-    # the chunk reads only what its rows reach: each run of rows whose floors
-    # lie at most span apart takes one stretch of node values (zero past
-    # k_lo..k_hi), the stretches laid end to end, v[p] = v_i at i = index[p]
-    runs = np.concatenate(([0], np.flatnonzero(np.diff(floor) > span) + 1, [len(t)]))
-    head = floor[runs[:-1]]
-    size = floor[runs[1:] - 1] - head + span
-    offset = np.cumsum(size) - size
-    index = np.arange(size.sum()) + np.repeat(head - reach - m + 1 - offset, size)
+    # the chunk reads only what its rows reach, v[p] = v_i at i = index[p]
+    # (zero past k_lo..k_hi): rows whose floors lie more than span apart share
+    # no node value, so v closes each such gap to span, and a row's
+    # v_{floor(t)-reach-m+1} lies at v[at], one of 0 .. len(v) - span
+    at = floor - floor[0]
+    at[1:] -= np.maximum(np.diff(floor) - span, 0).cumsum()
+    places = np.arange(at[-1] + span)
+    row = np.searchsorted(at, places, "right") - 1  # the last row at or before p
+    index = places + (floor[row] - at[row] - (reach + m - 1))
     inside = (index >= data.k_lo) & (index <= data.k_hi)
     v = np.zeros(len(index))
     v[inside] = data.values[index[inside] - data.k_lo]
-    # a row's v_{floor(t)-reach-m+1} lies at v[at], one of 0 .. len(v) - span
-    at = floor + np.repeat(offset - head, np.diff(runs))
-    keys = np.arange(len(v) - span + 1)
+    keys = places[:len(v) - span + 1]
     # d_j = v_{j+m} - v_{j-m} at diffs[p], j the node at v[p + m] = index[p + m];
     # a row with v_{floor(t)-reach-m+1} at v[key] reads its nonzero ones at
     # p = key .. key + 2 reach - 1, every one within its stretch of v
