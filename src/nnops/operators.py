@@ -88,12 +88,22 @@ points) 55, 80, 93, 96 and 98.8 % of the max-family rows are flat at n =
 piece.  The denoising sweep (as many rows as nodes) and a sparse grid do
 not look.
 
-A row that fails its certificate (for instance one whose node values vanish
-across its window) is evaluated again after the first pass, on all K nodes
-as without windowing, in chunks of as many rows as 2^16 weights hold at K
-nodes, with no node-value rule and no narrowing.  A vanishing denominator
-there raises :class:`ZeroDenominatorError` with the smallest such grid
-index.
+A row that fails its certificate with a positive denominator (for instance
+one whose node values vanish across its window) is evaluated again at once
+on a window twice as wide, h -> 2h + 1, in chunks of at most 2^16 weights,
+until it passes, as every row does on all K nodes, where nothing is
+dropped.  So a max-family row among zero node values widens only until its
+window reaches a nonzero value or its edge weights underflow to 0, which a
+``power`` tail, decaying as a power of the distance, may not do before all
+K nodes.  A row whose denominator is 0 on its window is final there: every
+window holds the node nearest n*x, which weighs the most by the
+certificates' premise (the computed kernel even and non-increasing), so
+every weight of the dense evaluation vanishes too.  The row takes NaN, the
+dense 0/0, and :func:`eval_grid` raises :class:`ZeroDenominatorError` at
+the first NaN in grid order.  On f = 0 over [0.3, 0.7] at n = 1e6 (max
+families, tanh, 20 points in [0.45, 0.55]) a call takes 3 ms and 0.3 MB,
+and one that raises (linear, ``ramp`` at scale 10, the step, 2000 points)
+1 ms and 0.3 MB.
 
 Linear rows can instead be summed by parts, at a cost set by the node
 values' jumps rather than the window.  The kernel is
@@ -213,7 +223,7 @@ class OperatorSpec:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n < 1:
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n}")
 
     def describe(self) -> str:
@@ -278,7 +288,7 @@ def node_bounds(mode: str, n: int, domain: Domain) -> tuple[int, int]:
     neighbouring nodes apart (this also rejects an n*b that overflows to
     infinity).
     """
-    if n < 1:
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n}")
     if not (abs(n * domain.a) <= 2.0**53 and abs(n * domain.b) <= 2.0**53):
         raise ValueError(
@@ -303,12 +313,13 @@ def _combine(family: str, values: np.ndarray, w: np.ndarray, edge: np.ndarray,
     weight its window drops from the ``nodes`` nodes (see the module
     docstring).
 
-    Returns the outputs and the rows that failed: their certificate, or a
-    denominator (weight sum for linear, max weight otherwise) of 0, where
-    the output means nothing.
+    Returns the outputs and the rows with a positive denominator (weight sum
+    for linear, max weight otherwise) that failed their certificate.  A row
+    whose denominator is 0 takes NaN, the dense 0/0, and does not fail: no
+    wider window changes it (see the module docstring).
     """
     denom = w.sum(axis=0) if family == "linear" else w.max(axis=0)
-    safe = np.where(denom > 0.0, denom, 1.0)
+    safe = np.where(denom > 0.0, denom, np.nan)
     if family == "linear":
         y = np.multiply(w, values, out=w).sum(axis=0) / safe
         passed = nodes * edge <= 2.0**-53 * denom
@@ -316,7 +327,7 @@ def _combine(family: str, values: np.ndarray, w: np.ndarray, edge: np.ndarray,
         r = np.divide(w, safe, out=w)
         y = (np.minimum if family == "maxmin" else np.multiply)(values, r, out=r).max(axis=0)
         passed = y >= edge / safe
-    return y, np.flatnonzero(~(passed & (denom > 0.0)))
+    return y, np.flatnonzero(~(passed | (denom <= 0.0)))
 
 
 def _check_data(spec: OperatorSpec, data: NodeData) -> None:
@@ -549,8 +560,8 @@ def _eval_windows(spec, data, xs):
     docstring): a node-value rule first fills its rows (flat max-family rows,
     or linear rows summed by parts) and leaves stretches of rows; a max-family
     chunk with a stretch left narrows h by its node floor; and each stretch
-    takes its windows.  Returns the outputs and the rows that failed their
-    certificate.
+    takes its windows through :func:`_certified`.  Returns the outputs, NaN
+    at a row whose weights all vanish.
     """
     nodes = len(data.values)
     half = _half_width(spec, nodes)
@@ -568,7 +579,6 @@ def _eval_windows(spec, data, xs):
             if halves[0] > 0.0:
                 flat = _dominant_nodes(data, halves, phis)
     out = np.empty(len(xs))
-    failed = [np.empty(0, dtype=np.intp)]
     for start in range(0, len(xs), step):
         sl = slice(start, start + step)
         chunk = xs[sl]
@@ -586,14 +596,29 @@ def _eval_windows(spec, data, xs):
                 below = np.flatnonzero(phis <= data.values[lo:hi].min() * phi2)
                 h = int(below[0]) if len(below) else half
         for a, b in windowed:
-            out[start + a:start + b], bad = _eval_chunk(spec, data, chunk[a:b], h)
-            failed.append(start + a + bad)
-    return out, np.concatenate(failed)
+            _certified(spec, data, chunk[a:b], h, out[start + a:start + b])
+    return out
+
+
+def _certified(spec, data, xs, half, out):
+    """Fill ``out`` with the rows ``xs`` on windows of half-width ``half``, in
+    chunks of at most _CHUNK weights, and evaluate each row that fails its
+    certificate again on a window twice as wide, half-width 2 half + 1,
+    until it passes, as every row does on all K nodes (see the module
+    docstring)."""
+    step = max(1, _CHUNK // min(2 * half + 2, len(data.values)))
+    for start in range(0, len(xs), step):
+        rows = xs[start:start + step]
+        out[start:start + step], bad = _eval_chunk(spec, data, rows, half)
+        if len(bad):
+            wider = np.empty(len(bad))
+            _certified(spec, data, rows[bad], 2 * half + 1, wider)
+            out[start + bad] = wider
 
 
 def _eval_chunk(spec, data, xs, half):
     """Outputs and failed rows of a chunk of rows on windows of half-width
-    ``half`` (see :func:`_eval_windows`).
+    ``half``, as :func:`_combine` gives them (see :func:`_eval_windows`).
 
     The weights are laid out (nodes, rows) for :func:`_combine`; linear's are
     computed (rows, nodes) and passed as a transposed view (see the module
@@ -627,11 +652,12 @@ def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:
     Each row combines only the nodes its kernel window reaches, or takes a
     node-value rule instead: a flat max-family row its dominant node's
     value, a linear row the jumps of the node values in its reach.  A row
-    that fails its certificate is evaluated again on every node (see the
-    module docstring).  Rows go in ascending x, an unsorted grid sorted first and
-    its results put back.  A row's result depends only on its own x, so
-    this is bitwise identical to mapping :func:`eval_operator` pointwise.
-    Errors carry the smallest offending grid index.
+    that fails its certificate is evaluated again on windows twice as wide
+    until it passes, and a row whose weights all vanish on its window raises
+    (see the module docstring).  Rows go in ascending x, an unsorted grid
+    sorted first and its results put back.  A row's result depends only on
+    its own x, so this is bitwise identical to mapping :func:`eval_operator`
+    pointwise.  Errors carry the smallest offending grid index.
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1:
@@ -642,23 +668,14 @@ def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:
         i = int(outside[0])
         raise ValueError(f"grid[{i}]={xs[i]} outside the domain [{d.a}, {d.b}]")
     _check_data(spec, data)
-    nodes = len(data.values)
     # in ascending x each chunk reads only the nodes around its own rows
     order = None if np.all(xs[1:] >= xs[:-1]) else np.argsort(xs)
     ys = xs if order is None else xs[order]
-    out, failed = _eval_windows(spec, data, ys)
-    still = [failed[:0]]
-    step = max(1, _CHUNK // nodes)
-    for i in range(0, len(failed), step):  # again on every node
-        rows = failed[i:i + step]
-        out[rows], bad = _eval_chunk(spec, data, ys[rows], nodes)
-        still.append(rows[bad])
-    failed = np.concatenate(still)
+    out = _eval_windows(spec, data, ys)
     if order is not None:  # the sorted copy takes the results in grid order
-        ys[order], failed = out, order[failed]
-        out = ys
-    if len(failed):
-        i = int(failed.min())
+        ys[order], out = out, ys
+    if np.isnan(out.sum()):  # a row whose weights all vanish; the sum takes no mask
+        i = int(np.isnan(out).argmax())
         raise ZeroDenominatorError(
             f"ZeroDenominator: all kernel weights vanish at "
             f"x={float(xs[i])!r} (grid index {i})"

@@ -62,8 +62,8 @@ class QuadratureRule:
     def __post_init__(self) -> None:
         if self.kind not in RULE_KINDS:
             raise ValueError(f"rule kind must be one of {RULE_KINDS}, got {self.kind!r}")
-        if self.refinement < 1:
-            raise ValueError(f"refinement must be >= 1, got {self.refinement}")
+        if not (isinstance(self.refinement, (int, np.integer)) and self.refinement >= 1):
+            raise ValueError(f"refinement must be a positive integer, got {self.refinement}")
         if self.refinement > _CHUNK:
             # one cell's sub-cell row must fit in one chunk of node data
             raise ValueError(f"--quad refinement must be at most {_CHUNK} sub-cells "

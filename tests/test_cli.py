@@ -485,6 +485,11 @@ INPUTS = {
     pytest.param(["approximate", "--n", "4", "--kernel", "ramp", "--domain",
                   "0.05,0.95", "--fn", "step", "--grid", "10"], 3, "ZeroDenominator",
                  id="zero-denominator"),
+    # the weights of grid point 1 of 2000 all vanish, found on its window
+    # of a few nodes, not on all 1e6
+    pytest.param(["approximate", "--n", "1000000", "--family", "linear", "--kernel", "ramp",
+                  "--scale", "10", "--grid", "2000"], 3, "(grid index 1)",
+                 id="zero-denominator-large-n"),
     pytest.param(["approximate", "--n", "2", "--input", "{dir}/nan.csv",
                   "--quad", "riemann:1", "--grid", "5"], 2, "row 1, column 1",
                  id="non-finite-input"),

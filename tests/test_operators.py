@@ -12,6 +12,7 @@ from nnops import (
     EmptyRangeError,
     NodeData,
     OperatorSpec,
+    PiecewiseConstant,
     ZeroDenominatorError,
     brute_force_eval,
     cell_averages_exact,
@@ -88,11 +89,17 @@ class TestNodeRange:
         assert node_bounds("sampling", 10, Domain(0.31, 0.69)) == (4, 6)
 
     @pytest.mark.parametrize("mode", ["sampling", "kantorovich"])
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 2.0])
     def test_non_positive_order_rejected(self, mode, n):
-        # n = 0 divided by zero and n = -3 never left the node search
-        with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
-            node_bounds(mode, n, UNIT)
+        # n = 0 divided by zero and n = -3 never left the node search; 2.5
+        # gave nodes and a spec as if it were whole.  A float is no order
+        # even when whole; a numpy integer is one
+        for make in (lambda: node_bounds(mode, n, UNIT),
+                     lambda: OperatorSpec("maxmin", mode, n, UNIT, TANH)):
+            with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}$"):
+                make()
+        assert node_bounds(mode, np.int64(10), UNIT)[0] == 0
+        assert OperatorSpec("maxmin", mode, np.int32(10), UNIT, TANH).n == 10
 
 
 @settings(max_examples=300, deadline=None)
@@ -219,7 +226,7 @@ class TestEvalGrid:
     def test_memory_bounded_for_large_n(self):
         # chunks hold a bounded number of weights, not a bounded number of
         # rows; zero data fails every window's certificate, so the second case
-        # bounds the fallback to all nodes
+        # bounds the widened windows
         spec = _spec(n=20_000)
         xs = np.linspace(0.0, 1.0, 256)
         for value in (0.5, 0.0):
@@ -232,6 +239,69 @@ class TestEvalGrid:
                 tracemalloc.stop()
             assert np.all(out == value)
             assert peak < 32 * 2**20, value
+
+    @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
+    def test_rows_in_a_long_zero_stretch_stay_near_their_reach(self, family):
+        # f = 0 on [0.3, 0.7] at n = 1e6: a row in [0.45, 0.55] lies 5e4
+        # nodes from the nearest nonzero value, where every weight
+        # underflows, so its result is 0; its window widens until its edge
+        # weight vanishes too, not to all 1e6 nodes
+        n = 10**6
+        spec = _spec(family=family, n=n)
+        data = cell_averages_exact(PiecewiseConstant(UNIT, (0.3, 0.7), (1.0, 0.0, 1.0)),
+                                   UNIT, n)
+        xs = np.linspace(0.45, 0.55, 20)
+        out, peak = traced_peak(lambda: eval_grid(spec, data, xs))
+        assert peak < 2 * 2**20
+        want = np.concatenate([_dense_eval(spec, data, xs[i:i + 1]) for i in range(len(xs))])
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
+    def test_rows_widen_across_a_zero_stretch(self, monkeypatch, family):
+        # 100 zero nodes among values in [0.3, 1]: a row among them gives a
+        # tiny positive result, the scaled weight of a nonzero node up to
+        # 50 away, which the window at the cap h = 5 cannot certify; it
+        # doubles its window, h = 11, 23, 47, 95, until it reaches one
+        halves = []
+
+        def recording(spec, data, xs, half):
+            halves.append(half)
+            return chunk(spec, data, xs, half)
+
+        chunk = operators._eval_chunk
+        monkeypatch.setattr(operators, "_eval_chunk", recording)
+        spec = _spec(family=family, n=1000)
+        values = np.random.default_rng(9).uniform(0.3, 1.0, 1000)
+        values[450:550] = 0.0
+        data = NodeData(0, 999, values)
+        xs = np.linspace(0.455, 0.545, 200)
+        want = _dense_eval(spec, data, xs)
+        assert np.all(want > 0.0) and want.min() < 1e-40
+        assert eval_grid(spec, data, xs).tobytes() == want.tobytes()
+        assert sorted(set(halves))[:4] == [5, 11, 23, 47]
+
+    def test_zero_denominator_ends_on_its_window(self, step):
+        # ramp at scale 10 weighs only the nodes within 0.15 of n x, so at
+        # n = 1e6 the weights of most grid points i/1999 all vanish; the
+        # error names the first, as the dense evaluation does, and the call
+        # reads only its windows, not all 1e6 nodes
+        n = 10**6
+        spec = _spec(family="linear", n=n, kernel=make_kernel("ramp", scale=10.0))
+        data = cell_averages_exact(step, UNIT, n)
+        xs = np.linspace(0.0, 1.0, 2000)
+        with pytest.raises(ZeroDenominatorError) as dense:
+            _dense_eval(spec, data, xs[:2])
+        assert dense.value.args[0] == 1
+
+        def failing():
+            with pytest.raises(ZeroDenominatorError) as exc:
+                eval_grid(spec, data, xs)
+            return str(exc.value)
+
+        text, peak = traced_peak(failing)
+        assert text == ("ZeroDenominator: all kernel weights vanish at "
+                        f"x={float(xs[1])!r} (grid index 1)")
+        assert peak < 2 * 2**20
 
     def test_one_point_reads_only_its_reach(self, step):
         # summation by parts takes the node values its rows reach, not all
@@ -364,7 +434,7 @@ class TestEvalGrid:
         # every row takes 2h + 2 nodes, h the first h below ceil(decay_l)
         # with phi(h) <= c phi(2) on node values c and 1 in turn and a grid
         # of fewer rows than nodes, which does not look for flat rows, and
-        # none falls back to every node; on constant data c and a grid of
+        # none widens its window; on constant data c and a grid of
         # more rows than nodes the rows are flat, every node being dominant,
         # and take no weight
         shapes = []
@@ -407,22 +477,24 @@ class TestEvalGrid:
                 assert (ends > 0) == (mode == "kantorovich")
 
     @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
-    def test_narrowed_rows_that_fail_fall_back_to_every_node(self, monkeypatch, family):
+    def test_narrowed_rows_that_fail_widen(self, monkeypatch, family):
         # logistic at scale 0.1 reaches past all 30 nodes, so the cap is every
         # node; a node floor 50 times too high narrows each chunk to h = 0,
         # every row on a window (all but those nearest a dominant node)
-        # fails its certificate there and is evaluated again on every node,
-        # h = K = 30, where none fails
+        # fails its certificate there and is evaluated again on windows
+        # twice as wide, h = 1, 3, 7, ..., each level on the rows the one
+        # before failed, until none fails, as every row does by h = 15,
+        # whose window holds all 30 nodes
         spec = _spec(family=family, n=30, kernel=make_kernel("logistic", scale=0.1))
         assert operators._half_width(spec, 30) == 30
         data = NodeData(0, 29, np.random.default_rng(4).uniform(0.3, 1.0, 30))
         xs = np.linspace(0.0, 1.0, 501)
-        calls = {0: [0, 0], 30: [0, 0]}  # h: [rows, failed rows]
+        calls = {}  # h: [rows, failed rows]
 
         def recording(spec, data, xs, half):
             out, bad = chunk(spec, data, xs, half)
-            calls[half][0] += len(xs)
-            calls[half][1] += len(bad)
+            rows, failed = calls.get(half, (0, 0))
+            calls[half] = [rows + len(xs), failed + len(bad)]
             return out, bad
 
         chunk = operators._eval_chunk
@@ -431,7 +503,12 @@ class TestEvalGrid:
         assert 0 < windowed < 501
         monkeypatch.setattr(operators, "phi_floor", lambda k: 50.0 * phi_floor(k))
         assert np.array_equal(eval_grid(spec, data, xs), _dense_eval(spec, data, xs))
-        assert calls == {0: [windowed, windowed], 30: [windowed, 0]}
+        hs = sorted(calls)
+        assert hs == [0, 1, 3, 7, 15][:len(hs)] and len(hs) > 1, hs
+        assert calls[0] == [windowed, windowed]
+        for wide, wider in zip(hs, hs[1:]):
+            assert calls[wider][0] == calls[wide][1] <= calls[wide][0], calls
+        assert calls[hs[-1]][1] == 0
 
     @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
     @pytest.mark.parametrize("gamma", [0.5, 1.0])
@@ -776,12 +853,13 @@ def test_windowed_matches_dense(kernel, family, mode, n, a, width, floor, zeros,
                                 seed):
     """Max families bitwise, linear within the module docstring's bounds
     (by parts for the rows summed so, else the window's), and every family
-    within 1e-12 of the scalar oracle; zero-heavy data forces
-    rows back to all nodes, and grid points halfway between nodes make
-    compact kernels at scale 3 vanish there.  Node values above a floor let
-    the max families narrow their windows: a sorted grid of several chunks
-    (of 2^10 weights here, so the dense evaluation stays small) narrows each
-    chunk by the nodes it reaches, a shuffled one by every node."""
+    within 1e-12 of the scalar oracle; zero-heavy data makes rows fail
+    their certificate and widen their windows, and grid points halfway
+    between nodes make compact kernels at scale 3 vanish there.  Node values
+    above a floor let the max families narrow their windows: a sorted grid
+    of several chunks (of 2^10 weights here, so the dense evaluation stays
+    small) narrows each chunk by the nodes it reaches, a shuffled one by
+    every node."""
     domain = Domain(a, a + width)
     spec = OperatorSpec(family, mode, n, domain, KERNELS[kernel])
     try:

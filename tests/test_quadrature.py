@@ -446,8 +446,10 @@ class TestQuadratureRule:
         # exact cell averages are node_data's default, not a rule
         with pytest.raises(ValueError, match="rule kind must be one of"):
             QuadratureRule("exact")
-        with pytest.raises(ValueError):
-            QuadratureRule("riemann", 0)
+        for refinement in (0, 2.5, 4.0):
+            with pytest.raises(ValueError, match="refinement must be a positive integer"):
+                QuadratureRule("riemann", refinement)
+        assert QuadratureRule("riemann", np.int64(4)).refinement == 4
 
     def test_refinement_at_most_one_chunk(self):
         # one cell's sub-cell row must fit one chunk of node-data work
