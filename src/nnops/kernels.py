@@ -132,7 +132,8 @@ class Kernel:
 
 def eval_kernel(k: Kernel, x):
     """Evaluate phi(x) = (s(c*x + 1) - s(c*x - 1)) / 2 at ``x`` through the
-    closed form of its variant (see the module docstring)."""
+    closed form of its variant (see the module docstring); phi(+-inf) = 0
+    for every variant, also where c*x overflows at a huge scale."""
     xa = np.asarray(x, dtype=float)
     if k.variant in ("logistic", "tanh"):
         a = 1.0 if k.variant == "logistic" else 2.0
@@ -215,7 +216,7 @@ def absolute_moment(k: Kernel, beta: float, resolution: int = 100_000) -> float:
     (T - 1 lies past 1e9 for gamma <= 0.03), so [T - 1, T + 1] is scanned at
     spacing 1/resolution too.  Power tail limit: at beta = 1 + gamma a
     ``power`` kernel's supremand rises towards gamma as u -> inf, so gamma
-    is a candidate too.
+    is a candidate too.  The scan holds at most ``_CHUNK`` points at a time.
     """
     if not 0.0 < beta <= 1.0 + k.alpha:
         raise ValueError(

@@ -95,15 +95,15 @@ until it passes, as every row does on all K nodes, where nothing is
 dropped.  So a max-family row among zero node values widens only until its
 window reaches a nonzero value or its edge weights underflow to 0, which a
 ``power`` tail, decaying as a power of the distance, may not do before all
-K nodes.  A row whose denominator is 0 on its window is final there: every
-window holds the node nearest n*x, which weighs the most by the
-certificates' premise (the computed kernel even and non-increasing), so
-every weight of the dense evaluation vanishes too.  The row takes NaN, the
-dense 0/0, and :func:`eval_grid` raises :class:`ZeroDenominatorError` at
-the first NaN in grid order.  On f = 0 over [0.3, 0.7] at n = 1e6 (max
-families, tanh, 20 points in [0.45, 0.55]) a call takes 3 ms and 0.3 MB,
-and one that raises (linear, ``ramp`` at scale 10, the step, 2000 points)
-1 ms and 0.3 MB.
+K nodes (78 MB for one row among zero values at n = 1e6).  A row whose
+denominator is 0 on its window is final there: every window holds the node
+nearest n*x, which weighs the most by the certificates' premise (the
+computed kernel even and non-increasing), so every weight of the dense
+evaluation vanishes too.  The row takes NaN, the dense 0/0, and
+:func:`eval_grid` raises :class:`ZeroDenominatorError` at the first NaN in
+grid order.  On f = 0 over [0.3, 0.7] at n = 1e6 (max families, tanh, 20
+points in [0.45, 0.55]) a call takes 3 ms and 0.3 MB, and one that raises
+(linear, ``ramp`` at scale 10, the step, 2000 points) 1 ms and 0.3 MB.
 
 Linear rows can instead be summed by parts, at a cost set by the node
 values' jumps rather than the window.  The kernel is
@@ -125,25 +125,31 @@ tanh at c = 1) and L = floor(t) - R, a row sums the 2m node values
 v_{L-m+1} .. v_{L+m}, to which the differences at every j <= L telescope
 (g(j) = 1 there), then g(j) d_j over the nonzero d_j with L < j <= L + 2R
 (g(j) = 0 past them), and takes its denominator from the 4m end terms.
-An interior row, with k_lo + m - 1 <= L and floor(t) + R < k_hi - m + 1,
-has every left end term 2g = 2 and every right one 0, so its doubled
-denominator is 4m exactly and takes no tanh.  A row costs at most N + 4m
-tanh evaluations, N its nonzero differences in reach,
-against the window's 2h + 2 weights, and takes this path when
-2 (N + 4m) is below the window width: where every difference is nonzero
-(noisy data), a term took 1.7 times a weight's time.  A row reads the
+With every g doubled, that denominator is 4 sum_k phi(t - k) >= 4 phi(2),
+as every x has a node within distance 2, and 4m rounded terms of a few
+ulps each cannot bring it to 0 (for tanh at c = 1, 4 phi(2) = 0.233, and
+the denominator tends to 0.274 as a row nears 2 past k_hi), so no row on
+this path goes back to a window.  An interior row, with
+k_lo + m - 1 <= L and floor(t) + R < k_hi - m + 1, has every left end
+term 2g = 2 and every right one 0, so its doubled denominator is 4m
+exactly and takes no tanh.  A row costs at most N + 4m tanh evaluations,
+N its nonzero differences in reach, against the window's 2h + 2 weights,
+and takes this path when 2 (N + 4m) is below the window width: where every
+difference is nonzero (noisy data), a term took 1.7 times a weight's time.  A row reads the
 2 (R + m) node values v_{L-m+1} .. v_{L+2R+m}, zero outside k_lo..k_hi.
 Each run of a chunk's rows whose floors lie at most 2 (R + m) apart takes
 one slice, from its lowest row's to its highest row's, the slices laid end
 to end beside their node indices, so a chunk reads O(R) node values a row
 whatever n (one slice on a dense grid, one a row on a sparse grid at large
-n).  A row's path and terms depend on floor(t) alone,
-so the rows a chunk leaves to their windows are stretches of consecutive
-rows.  Each row adds its terms one after another, padded to its chunk's
-longest row by exact zeros, so its result depends neither on the rows
-around it nor on how its chunk laid out the node values.  A row on this
-path has 2 (N + 4m) below the width, so a chunk's rows hold fewer than
-2^15 terms of each kind (N, and 2m node values) with no further bound.
+n): a 256-point grid at n = 4e6 peaks at 0.79 MB, where one slice from a
+chunk's first row to its last would take 196 MB.  A row's path and terms
+depend on floor(t) alone, so the rows a chunk leaves to their windows are
+stretches of consecutive rows.  Each row adds its terms one after another,
+padded to its chunk's longest row by exact zeros, so its result depends
+neither on the rows around it nor on how its chunk laid out the node
+values.  A row on this path has 2 (N + 4m) below the width, so a chunk's
+rows hold fewer than 2^15 terms of each kind (N, and 2m node values) with
+no further bound.
 
 To first order in u = 2^-53, and with tanh within 2 ulps, each doubled
 sigma is within 4u, each partial sum of the doubled numerator lies in
@@ -414,9 +420,12 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
     """Fill ``y`` at the rows of a chunk at ascending t = n x whose summation
     by parts costs less than their window's ``width`` weights (see the
     module docstring); return the (start, stop) of each stretch of other
-    rows, to be taken on windows, as is a row whose denominator is not
-    positive.  Numerator and denominator are both doubled, which rounds
-    alike, so that 2g(j) = tanh(s (t - j)) + 1 needs no halving."""
+    rows, to be taken on windows.  Numerator and denominator are both
+    doubled, which rounds alike, so that 2g(j) = tanh(s (t - j)) + 1 needs
+    no halving.  The denominator, 4 sum_k phi(t - k), is then at least
+    4 phi(2) > 0 up to a few ulps of rounding per end term, since every x
+    has a node within 2, so every row this path takes divides by a positive
+    number."""
     m, s, reach = parts
     span = 2 * (reach + m)  # a row reads v_{floor(t)-reach-m+1} .. v_{floor(t)+reach+m}
     floor = np.floor(t).astype(np.intp)
@@ -441,7 +450,7 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
     first = np.searchsorted(nonzero, keys)
     count = np.searchsorted(nonzero, keys + 2 * reach) - first
     cheap = _TERM_COST * (count + 4 * m) < width
-    rows, rest = np.arange(len(t)), []
+    rows, rest = slice(None), []
     if not cheap.all():
         rows = np.flatnonzero(cheap[at])
         if not len(rows):
@@ -471,15 +480,15 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
         numer += _sum_terms(g)
     # an interior row's end terms are all 2g = 2 on the left and 0 on the
     # right, so its denominator is 4m; the others sum them
-    denom = np.full(len(rows), 4.0 * m)
+    denom = np.full(len(t), 4.0 * m)
     edge = np.flatnonzero((floor - reach < data.k_lo + m - 1)
                           | (floor + reach >= data.k_hi - m + 1))
     if len(edge):
         q, te = np.arange(2 * m)[:, None], t[edge]
         denom[edge] = (_sum_terms(_twice_sigma((te - (data.k_lo - m + q)) * s))
                        - _sum_terms(_twice_sigma((te - (data.k_hi - m + 1 + q)) * s)))
-    y[rows] = numer / np.where(denom > 0.0, denom, 1.0)
-    return rest + [(i, i + 1) for i in rows[denom <= 0.0]]
+    y[rows] = numer / denom
+    return rest
 
 
 def _sum_terms(block: np.ndarray) -> np.ndarray:
@@ -551,17 +560,18 @@ def _gaps(first: np.ndarray, last: np.ndarray, rows: int):
 
 
 def _eval_windows(spec, data, xs):
-    """The first pass of :func:`eval_grid` over ascending ``xs``: every x on
+    """The one pass of :func:`eval_grid` over ascending ``xs``: every x on
     the window of min(2h + 2, K) of the K nodes starting at floor(n*x) - h,
     clipped into k_lo..k_hi, h at most the cap from :func:`_half_width`, in
     chunks of as many rows as _CHUNK weights hold at the cap.
 
     Each chunk cuts its cost by the node values it reaches (see the module
     docstring): a node-value rule first fills its rows (flat max-family rows,
-    or linear rows summed by parts) and leaves stretches of rows; a max-family
-    chunk with a stretch left narrows h by its node floor; and each stretch
-    takes its windows through :func:`_certified`.  Returns the outputs, NaN
-    at a row whose weights all vanish.
+    or linear rows summed by parts), none of which fails, and leaves
+    stretches of rows; a max-family chunk with a stretch left narrows h by
+    its node floor; and each stretch takes its windows through
+    :func:`_certified`, where only a window's certificate can fail.  Returns
+    the outputs, NaN at a row whose weights all vanish.
     """
     nodes = len(data.values)
     half = _half_width(spec, nodes)

@@ -22,19 +22,23 @@ exact rule's edge and width arrays) and write one output, which
 :class:`NodeData` adopts.  Node data peaks at about 8 B * cells +
 c2 * _CHUNK, c2 measured at 4-32 B (exact 4, or 20 with 4096 pieces;
 riemann:16 11, trapezoid:64 17, trapezoid:15 on a :class:`Signal` 32), plus
-what f allocates per point.  A sub-cell average is a pairwise sum over its
-cell's own contiguous row, so no bit depends on where the chunks start (a
-BLAS matrix-vector product rounds a row by how many rows it is given).
+what f allocates per point (8.3 MB for the step at n = 1e6 under the exact
+rule, 1.9 MB at n = 1e5 under trapezoid:64).  A sub-cell average is a
+pairwise sum over its cell's own contiguous row, so no bit depends on where
+the chunks start (a BLAS matrix-vector product rounds a row by how many rows
+it is given).
 
 The exact rule sums only the cells a breakpoint cuts.  Two searches of a
 chunk's cell edges find, for each piece that meets the chunk, the run of
 cells wholly inside it; such a cell's average is the piece's value v, and it
 takes v itself (the overlap formula's fl(fl(w * v) / w), w = |cell|, can lie
-an ulp off, so a constant piece would leave node values that differ).  The
+an ulp off, so a constant piece would leave node values that differ: the
+step's node data at n = 150 would change value 89 times instead of 3).  The
 cut cells, the gaps between runs, are summed pairwise over a row of every
 piece and divided by their width, ``_CHUNK`` // pieces rows a block.  The
 step takes 0.3-0.5 ms at n = 1e5 and 4 ms at n = 1e6, 4096 pieces
-0.04-0.06 s at n = 1e5 (2 shared vCPUs).
+0.04-0.06 s at n = 1e5 (best of 15 calls, two runs, on 2 shared vCPUs,
+numpy 2.4.6).
 """
 
 from __future__ import annotations

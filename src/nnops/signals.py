@@ -104,7 +104,8 @@ def add_gaussian_noise(s: Signal, sigma: float, seed: int) -> Signal:
     if sigma == 0.0:
         return s
     z = np.random.default_rng(seed).standard_normal(len(s))
-    z *= sigma
+    with np.errstate(over="ignore"):  # a huge sigma gives +-inf, which clips to 1 or 0
+        z *= sigma
     z += s.samples  # samples + sigma * z, bit for bit: addition commutes
     np.clip(z, 0.0, 1.0, out=z)
     z.setflags(write=False)
@@ -118,6 +119,8 @@ def normalize_to_unit(s: Signal) -> tuple[Signal, float, float]:
     hi = float(s.samples.max())
     if hi == lo:
         raise ValueError("all samples equal; cannot normalize")
+    if not math.isfinite(hi - lo):  # the gain would overflow, every sample 0 or nan
+        raise ValueError(f"sample range [{lo!r}, {hi!r}] is wider than the float range")
     z = s.samples - lo
     z /= hi - lo  # (samples - lo) / (hi - lo), bit for bit, in z's own memory
     z.setflags(write=False)

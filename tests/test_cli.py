@@ -476,6 +476,7 @@ INPUTS = {
     "raw.csv": "x,value\n" + "".join(f"{i / 7},{v}\n" for i, v in
                                      enumerate((-3, 1, 4, -1, 5, 9, -2, 6))),
     "bare.csv": "0.1\n0.9\n",
+    "wide.csv": "x,value\n0,-1e308\n0.5,0\n1,1e308\n",
 }
 
 
@@ -625,6 +626,23 @@ INPUTS = {
                  "--kernel gamma must be a number, got 'power:x'", id="non-numeric-gamma"),
     pytest.param(["rate", "--fn", "lipschitz:x"], 2,
                  "--fn beta must be a number, got 'lipschitz:x'", id="non-numeric-beta"),
+    pytest.param(["approximate", "--n", "10", "--domain", "0"], 2,
+                 "domain must be 'a,b', got '0'", id="one-number-domain"),
+    pytest.param(["approximate", "--n", "10", "--fn", "bogus"], 2,
+                 "unknown function 'bogus'", id="unknown-function"),
+    # sigma * z overflows to +-inf, which clips to 1 or 0
+    pytest.param(["denoise", "--n", "20", "--grid", "5", "--sigma", "1e308"], 0, "",
+                 id="sigma-near-float-max"),
+    # hi - lo overflows, so no affine map brings the trace onto [0, 1]
+    pytest.param(["approximate", "--n", "2", "--input", "{dir}/wide.csv", "--quad",
+                  "riemann:1", "--grid", "5"], 2,
+                 "sample range [-1e+308, 1e+308] is wider than the float range",
+                 id="input-range-past-float-range"),
+    # 64 and 71 PiB of node data or grid, which the allocator refuses at once
+    pytest.param(["approximate", "--n", "9007199254740993", "--grid", "2"], 2,
+                 "Unable to allocate", id="node-data-past-memory"),
+    pytest.param(["approximate", "--n", "10", "--grid", "10000000000000000"], 2,
+                 "Unable to allocate", id="grid-past-memory"),
 ])
 def test_exit_codes(capsys, tmp_path, argv, code, fragment):
     """Each row: argv -> documented exit code (0, 2 validation, 3 numeric),

@@ -284,6 +284,8 @@ class TestAbsoluteMoment:
         for beta in (0.0, -1.0, 2.5):
             with pytest.raises(ValueError):
                 absolute_moment(k, beta)
+        with pytest.raises(ValueError, match="resolution must be >= 2"):
+            absolute_moment(k, 1.0, resolution=1)
 
     @pytest.mark.parametrize("gamma, scale", [(1.0, 1.0), (1.0, 3.0), (0.5, 1.0)])
     def test_power_moment_is_tail_limit(self, gamma, scale):

@@ -266,6 +266,11 @@ class TestKFunctional:
             with pytest.raises(ValueError, match="K-functional constants out of float range"):
                 apriori_bounds(_const(0.3), kernel, UNIT, [25], 1.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.1])
+    def test_non_positive_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match=f"delta must be positive, got {delta}"):
+            kfunctional_upper(_identity, delta, 1.0, UNIT, 1.0)
+
     def test_upper_estimate_for_smooth_function(self):
         # the identity is its own best C^1 candidate: the estimate should be
         # close to delta * 1 once a near-identity smoothing width is tried

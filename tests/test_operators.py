@@ -101,6 +101,12 @@ class TestNodeRange:
         assert node_bounds(mode, np.int64(10), UNIT)[0] == 0
         assert OperatorSpec("maxmin", mode, np.int32(10), UNIT, TANH).n == 10
 
+    def test_unknown_family_or_mode_rejected(self):
+        with pytest.raises(ValueError, match="family must be one of .* got 'minmax'"):
+            OperatorSpec("minmax", "sampling", 5, UNIT, TANH)
+        with pytest.raises(ValueError, match="mode must be one of .* got 'durrmeyer'"):
+            OperatorSpec("maxmin", "durrmeyer", 5, UNIT, TANH)
+
 
 @settings(max_examples=300, deadline=None)
 @given(mode=st.sampled_from(["sampling", "kantorovich"]), n=st.integers(1, 10**4),
@@ -149,6 +155,8 @@ class TestEvalOperator:
         data = _const_data(spec, 0.5)
         with pytest.raises(ValueError):
             eval_operator(spec, data, 1.5)
+        with pytest.raises(ValueError, match="x=1.5 outside the domain"):
+            brute_force_eval(spec, data, 1.5)
 
     def test_mismatched_data_rejected(self):
         spec = _spec(n=5)
@@ -158,12 +166,13 @@ class TestEvalOperator:
 
     def test_zero_denominator_reported(self):
         # nodes {1, 2} and x = 0.95 puts the window beyond the ramp support
-        spec = _spec(n=4, domain=Domain(0.05, 0.95), kernel=RAMP)
-        data = _const_data(spec, 0.5)
-        with pytest.raises(ZeroDenominatorError):
-            eval_operator(spec, data, 0.95)
-        with pytest.raises(ZeroDenominatorError):
-            brute_force_eval(spec, data, 0.95)
+        for family in ("maxmin", "linear"):
+            spec = _spec(family=family, n=4, domain=Domain(0.05, 0.95), kernel=RAMP)
+            data = _const_data(spec, 0.5)
+            with pytest.raises(ZeroDenominatorError):
+                eval_operator(spec, data, 0.95)
+            with pytest.raises(ZeroDenominatorError):
+                brute_force_eval(spec, data, 0.95)
 
 
 class TestEvalGrid:
@@ -587,6 +596,24 @@ class TestEvalGrid:
         with pytest.raises(ValueError):
             eval_operator(spec, data, np.nan)
 
+    def test_two_dimensional_grid_rejected(self):
+        spec = _spec(n=5)
+        with pytest.raises(ValueError, match="grid must be one-dimensional"):
+            eval_grid(spec, _const_data(spec, 0.3), [[0.2, 0.4]])
+
+    def test_fractional_m_keeps_windows(self, step):
+        # at scale 0.3, m = 1/c is not whole, so no row is summed by parts
+        # though the window is wide enough for it; every row keeps its
+        # window and the window's bound
+        spec = _spec(family="linear", n=200, kernel=make_kernel("tanh", scale=0.3))
+        data = cell_averages_exact(step, UNIT, 200)
+        width = min(2 * operators._half_width(spec, 200) + 2, 200)
+        assert 1.0 / 0.3 < width / (4 * operators._TERM_COST)
+        assert operators._by_parts(spec, width) is None
+        xs = np.linspace(0.0, 1.0, 501)
+        got, want = eval_grid(spec, data, xs), _dense_eval(spec, data, xs)
+        assert np.all(np.abs(got - want) <= 2.0**-52 + 2.0**-45 * np.abs(want))
+
 
 def _windowed_mask(spec, data, xs):
     """eval_grid's outputs on an ascending grid of distinct points, and which
@@ -808,6 +835,10 @@ class TestNodeData:
         spec = _spec(mode="sampling", n=4)
         data = sample_node_values(lambda xs: xs, spec)
         assert np.array_equal(data.values, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+
+    def test_sampling_values_need_a_sampling_spec(self):
+        with pytest.raises(ValueError, match="sample_node_values is for sampling-mode specs"):
+            sample_node_values(lambda xs: xs, _spec(mode="kantorovich", n=4))
 
 
 # --- windowed evaluation against a dense transcription ---------------------

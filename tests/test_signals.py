@@ -14,6 +14,7 @@ from nnops import (
     holder_test_function,
     load_signal_csv,
     normalize_to_unit,
+    sample_function,
     step_test_function,
 )
 from nnops import signals
@@ -62,6 +63,10 @@ class TestStepTestFunction:
     def test_nan_piece_value_rejected(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             PiecewiseConstant(UNIT, (0.5,), (0.1, np.nan))
+
+    def test_one_value_per_piece(self):
+        with pytest.raises(ValueError, match="need exactly one value per piece"):
+            PiecewiseConstant(UNIT, (0.5,), (0.1, 0.2, 0.3))
 
 
 class TestGaussianNoise:
@@ -116,6 +121,14 @@ class TestGaussianNoise:
         with pytest.raises(ValueError, match="sigma"):
             add_gaussian_noise(s, sigma, seed=0)
 
+    def test_huge_sigma_clips_without_warning(self):
+        # sigma * z overflows to +-inf for |z| > 1.8, which clips to 1 or 0;
+        # the suite turns a RuntimeWarning into an error
+        s = Signal(UNIT, np.random.default_rng(99).uniform(0.0, 1.0, 5000))
+        noise = np.random.default_rng(4).standard_normal(len(s))
+        got = add_gaussian_noise(s, 1e308, seed=4).samples
+        assert np.array_equal(got, (noise > 0.0).astype(float))
+
 
 class TestNormalization:
     def test_basic_map(self):
@@ -140,6 +153,14 @@ class TestNormalization:
     def test_degenerate_range(self):
         s = Signal(UNIT, np.full(5, 3.0))
         with pytest.raises(ValueError, match="all samples equal; cannot normalize"):
+            normalize_to_unit(s)
+
+    def test_range_past_the_float_range(self):
+        # hi - lo overflows: no gain maps the samples, so no warning and no
+        # signal of zeros and NaN
+        s = Signal(UNIT, np.array([-1e308, 0.0, 1e308]))
+        with pytest.raises(ValueError, match=r"sample range \[-1e\+308, 1e\+308\] is wider "
+                                             "than the float range"):
             normalize_to_unit(s)
 
     def test_order_statistics_preserved(self):
@@ -203,6 +224,10 @@ class TestSignalLookup:
         with pytest.raises(ValueError, match="a signal needs at least 2 samples"):
             Signal(UNIT, np.array([0.5]))
 
+    def test_sample_function_needs_two_samples(self):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            sample_function(lambda xs: xs, UNIT, 1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -243,6 +268,18 @@ class TestCsvLoader:
         p = tmp_path / "s.csv"
         p.write_text("value\n0.5\n")
         with pytest.raises(ValueError, match="need at least 2 rows, got 1"):
+            load_signal_csv(p, column="value")
+
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("\n  \n")
+        with pytest.raises(ValueError, match="s.csv: empty file"):
+            load_signal_csv(p, column="value")
+
+    def test_short_row_names_row_and_column(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("x,value\n0,0.25\n1\n")
+        with pytest.raises(ValueError, match="row 1 has no column 1"):
             load_signal_csv(p, column="value")
 
     def test_memory_bounded(self, tmp_path):
