@@ -217,6 +217,8 @@ def absolute_moment(k: Kernel, beta: float, resolution: int = 100_000) -> float:
     spacing 1/resolution too.  Power tail limit: at beta = 1 + gamma a
     ``power`` kernel's supremand rises towards gamma as u -> inf, so gamma
     is a candidate too.  The scan holds at most ``_CHUNK`` points at a time.
+    A moment outside the float range (at alpha = 1000, or alpha = 200 at
+    scale 0.01) raises ValueError.
     """
     if not 0.0 < beta <= 1.0 + k.alpha:
         raise ValueError(
