@@ -290,9 +290,23 @@ def cmd_denoise(args) -> int:
                          l1_distances={name: l1[0] for name, l1 in sweep.l1.items()})
 
 
+def _join_domain(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--domain`` whose value starts with '-' and holds a
+    comma, such as ``-1,1``, joined into one token, ``--domain=-1,1``:
+    argparse takes a token that starts with '-' for an option unless it is
+    a plain negative number, and no option holds a comma."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--domain" and token.startswith("-") and "," in token:
+            out[-1] = f"--domain={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_domain(sys.argv[1:] if argv is None else argv))
     if not hasattr(args, "func"):
         parser.print_help(file=sys.stderr)
         return 2

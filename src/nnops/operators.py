@@ -161,12 +161,36 @@ n = 30, 90, 150, 500) N is at most 10, 4, 4 and 2, against windows of 30,
 48, 48 and 50 weights, so every row is summed by parts; at n = 10 the
 window of all 10 nodes is cheaper.
 
+Rows that repeat a window's arguments share its weights.  A row at t = n x
+on the window of nodes lo + j, j = 0 .. width - 1, takes the weights
+phi(fl(t - (lo + j))).  lo is a whole number and |t| <= 2^53, so
+a = fl(t - lo) is exact where |t - lo| <= |t|, that is where lo t >= 0 and
+|lo| <= 2 |t|; then a - j = t - (lo + j) exactly, so fl(a - j) =
+fl(t - (lo + j)) for every j, and two rows with one exact a take the same
+weights to the bit (a zero's sign aside, which no catalogue kernel reads,
+each taking |c x| or cosh(c x)).  In each chunk the consecutive rows with
+one a, each exact, form a run, and only a run's first row, its head,
+evaluates the kernel; :func:`_combine` takes each head's denominator and,
+for the max families, its w / d once, and spreads them over the run only
+for the elementwise min or product and the row reduction, each row with
+its own node values and its own window's edge.  Spreading the weights
+before normalising saved the kernel's time but spent as much on the
+gather.  A chunk in which no two consecutive rows share indexes by
+slice(None), so every step takes a view and the work is that of one head
+a row.  The test can fail only for a row within about h + 1 of t = 0, on
+a domain that reaches below 0, and such a row keeps its own weights.  On
+the denoising sweep's grid (2000 midpoints at n = 2000) consecutive rows
+lie one node apart, so they share a run while fl(n x) errs by the same
+amount: a max-product call's 2000 rows form 372 runs on average, and the
+sweep's 60 calls evaluate the kernel 1.40M times rather than 8.03M.
+
 Rows are evaluated in chunks laid out (nodes, rows), so every per-row
 reduction runs across contiguous rows; numpy reduces that shape an order of
 magnitude faster than rows of a dozen nodes.  The max families reduce in this
 layout: a max takes no rounding, so its order does not matter.  Linear
-computes its weights (rows, nodes) and combines them through a transposed
-view, so each row's sum stays a pairwise sum over contiguous memory.  Summed
+computes its weights (heads, nodes), gathers them to (rows, nodes) where
+rows share, and combines them through a transposed view, so each row's sum
+stays a pairwise sum over contiguous memory.  Summed
 in the (nodes, rows) layout it would run one node at a time in a chunk of
 many rows but pairwise in a chunk of one, and a row's result would depend on
 the chunk it fell into.
@@ -312,28 +336,32 @@ def node_bounds(mode: str, n: int, domain: Domain) -> tuple[int, int]:
     return k_lo, k_hi
 
 
-def _combine(family: str, values: np.ndarray, w: np.ndarray, edge: np.ndarray,
+def _combine(family: str, values: np.ndarray, w: np.ndarray, key, edge: np.ndarray,
              nodes: int):
-    """Combine (nodes, rows) node values and kernel weights column by column,
-    overwriting ``w``, and certify each row by ``edge``, its bound on every
-    weight its window drops from the ``nodes`` nodes (see the module
-    docstring).
+    """Combine (nodes, rows) node values with the kernel weights of their
+    rows' heads, ``w`` laid out (nodes, heads) and overwritten, row i taking
+    head key[i] (see :func:`_runs`), and certify each row by ``edge``, its
+    bound on every weight its window drops from the ``nodes`` nodes (see the
+    module docstring).  Each head's denominator (weight sum for linear, max
+    weight otherwise) and, for the max families, its w / d are taken once;
+    only the elementwise step and the row reduction run over every row.
 
-    Returns the outputs and the rows with a positive denominator (weight sum
-    for linear, max weight otherwise) that failed their certificate.  A row
-    whose denominator is 0 takes NaN, the dense 0/0, and does not fail: no
-    wider window changes it (see the module docstring).
+    Returns the outputs and the rows with a positive denominator that failed
+    their certificate.  A row whose denominator is 0 takes NaN, the dense
+    0/0, and does not fail: no wider window changes it (see the module
+    docstring).
     """
     denom = w.sum(axis=0) if family == "linear" else w.max(axis=0)
     safe = np.where(denom > 0.0, denom, np.nan)
     if family == "linear":
-        y = np.multiply(w, values, out=w).sum(axis=0) / safe
-        passed = nodes * edge <= 2.0**-53 * denom
+        w = w.T[key].T  # each row's weights stay contiguous (see the module docstring)
+        y = np.multiply(w, values, out=w).sum(axis=0) / safe[key]
+        passed = nodes * edge <= 2.0**-53 * denom[key]
     else:
-        r = np.divide(w, safe, out=w)
+        r = np.divide(w, safe, out=w)[:, key]
         y = (np.minimum if family == "maxmin" else np.multiply)(values, r, out=r).max(axis=0)
-        passed = y >= edge / safe
-    return y, np.flatnonzero(~(passed | (denom <= 0.0)))
+        passed = y >= edge / safe[key]
+    return y, np.flatnonzero(~(passed | (denom[key] <= 0.0)))
 
 
 def _check_data(spec: OperatorSpec, data: NodeData) -> None:
@@ -630,9 +658,12 @@ def _eval_chunk(spec, data, xs, half):
     """Outputs and failed rows of a chunk of rows on windows of half-width
     ``half``, as :func:`_combine` gives them (see :func:`_eval_windows`).
 
-    The weights are laid out (nodes, rows) for :func:`_combine`; linear's are
-    computed (rows, nodes) and passed as a transposed view (see the module
-    docstring).
+    Only the head of each run of rows that share their weights evaluates the
+    kernel (see :func:`_runs` and the module docstring).  The weights are
+    laid out (nodes, heads) for :func:`_combine`; linear's are computed
+    (heads, nodes) and passed as a transposed view (see the module
+    docstring).  Each row's edge weights are its head's, masked by its own
+    window's place among the nodes.
     """
     k_lo, k_hi, values = data.k_lo, data.k_hi, data.values
     width = min(2 * half + 2, len(values))
@@ -642,18 +673,36 @@ def _eval_chunk(spec, data, xs, half):
                          strides=values.strides * 2)
     t = spec.n * xs
     lo = np.clip(np.floor(t) - half, k_lo, k_hi - width + 1)
+    key, heads = _runs(t, lo)
+    th, loh = t[heads], lo[heads]
     j = np.arange(width, dtype=float)
     # node k = lo + j is exact in float64, so each weight is phi(n*x - k) to
     # the bit, as in the dense evaluation
     if spec.family == "linear":
-        w = eval_kernel(spec.kernel, t[:, None] - np.add.outer(lo, j)).T
+        w = eval_kernel(spec.kernel, th[:, None] - np.add.outer(loh, j)).T
     else:
-        w = eval_kernel(spec.kernel, t - np.add.outer(j, lo))
+        w = eval_kernel(spec.kernel, th - np.add.outer(j, loh))
     # a bound on every dropped weight: the window's edge weight on that side
-    edge = np.maximum(np.where(lo > k_lo, w[0], 0.0),
-                      np.where(lo + width - 1 < k_hi, w[-1], 0.0))
-    return _combine(spec.family, windows[(lo - k_lo).astype(np.int64)].T, w, edge,
+    edge = np.maximum(np.where(lo > k_lo, w[0][key], 0.0),
+                      np.where(lo + width - 1 < k_hi, w[-1][key], 0.0))
+    return _combine(spec.family, windows[(lo - k_lo).astype(np.int64)].T, w, key, edge,
                     len(values))
+
+
+def _runs(t: np.ndarray, lo: np.ndarray):
+    """(key, heads) of a chunk's rows at t = n x on windows starting at node
+    lo: row i shares the weights of row heads[key[i]], the first of its run
+    of consecutive rows with one fl(t - lo), each computed exactly (see the
+    module docstring).  Both are slice(None) where no row shares, so that
+    indexing by them takes views."""
+    a = t - lo
+    # lo is whole and |t| <= 2^53, so t - lo is exact where |t - lo| <= |t|
+    exact = (lo * t >= 0.0) & (np.abs(lo) <= 2.0 * np.abs(t))
+    shares = (a[1:] == a[:-1]) & exact[1:] & exact[:-1]
+    if not shares.any():
+        return slice(None), slice(None)
+    head = np.append(True, ~shares)
+    return np.cumsum(head) - 1, np.flatnonzero(head)
 
 
 def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:

@@ -628,6 +628,11 @@ INPUTS = {
                  "--fn beta must be a number, got 'lipschitz:x'", id="non-numeric-beta"),
     pytest.param(["approximate", "--n", "10", "--domain", "0"], 2,
                  "domain must be 'a,b', got '0'", id="one-number-domain"),
+    # a spaced value that starts with '-' is the domain, not an option
+    pytest.param(["approximate", "--n", "10", "--domain", "-1,1", "--grid", "3"], 0, "",
+                 id="negative-domain-spaced"),
+    pytest.param(["approximate", "--n", "10", "--domain", "-1"], 2,
+                 "domain must be 'a,b', got '-1'", id="negative-one-number-domain"),
     pytest.param(["approximate", "--n", "10", "--fn", "bogus"], 2,
                  "unknown function 'bogus'", id="unknown-function"),
     # sigma * z overflows to +-inf, which clips to 1 or 0

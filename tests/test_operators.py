@@ -13,7 +13,9 @@ from nnops import (
     NodeData,
     OperatorSpec,
     PiecewiseConstant,
+    QuadratureRule,
     ZeroDenominatorError,
+    add_gaussian_noise,
     brute_force_eval,
     cell_averages_exact,
     eval_grid,
@@ -22,9 +24,12 @@ from nnops import (
     make_kernel,
     node_bounds,
     phi_floor,
+    sample_function,
     sample_node_values,
+    step_test_function,
 )
 from nnops import operators
+from nnops.quadrature import node_data
 from helpers import traced_peak
 
 TANH = make_kernel("tanh")
@@ -435,6 +440,31 @@ class TestEvalGrid:
         width = 2 * _half_width_scan(TANH, 20_000) + 2
         assert width == 54 and sum(sigmas) == 2
         assert 256 * width <= sum(evaluated) <= 256 * width + bisection
+
+    @pytest.mark.parametrize("family", ["maxmin", "maxprod"])
+    def test_repeated_windows_share_weights(self, monkeypatch, family):
+        # the denoising configuration: n = 2000 on its 2000-point midpoint
+        # grid puts consecutive rows one node apart, most of them with one
+        # fl(n x - lo), so a call computes the weights of few rows and
+        # shares them; without sharing it computes every row's, bitwise alike
+        evaluated = []
+
+        def counting(k, x):
+            evaluated.append(np.size(x))
+            return eval_kernel(k, x)
+
+        monkeypatch.setattr(operators, "eval_kernel", counting)
+        spec = _spec(family=family, n=2000, kernel=make_kernel("logistic", scale=0.1))
+        base = sample_function(step_test_function(), UNIT, 2000 * 16)
+        data = node_data(add_gaussian_noise(base, 0.05, 0), spec, QuadratureRule("riemann", 16))
+        xs = (np.arange(2000) + 0.5) * (1.0 / 2000)
+        evaluated.clear()
+        shared = eval_grid(spec, data, xs)
+        computed = sum(evaluated)
+        monkeypatch.setattr(operators, "_runs", lambda t, lo: (slice(None), slice(None)))
+        evaluated.clear()
+        assert np.array_equal(eval_grid(spec, data, xs), shared)
+        assert 0 < computed <= sum(evaluated) / 4
 
     @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
     @pytest.mark.parametrize("mode", ["sampling", "kantorovich"])
@@ -931,6 +961,59 @@ def test_windowed_matches_dense(kernel, family, mode, n, a, width, floor, zeros,
         assert np.array_equal(got, want)
     for i in rng.choice(len(xs), 3, replace=False):
         assert abs(got[i] - brute_force_eval(spec, data, float(xs[i]))) <= 1e-12
+
+
+def test_repeating_grids_match_pointwise():
+    """Grids of q n (b - a) cells, q in {1, 2, 3}, midpoints or cell edges,
+    give bitwise the pointwise results, for every family, mode and catalogue
+    kernel: at q = 1 consecutive rows lie one node apart and mostly share
+    their weights, on domains across 0 some rows have an inexact
+    fl(n x - lo) and must not, and a one-row chunk never shares.  Zero-heavy
+    data make rows fail their certificate and widen."""
+    shared = []
+
+    def counting(t, lo):
+        key, heads = runs(t, lo)
+        shared.append(0 if isinstance(heads, slice) else len(t) - len(heads))
+        return key, heads
+
+    runs = operators._runs
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel=st.sampled_from(sorted(KERNELS)),
+           family=st.sampled_from(["linear", "maxprod", "maxmin"]),
+           mode=st.sampled_from(["sampling", "kantorovich"]),
+           n=st.integers(1, 400), a=st.integers(-8, 4), width=st.integers(1, 12),
+           q=st.sampled_from([1, 2, 3]), midpoints=st.booleans(),
+           zeros=st.sampled_from([0.0, 0.5, 0.95]), seed=st.integers(0, 2**32 - 1))
+    def check(kernel, family, mode, n, a, width, q, midpoints, zeros, seed):
+        domain = Domain(a / 8, (a + width) / 8)  # eighths, so that n (b - a) may be whole
+        spec = OperatorSpec(family, mode, n, domain, KERNELS[kernel])
+        try:
+            k_lo, k_hi = node_bounds(mode, n, domain)
+        except EmptyRangeError:
+            return
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 1.0, k_hi - k_lo + 1)
+        values[rng.uniform(size=len(values)) < zeros] = 0.0
+        data = NodeData(k_lo, k_hi, values)
+        cells = max(1, q * n * width // 8)
+        xs = (domain.a + (np.arange(cells) + 0.5) * (domain.width / cells) if midpoints
+              else np.linspace(domain.a, domain.b, cells + 1))
+        want = []
+        for i, x in enumerate(xs):
+            try:
+                want.append(eval_operator(spec, data, float(x)))
+            except ZeroDenominatorError:
+                with pytest.raises(ZeroDenominatorError, match=f"\\(grid index {i}\\)"):
+                    eval_grid(spec, data, xs)
+                return
+        with mock.patch.object(operators, "_runs", counting):
+            got = eval_grid(spec, data, xs)
+        assert np.array_equal(got, want)
+
+    check()
+    assert sum(shared) > 0
 
 
 BY_PARTS_INPUTS = dict(variant=st.sampled_from(["logistic", "tanh"]),
