@@ -291,14 +291,16 @@ def cmd_denoise(args) -> int:
 
 
 def _join_domain(argv: list[str]) -> list[str]:
-    """``argv`` with each ``--domain`` whose value starts with '-' and holds a
-    comma, such as ``-1,1``, joined into one token, ``--domain=-1,1``:
-    argparse takes a token that starts with '-' for an option unless it is
-    a plain negative number, and no option holds a comma."""
+    """``argv`` with each ``--domain`` (or a prefix argparse reads as it)
+    whose value starts with '-' and holds a comma, such as ``-1,1``, joined
+    into one token, ``--domain=-1,1``: argparse takes a token that starts
+    with '-' for an option unless it is a plain negative number, and no
+    option holds a comma."""
     out = []
     for token in argv:
-        if out and out[-1] == "--domain" and token.startswith("-") and "," in token:
-            out[-1] = f"--domain={token}"
+        if (out and len(out[-1]) > 2 and "--domain".startswith(out[-1])
+                and token.startswith("-") and "," in token):
+            out[-1] += f"={token}"
         else:
             out.append(token)
     return out

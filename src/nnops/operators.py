@@ -696,13 +696,15 @@ def _runs(t: np.ndarray, lo: np.ndarray):
     module docstring).  Both are slice(None) where no row shares, so that
     indexing by them takes views."""
     a = t - lo
-    # lo is whole and |t| <= 2^53, so t - lo is exact where |t - lo| <= |t|
-    exact = (lo * t >= 0.0) & (np.abs(lo) <= 2.0 * np.abs(t))
-    shares = (a[1:] == a[:-1]) & exact[1:] & exact[:-1]
-    if not shares.any():
-        return slice(None), slice(None)
-    head = np.append(True, ~shares)
-    return np.cumsum(head) - 1, np.flatnonzero(head)
+    shares = a[1:] == a[:-1]
+    if shares.any():
+        # lo is whole and |t| <= 2^53, so t - lo is exact where |t - lo| <= |t|
+        exact = (lo * t >= 0.0) & (np.abs(lo) <= 2.0 * np.abs(t))
+        shares &= exact[1:] & exact[:-1]
+        if shares.any():
+            head = np.append(True, ~shares)
+            return np.cumsum(head) - 1, np.flatnonzero(head)
+    return slice(None), slice(None)
 
 
 def eval_grid(spec: OperatorSpec, data: NodeData, grid) -> np.ndarray:

@@ -631,6 +631,8 @@ INPUTS = {
     # a spaced value that starts with '-' is the domain, not an option
     pytest.param(["approximate", "--n", "10", "--domain", "-1,1", "--grid", "3"], 0, "",
                  id="negative-domain-spaced"),
+    pytest.param(["approximate", "--n", "10", "--dom", "-1,1", "--grid", "3"], 0, "",
+                 id="negative-domain-abbreviated"),
     pytest.param(["approximate", "--n", "10", "--domain", "-1"], 2,
                  "domain must be 'a,b', got '-1'", id="negative-one-number-domain"),
     pytest.param(["approximate", "--n", "10", "--fn", "bogus"], 2,

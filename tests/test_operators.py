@@ -986,6 +986,11 @@ def test_repeating_grids_match_pointwise():
            n=st.integers(1, 400), a=st.integers(-8, 4), width=st.integers(1, 12),
            q=st.sampled_from([1, 2, 3]), midpoints=st.booleans(),
            zeros=st.sampled_from([0.0, 0.5, 0.95]), seed=st.integers(0, 2**32 - 1))
+    # rows just below 0 whose fl(n x - lo) are equal but inexact
+    @example(kernel=("tanh", 1.0, 1.0), family="maxmin", mode="sampling", n=144, a=-1,
+             width=3, q=1, midpoints=False, zeros=0.0, seed=0)
+    @example(kernel=("tanh", 1.0, 3.0), family="linear", mode="kantorovich", n=200, a=-4,
+             width=6, q=1, midpoints=True, zeros=0.0, seed=0)
     def check(kernel, family, mode, n, a, width, q, midpoints, zeros, seed):
         domain = Domain(a / 8, (a + width) / 8)  # eighths, so that n (b - a) may be whole
         spec = OperatorSpec(family, mode, n, domain, KERNELS[kernel])
