@@ -971,13 +971,12 @@ def test_repeating_grids_match_pointwise():
     fl(n x - lo) and must not, and a one-row chunk never shares.  Zero-heavy
     data make rows fail their certificate and widen."""
     shared = []
+    runs = operators._runs
 
     def counting(t, lo):
         key, heads = runs(t, lo)
         shared.append(0 if isinstance(heads, slice) else len(t) - len(heads))
         return key, heads
-
-    runs = operators._runs
 
     @settings(max_examples=150, deadline=None)
     @given(kernel=st.sampled_from(sorted(KERNELS)),
