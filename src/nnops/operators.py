@@ -34,29 +34,32 @@ Each row then carries a certificate:
   2^-52 + 2^-45 * |dense|.
 
 Rows go in ascending x (an unsorted grid is sorted first and its results put
-back), in chunks of as many rows as 2^16 window weights hold at the cap, and
-every chunk cuts its cost by the node values its rows reach in the same
+back), and every call cuts its cost by the node values its rows reach in
 three steps (all below).  First one node-value rule fills the rows it can
-without a window: the max families' flat rows, or linear rows summed by
-parts.  Its rows lie together in ascending x, so it leaves the others as
-stretches of consecutive rows.  Then a max-min or max-product chunk with a
-stretch left narrows h.  Last, each stretch takes its windows.  A row's
-result depends only on its own x, so neither the order nor the chunks move
-a bit; the order keeps each chunk's reach near its rows, where a chunk of a
-shuffled grid would reach nearly every node.
+without a window, in chunks of 2^13 rows (eight row arrays to 2^16
+elements): the max families' flat rows, or linear rows summed by parts.
+Its rows lie together in ascending x, so it leaves the others as stretches
+of consecutive rows (a call without a rule is one stretch).  Then each
+stretch takes its windows in chunks of as many rows as 2^16 weights hold
+at the cap, a max-min or max-product window chunk first narrowing h.  A
+row's result depends only on its own x, so neither the order nor the
+chunks move a bit; the order keeps each chunk's reach near its rows, where
+a chunk of a shuffled grid would reach nearly every node.
 
-A max-min or max-product chunk whose rows reach fewer than 2^16 nodes at the
-cap narrows h to the smallest h with phi(h) <= v_floor phi(2), if that lies
-below the cap, v_floor the least value of those nodes.  In exact arithmetic its rows pass
-their certificate: the max-weight node has w / d = 1, so the result is at
-least its value, so at least v_floor; a dropped node weighs at most phi(h),
-the kernel being even and non-increasing; and d >= phi(2), as the window
-holds a node within distance 2 of every x.  So edge / d <= v_floor <=
-result.  A chunk of a sparse grid that reaches 2^16 nodes or more keeps the
-cap, and one whose rows are all flat keeps it too; neither reads its node
-values.  In the denoising sweep (logistic at scale
-0.1, n = 2000, a cap of 50) the windows are 38 to 102 nodes wide, 67 per row
-on average.
+A max-min or max-product window chunk whose rows reach fewer than 2^16
+nodes at the cap narrows h to the smallest h with phi(h) <= v_floor phi(2),
+if that lies below the cap, v_floor the least value of those nodes.  In
+exact arithmetic its rows pass their certificate: the max-weight node has
+w / d = 1, so the result is at least its value, so at least v_floor; a
+dropped node weighs at most phi(h), the kernel being even and
+non-increasing; and d >= phi(2), as the window holds a node within
+distance 2 of every x.  So edge / d <= v_floor <= result.  A window chunk
+of a sparse grid that reaches 2^16 nodes or more keeps the cap without
+reading its node values.  The floor of a chunk's own nodes is at least that
+of a whole call's, and a row that fails widens from its chunk's h, never
+narrowing again.  In the denoising sweep (logistic at
+scale 0.1, n = 2000, a cap of 50) the windows are 38 to 102 nodes wide, 67
+per row on average.
 
 A max-min or max-product call on more rows than nodes writes v_c to each
 row at t = n x within 1/2 of a dominant node c, without a weight.  Node c
@@ -144,12 +147,13 @@ whatever n (one slice on a dense grid, one a row on a sparse grid at large
 n): a 256-point grid at n = 4e6 peaks at 0.79 MB, where one slice from a
 chunk's first row to its last would take 196 MB.  A row's path and terms
 depend on floor(t) alone, so the rows a chunk leaves to their windows are
-stretches of consecutive rows.  Each row adds its terms one after another,
-padded to its chunk's longest row by exact zeros, so its result depends
-neither on the rows around it nor on how its chunk laid out the node
-values.  A row on this path has 2 (N + 4m) below the width, so a chunk's
-rows hold fewer than 2^15 terms of each kind (N, and 2m node values) with
-no further bound.
+stretches of consecutive rows.  A chunk adds its rows' terms one after
+another over arrays of its rows, a row past its last term adding exact
+zeros, so a row's result depends neither on the rows around it nor on how
+its chunk laid out the node values.  A chunk ends early where its reach,
+n (x_last - x_first) + 2 (R + m), would pass 2^13 node values, but holds
+at least the 2^16 / width rows of one window chunk, so a sparse grid reads
+each run's slice as before.
 
 To first order in u = 2^-53, and with tanh within 2 ulps, each doubled
 sigma is within 4u, each partial sum of the doubled numerator lies in
@@ -170,15 +174,18 @@ fl(t - (lo + j)) for every j, and two rows with one exact a take the same
 weights to the bit (a zero's sign aside, which no catalogue kernel reads,
 each taking |c x| or cosh(c x)).  In each chunk the consecutive rows with
 one a, each exact, form a run, and only a run's first row, its head,
-evaluates the kernel; :func:`_combine` takes each head's denominator and,
-for the max families, its w / d once, and spreads them over the run only
-for the elementwise min or product and the row reduction, each row with
-its own node values and its own window's edge.  Spreading the weights
+evaluates the kernel; :func:`_eval_chunk` takes each head's denominator
+and, for the max families, its w / d once, and spreads them over the run
+only for the elementwise min or product and the row reduction, each row
+with its own node values and its own window's edge.  Spreading the weights
 before normalising saved the kernel's time but spent as much on the
-gather.  A chunk in which no two consecutive rows share indexes by
-slice(None), so every step takes a view and the work is that of one head
-a row.  The test can fail only for a row within about h + 1 of t = 0, on
-a domain that reaches below 0, and such a row keeps its own weights.  On
+gather.  A max-family chunk spreads its normalised weights and drops the
+heads' table before it gathers the rows' node values, so at most two of
+the three arrays are alive at once.  A chunk in which no two consecutive
+rows share indexes by slice(None), so every step takes a view and the
+work is that of one head a row.  The test can fail only for a row within
+about h + 1 of t = 0, on a domain that reaches below 0, and such a row
+keeps its own weights.  On
 the denoising sweep's grid (2000 midpoints at n = 2000) consecutive rows
 lie one node apart, so they share a run while fl(n x) errs by the same
 amount: a max-product call's 2000 rows form 372 runs on average, and the
@@ -336,34 +343,6 @@ def node_bounds(mode: str, n: int, domain: Domain) -> tuple[int, int]:
     return k_lo, k_hi
 
 
-def _combine(family: str, values: np.ndarray, w: np.ndarray, key, edge: np.ndarray,
-             nodes: int):
-    """Combine (nodes, rows) node values with the kernel weights of their
-    rows' heads, ``w`` laid out (nodes, heads) and overwritten, row i taking
-    head key[i] (see :func:`_runs`), and certify each row by ``edge``, its
-    bound on every weight its window drops from the ``nodes`` nodes (see the
-    module docstring).  Each head's denominator (weight sum for linear, max
-    weight otherwise) and, for the max families, its w / d are taken once;
-    only the elementwise step and the row reduction run over every row.
-
-    Returns the outputs and the rows with a positive denominator that failed
-    their certificate.  A row whose denominator is 0 takes NaN, the dense
-    0/0, and does not fail: no wider window changes it (see the module
-    docstring).
-    """
-    denom = w.sum(axis=0) if family == "linear" else w.max(axis=0)
-    safe = np.where(denom > 0.0, denom, np.nan)
-    if family == "linear":
-        w = w.T[key].T  # each row's weights stay contiguous (see the module docstring)
-        y = np.multiply(w, values, out=w).sum(axis=0) / safe[key]
-        passed = nodes * edge <= 2.0**-53 * denom[key]
-    else:
-        r = np.divide(w, safe, out=w)[:, key]
-        y = (np.minimum if family == "maxmin" else np.multiply)(values, r, out=r).max(axis=0)
-        passed = y >= edge / safe[key]
-    return y, np.flatnonzero(~(passed | (denom[key] <= 0.0)))
-
-
 def _check_data(spec: OperatorSpec, data: NodeData) -> None:
     k_lo, k_hi = node_bounds(spec.mode, spec.n, spec.domain)
     if (data.k_lo, data.k_hi) != (k_lo, k_hi):
@@ -383,7 +362,7 @@ def _half_width(spec: OperatorSpec, nodes: int) -> int:
     kernel alone.
 
     Compact kernels reach their support; the max families reach decay_l, past
-    the central bump (their chunks may narrow it, see :func:`_eval_windows`);
+    the central bump (their window chunks may narrow it, see :func:`_certified`);
     linear reaches the first h at which the kernel, summed over every node,
     falls below 2^-53 of the kernel floor phi(2).  A window's edge nodes lie
     at distance >= h from n*x, and every x has a node within distance 2, so
@@ -448,24 +427,25 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
     """Fill ``y`` at the rows of a chunk at ascending t = n x whose summation
     by parts costs less than their window's ``width`` weights (see the
     module docstring); return the (start, stop) of each stretch of other
-    rows, to be taken on windows.  Numerator and denominator are both
-    doubled, which rounds alike, so that 2g(j) = tanh(s (t - j)) + 1 needs
-    no halving.  The denominator, 4 sum_k phi(t - k), is then at least
-    4 phi(2) > 0 up to a few ulps of rounding per end term, since every x
-    has a node within 2, so every row this path takes divides by a positive
-    number."""
+    rows, to be taken on windows.  Each sum runs over 1-D arrays of the
+    chunk's rows, one term after another, a row past its last term adding
+    exact zeros.  Numerator and denominator are both doubled, which rounds
+    alike, so that 2g(j) = tanh(s (t - j)) + 1 needs no halving.  The
+    denominator, 4 sum_k phi(t - k), is then at least 4 phi(2) > 0 up to a
+    few ulps of rounding per end term, since every x has a node within 2,
+    so every row this path takes divides by a positive number."""
     m, s, reach = parts
     span = 2 * (reach + m)  # a row reads v_{floor(t)-reach-m+1} .. v_{floor(t)+reach+m}
-    floor = np.floor(t).astype(np.intp)
     # the chunk reads only what its rows reach, v[p] = v_i at i = index[p]
     # (zero past k_lo..k_hi): rows whose floors lie more than span apart share
     # no node value, so v closes each such gap to span, and a row's
     # v_{floor(t)-reach-m+1} lies at v[at], one of 0 .. len(v) - span
-    at = floor - floor[0]
-    at[1:] -= np.maximum(np.diff(floor) - span, 0).cumsum()
+    at = np.floor(t).astype(np.intp)  # floor(t), then each row's place in v
+    at[1:] -= np.maximum(np.diff(at) - span, 0).cumsum()
+    at -= at[0]
     places = np.arange(at[-1] + span)
     row = np.searchsorted(at, places, "right") - 1  # the last row at or before p
-    index = places + (floor[row] - at[row] - (reach + m - 1))
+    index = places + (np.floor(t[row]).astype(np.intp) - at[row] - (reach + m - 1))
     inside = (index >= data.k_lo) & (index <= data.k_hi)
     v = np.zeros(len(index))
     v[inside] = data.values[index[inside] - data.k_lo]
@@ -487,43 +467,51 @@ def _eval_by_parts(data: NodeData, parts, t: np.ndarray, width: int, y: np.ndarr
         # rows summed by parts, few as t ascends
         ends = np.flatnonzero(np.diff(rows) > 1)
         rest = _gaps(rows[np.append(0, ends + 1)], rows[np.append(ends, -1)] + 1, len(t))
-        t, at, floor = t[rows], at[rows], floor[rows]
-    first, count = first[at], count[at]
+        t, at = t[rows], at[rows]
+    # an interior row's end terms are all 2g = 2 on the left and 0 on the
+    # right, so its denominator is 4m; the others, with floor(t) - reach <
+    # k_lo + m - 1 or floor(t) + reach >= k_hi - m + 1, sum them
+    denom = np.full(len(t), 4.0 * m)
+    edge = np.flatnonzero((t < data.k_lo + m - 1 + reach)
+                          | (t >= data.k_hi - m + 1 - reach))
+    if len(edge):
+        denom[edge] = (_sigma_sum(t[edge], data.k_lo - m, 2 * m, s)
+                       - _sigma_sum(t[edge], data.k_hi - m + 1, 2 * m, s))
     # the 2m node values v_{L-m+1} .. v_{L+m}, L = floor(t) - reach, whose
     # differences telescope over every j <= L, where g(j) = 1
-    numer = _sum_terms(v[at + np.arange(2 * m)[:, None]])
+    numer = v[at]
+    for q in range(1, 2 * m):
+        numer += v[at + q]
     numer *= 2.0
-    longest = count.max()
+    first, longest = first[at], count[at].max()
     if longest:
         # past a row's count its terms lie beyond its reach, where g = 0
         # (those of a later stretch of v too), or on the padding at j = inf,
         # where g = d_j = 0
         jumps = np.append(index[m + nonzero], np.full(longest, np.inf))
         d = np.append(diffs[nonzero], np.zeros(longest))
-        q = first + np.arange(longest)[:, None]
-        g = np.subtract(t, jumps[q])
-        g *= s
-        g = _twice_sigma(g)
-        g *= d[q]
-        numer += _sum_terms(g)
-    # an interior row's end terms are all 2g = 2 on the left and 0 on the
-    # right, so its denominator is 4m; the others sum them
-    denom = np.full(len(t), 4.0 * m)
-    edge = np.flatnonzero((floor - reach < data.k_lo + m - 1)
-                          | (floor + reach >= data.k_hi - m + 1))
-    if len(edge):
-        q, te = np.arange(2 * m)[:, None], t[edge]
-        denom[edge] = (_sum_terms(_twice_sigma((te - (data.k_lo - m + q)) * s))
-                       - _sum_terms(_twice_sigma((te - (data.k_hi - m + 1 + q)) * s)))
-    y[rows] = numer / denom
+        for q in range(longest):
+            g = np.subtract(t, jumps[first])
+            g *= s
+            g = _twice_sigma(g)
+            g *= d[first]
+            first += 1
+            if q:
+                terms += g
+            else:
+                terms = g
+        numer += terms
+    numer /= denom
+    y[rows] = numer
     return rest
 
 
-def _sum_terms(block: np.ndarray) -> np.ndarray:
-    """The column sums of a (terms, rows) block, one term after another."""
-    acc = block[0].copy()
-    for row in block[1:]:
-        acc += row
+def _sigma_sum(t: np.ndarray, j: int, terms: int, s: float) -> np.ndarray:
+    """sum 2 sigma(s (t - k)) over k = j .. j + terms - 1, added one after
+    another."""
+    acc = _twice_sigma((t - j) * s)
+    for k in range(j + 1, j + terms):
+        acc += _twice_sigma((t - k) * s)
     return acc
 
 
@@ -590,80 +578,101 @@ def _gaps(first: np.ndarray, last: np.ndarray, rows: int):
 def _eval_windows(spec, data, xs):
     """The one pass of :func:`eval_grid` over ascending ``xs``: every x on
     the window of min(2h + 2, K) of the K nodes starting at floor(n*x) - h,
-    clipped into k_lo..k_hi, h at most the cap from :func:`_half_width`, in
-    chunks of as many rows as _CHUNK weights hold at the cap.
+    clipped into k_lo..k_hi, h at most the cap from :func:`_half_width`.
 
-    Each chunk cuts its cost by the node values it reaches (see the module
-    docstring): a node-value rule first fills its rows (flat max-family rows,
-    or linear rows summed by parts), none of which fails, and leaves
-    stretches of rows; a max-family chunk with a stretch left narrows h by
-    its node floor; and each stretch takes its windows through
-    :func:`_certified`, where only a window's certificate can fail.  Returns
-    the outputs, NaN at a row whose weights all vanish.
+    A call with a node-value rule (flat max-family rows, or linear rows
+    summed by parts) runs it in chunks of _CHUNK // 8 rows, a
+    summation-by-parts chunk ending early where its rows' reach of node
+    values would pass that count, but never below the _CHUNK // width rows
+    of one chunk of windows (see the module docstring).  The rule fills its
+    rows, none of which fails, and leaves stretches of rows, which take
+    their windows through :func:`_certified`, where only a window's
+    certificate can fail; a call without a rule is one stretch.  Returns the
+    outputs, NaN at a row whose weights all vanish.
     """
     nodes = len(data.values)
     half = _half_width(spec, nodes)
     width = min(2 * half + 2, nodes)
-    step = max(1, _CHUNK // width)
     parts = _by_parts(spec, width)
-    phis = flat = None
+    narrow = flat = None
     if spec.family != "linear":
         phis = eval_kernel(spec.kernel, np.arange(min(half + 1, _CHUNK), dtype=float))
-        phi2 = phi_floor(spec.kernel)
+        narrow = phis, phi_floor(spec.kernel)
         # found once, at a cost below the rows', where the rows outnumber
         # the nodes
         if len(xs) > nodes and spec.kernel.variant != "power":
             halves = eval_kernel(spec.kernel, np.arange(min(half, _CHUNK)) + 0.5)
             if halves[0] > 0.0:
                 flat = _dominant_nodes(data, halves, phis)
+    step = _CHUNK // 8 if flat is not None or parts else len(xs)
     out = np.empty(len(xs))
-    for start in range(0, len(xs), step):
-        sl = slice(start, start + step)
-        chunk = xs[sl]
-        windowed = [(0, len(chunk))]  # the stretches of rows on windows
+    start = 0
+    while start < len(xs):
+        rows = xs[start:start + step]
+        windowed = [(0, len(rows))]  # the stretches of rows on windows
         if flat is not None:
-            windowed = _eval_flat(flat, spec.n * chunk, out[sl])
+            windowed = _eval_flat(flat, spec.n * rows, out[start:start + len(rows)])
         elif parts:
-            windowed = _eval_by_parts(data, parts, spec.n * chunk, width, out[sl])
-        h = half
-        if phis is not None and windowed:
-            # the nodes lo .. hi - 1 past k_lo that the chunk's rows reach at half
-            lo = max(math.floor(spec.n * chunk[0]) - half - data.k_lo, 0)
-            hi = min(math.floor(spec.n * chunk[-1]) + half + 2 - data.k_lo, nodes)
-            if hi - lo < _CHUNK:
-                below = np.flatnonzero(phis <= data.values[lo:hi].min() * phi2)
-                h = int(below[0]) if len(below) else half
+            # the rows whose node values, from the first row's reach to the
+            # last's, number at most step, and no fewer than a window chunk
+            t = spec.n * rows
+            span = 2 * (parts[2] + parts[0])
+            reached = np.searchsorted(t, t[0] + (step - span), "right")
+            t = t[:max(reached, _CHUNK // width, 1)]
+            rows = rows[:len(t)]
+            windowed = _eval_by_parts(data, parts, t, width, out[start:start + len(t)])
         for a, b in windowed:
-            _certified(spec, data, chunk[a:b], h, out[start + a:start + b])
+            _certified(spec, data, rows[a:b], half, out[start + a:start + b], narrow)
+        start += len(rows)
     return out
 
 
-def _certified(spec, data, xs, half, out):
+def _certified(spec, data, xs, half, out, narrow=None):
     """Fill ``out`` with the rows ``xs`` on windows of half-width ``half``, in
     chunks of at most _CHUNK weights, and evaluate each row that fails its
-    certificate again on a window twice as wide, half-width 2 half + 1,
-    until it passes, as every row does on all K nodes (see the module
-    docstring)."""
-    step = max(1, _CHUNK // min(2 * half + 2, len(data.values)))
+    certificate again on a window twice as wide, half-width 2 h + 1, until
+    it passes, as every row does on all K nodes (see the module docstring).
+
+    Given ``narrow``, phi(0) .. phi(half) and phi(2), a max-min or
+    max-product chunk first narrows h by the node floor its own rows reach
+    (see the module docstring); a retry widens from that h and never
+    narrows.
+    """
+    nodes = len(data.values)
+    step = max(1, _CHUNK // min(2 * half + 2, nodes))
     for start in range(0, len(xs), step):
         rows = xs[start:start + step]
-        out[start:start + step], bad = _eval_chunk(spec, data, rows, half)
+        h = half
+        if narrow is not None:
+            # the nodes lo .. hi - 1 past k_lo that the rows reach at half
+            lo = max(math.floor(spec.n * rows[0]) - half - data.k_lo, 0)
+            hi = min(math.floor(spec.n * rows[-1]) + half + 2 - data.k_lo, nodes)
+            if hi - lo < _CHUNK:
+                phis, phi2 = narrow
+                below = np.flatnonzero(phis <= data.values[lo:hi].min() * phi2)
+                h = int(below[0]) if len(below) else half
+        out[start:start + step], bad = _eval_chunk(spec, data, rows, h)
         if len(bad):
             wider = np.empty(len(bad))
-            _certified(spec, data, rows[bad], 2 * half + 1, wider)
+            _certified(spec, data, rows[bad], 2 * h + 1, wider)
             out[start + bad] = wider
 
 
 def _eval_chunk(spec, data, xs, half):
-    """Outputs and failed rows of a chunk of rows on windows of half-width
-    ``half``, as :func:`_combine` gives them (see :func:`_eval_windows`).
+    """Outputs of a chunk of rows on windows of half-width ``half``, and the
+    rows with a positive denominator that failed their certificate.
 
     Only the head of each run of rows that share their weights evaluates the
-    kernel (see :func:`_runs` and the module docstring).  The weights are
-    laid out (nodes, heads) for :func:`_combine`; linear's are computed
-    (heads, nodes) and passed as a transposed view (see the module
-    docstring).  Each row's edge weights are its head's, masked by its own
-    window's place among the nodes.
+    kernel (see :func:`_runs` and the module docstring); each head's
+    denominator (weight sum for linear, max weight otherwise) and, for the
+    max families, its w / d are taken once, and only the elementwise step
+    and the row reduction run over every row.  Each row's edge weights, its
+    bound on every weight its window drops, are its head's, masked by its
+    own window's place among the nodes.  The weights are laid out
+    (nodes, heads); linear's are computed (heads, nodes) and combined
+    through a transposed view (see the module docstring).  A row whose
+    denominator is 0 takes NaN, the dense 0/0, and does not fail: no wider
+    window changes it.
     """
     k_lo, k_hi, values = data.k_lo, data.k_hi, data.values
     width = min(2 * half + 2, len(values))
@@ -685,8 +694,22 @@ def _eval_chunk(spec, data, xs, half):
     # a bound on every dropped weight: the window's edge weight on that side
     edge = np.maximum(np.where(lo > k_lo, w[0][key], 0.0),
                       np.where(lo + width - 1 < k_hi, w[-1][key], 0.0))
-    return _combine(spec.family, windows[(lo - k_lo).astype(np.int64)].T, w, key, edge,
-                    len(values))
+    denom = w.sum(axis=0) if spec.family == "linear" else w.max(axis=0)
+    safe = np.where(denom > 0.0, denom, np.nan)
+    if spec.family == "linear":
+        v = windows[(lo - k_lo).astype(np.int64)].T
+        w = w.T[key].T  # each row's weights stay contiguous (see the module docstring)
+        y = np.multiply(w, v, out=w).sum(axis=0) / safe[key]
+        passed = len(values) * edge <= 2.0**-53 * denom[key]
+    else:
+        # the heads' table is dropped before the node values are gathered
+        # (see the module docstring)
+        r = np.divide(w, safe, out=w)[:, key]
+        del w
+        op = np.minimum if spec.family == "maxmin" else np.multiply
+        y = op(windows[(lo - k_lo).astype(np.int64)].T, r, out=r).max(axis=0)
+        passed = y >= edge / safe[key]
+    return y, np.flatnonzero(~(passed | (denom[key] <= 0.0)))
 
 
 def _runs(t: np.ndarray, lo: np.ndarray):

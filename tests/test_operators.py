@@ -213,29 +213,77 @@ class TestEvalGrid:
 
     @pytest.mark.parametrize("family", ["linear", "maxprod", "maxmin"])
     def test_row_result_independent_of_chunk(self, step, family):
-        # chunks sized for windows of 12 nodes (the max families, tanh at
-        # n = 90) or of about 4096 rows (linear, whose rows summed by parts go
-        # in blocks padded to their longest row), a one-row last chunk, and a
-        # shuffled grid that puts every row among other rows; a (nodes, rows)
-        # sum would round a one-row chunk differently from a full one.  The
-        # linear grids mix both paths.
-        cases = ([(v, n) for v in ("logistic", "tanh") for n in (90, 150)]
-                 if family == "linear" else [("tanh", 90)])
-        for variant, n in cases:
+        # rows on both sides of every end of a node-value rule's chunk
+        # (_CHUNK // 8 rows, more than three of them, the last of one row)
+        # and of every window chunk (_CHUNK weights at the cap), some of
+        # which end inside a stretch of windowed rows, and a shuffled grid
+        # that puts every row among other rows; a (nodes, rows) sum would
+        # round a one-row chunk differently from a full one.  The linear
+        # grids mix both paths; the max families' flat rows split the noisy
+        # stretch into short stretches, so they also take rising node
+        # values, where only the rows nearest the last node are flat.
+        cases = ([(v, n, False) for v in ("logistic", "tanh") for n in (90, 150)]
+                 if family == "linear" else [("tanh", 90, False), ("tanh", 90, True)])
+        rule = operators._CHUNK // 8
+        inside = []
+        for variant, n, rising in cases:
             spec = _spec(family=family, n=n, kernel=make_kernel(variant))
             data = _step_with_noisy_stretch(step, n)
-            nodes = len(data.values)
-            rows = operators._CHUNK // min(2 * operators._half_width(spec, nodes) + 2, nodes)
-            xs = np.linspace(0.0, 1.0, 8 * rows + 1)
+            if rising:
+                data = NodeData(data.k_lo, data.k_hi, np.linspace(0.2, 0.9, n))
+            xs = np.linspace(0.0, 1.0, 3 * rule + 1)
             if family == "linear":
                 by_parts = _by_parts_rows(spec, data, xs)[0]
                 assert by_parts.any() and not by_parts.all(), (variant, n)
-            out = eval_grid(spec, data, xs)
+            out, rules, windows = _chunk_starts(spec, data, xs)
+            assert rules == list(range(0, len(xs), rule)), (variant, n)
+            windowed = _windowed_mask(spec, data, xs)[1]
+            inside += [i for i in windows if i not in rules and windowed[i - 1]]
             order = np.random.default_rng(11).permutation(len(xs))
             assert np.array_equal(eval_grid(spec, data, xs[order]), out[order]), (variant, n)
             picks = np.random.default_rng(11).integers(0, len(xs), 50)
-            for i in [rows - 1, rows, 2 * rows - 1, 2 * rows, 8 * rows, *picks]:
+            for i in {*rules, *windows, *(i - 1 for i in [*rules, *windows] if i), *picks}:
                 assert out[i] == eval_grid(spec, data, xs[i:i + 1])[0], (variant, n, i)
+        assert inside
+
+    @pytest.mark.parametrize("points", [10**5, 3 * 10**5])
+    def test_by_parts_chunk_ends_at_its_reach(self, step, points):
+        # at n = 1e6 the rows lie 10 or 3.3 nodes apart, so a chunk of
+        # _CHUNK // 8 rows would read 8e4 or 2.7e4 node values; it ends
+        # where its reach, n (x_last - x_first) + 2 (R + m), would pass
+        # _CHUNK // 8, but not before the _CHUNK // width rows of one window
+        # chunk, which the sparser grid's chunks all take
+        n = 10**6
+        spec = _spec(family="linear", n=n)
+        data = cell_averages_exact(step, UNIT, n)
+        xs = np.linspace(0.0, 1.0, points)
+        width = min(2 * operators._half_width(spec, n) + 2, n)
+        m, _, reach = operators._by_parts(spec, width)
+        rule, least, span = operators._CHUNK // 8, operators._CHUNK // width, 2 * (reach + m)
+        assert _by_parts_rows(spec, data, xs)[0].all()
+        out, rules, _ = _chunk_starts(spec, data, xs)
+        sizes = np.diff([*rules, len(xs)])
+        assert rules[0] == 0 and sizes[-1] <= max(sizes[:-1])
+        for start, size in zip(rules[:-1], sizes[:-1]):
+            t = n * xs[start:start + size + 1]
+            assert least <= size <= rule
+            assert size == least or t[-2] - t[0] + span <= rule < t[-1] - t[0] + span
+        assert set(sizes[:-1]) == {least} if points == 10**5 else least < sizes[0] < rule
+        for i in {*rules, *(i - 1 for i in rules[1:])}:
+            assert out[i] == eval_grid(spec, data, xs[i:i + 1])[0], i
+
+    def test_dense_by_parts_grid_peak(self, step):
+        # 1e6 points at n = 500, 2000 rows a node: besides the output's 8 B
+        # a point, a chunk of _CHUNK // 8 rows holds at most 12 arrays of
+        # 8 B a row at once
+        spec = _spec(family="linear", n=500)
+        data = cell_averages_exact(step, UNIT, 500)
+        xs = np.linspace(0.0, 1.0, 10**6)
+        assert _by_parts_rows(spec, data, xs)[0].all()
+        out, peak = traced_peak(lambda: eval_grid(spec, data, xs))
+        assert peak < 8 * len(xs) + 12 * operators._CHUNK
+        for i in (0, 8191, 8192, 500_000, 10**6 - 1):
+            assert out[i] == eval_grid(spec, data, xs[i:i + 1])[0], i
 
     def test_memory_bounded_for_large_n(self):
         # chunks hold a bounded number of weights, not a bounded number of
@@ -455,8 +503,7 @@ class TestEvalGrid:
 
         monkeypatch.setattr(operators, "eval_kernel", counting)
         spec = _spec(family=family, n=2000, kernel=make_kernel("logistic", scale=0.1))
-        base = sample_function(step_test_function(), UNIT, 2000 * 16)
-        data = node_data(add_gaussian_noise(base, 0.05, 0), spec, QuadratureRule("riemann", 16))
+        data = _denoising_data(spec)
         xs = (np.arange(2000) + 0.5) * (1.0 / 2000)
         evaluated.clear()
         shared = eval_grid(spec, data, xs)
@@ -465,6 +512,53 @@ class TestEvalGrid:
         evaluated.clear()
         assert np.array_equal(eval_grid(spec, data, xs), shared)
         assert 0 < computed <= sum(evaluated) / 4
+
+    def test_shared_weights_table_dropped_before_node_values(self):
+        # the denoising configuration: a maxmin window chunk gathers its
+        # rows' normalised weights to (nodes, rows) and drops the heads'
+        # (nodes, heads) table before it gathers the node values, so the
+        # call holds at most two (nodes, rows) arrays of its largest chunk,
+        # beside the output and arrays of 8 B a row; with the table alive
+        # as well it would pass the bound
+        spec = _spec(n=2000, kernel=make_kernel("logistic", scale=0.1))
+        data = _denoising_data(spec)
+        xs = (np.arange(2000) + 0.5) * (1.0 / 2000)
+        blocks = []
+        chunk = operators._eval_chunk
+
+        def recording(spec, data, rows, half):
+            blocks.append(8 * len(rows) * min(2 * half + 2, len(data.values)))
+            return chunk(spec, data, rows, half)
+
+        with mock.patch.object(operators, "_eval_chunk", recording):
+            want = eval_grid(spec, data, xs)
+        out, peak = traced_peak(lambda: eval_grid(spec, data, xs))
+        assert out.tobytes() == want.tobytes()
+        assert peak < 2 * max(blocks) + 64 * 2**10
+
+    def test_noisy_rows_test_summation_by_parts_once_a_rule_chunk(self, monkeypatch):
+        # logistic at scale 0.1 (m = 10) on noisy node data at n = 2000: no
+        # row but those near the ends costs less summed by parts than on its
+        # window of 922 weights, so the test reads each chunk's reach for
+        # nothing; it runs once for each chunk of _CHUNK // 8 rows, 13 times
+        # on 1e5 points, not once for each window chunk of 71 rows
+        calls = []
+        by_parts = operators._eval_by_parts
+
+        def counting(data, parts, t, width, y):
+            calls.append(len(t))
+            return by_parts(data, parts, t, width, y)
+
+        monkeypatch.setattr(operators, "_eval_by_parts", counting)
+        spec = _spec(family="linear", n=2000, kernel=make_kernel("logistic", scale=0.1))
+        data = _denoising_data(spec)
+        xs = np.linspace(0.0, 1.0, 10**5)
+        inner = xs[(xs > 0.3) & (xs < 0.7)]
+        assert not _by_parts_rows(spec, data, inner)[0].any()
+        out = eval_grid(spec, data, xs)
+        assert len(calls) == math.ceil(len(xs) / (operators._CHUNK // 8)) == 13
+        for i in np.random.default_rng(12).integers(0, len(xs), 20):
+            assert out[i] == eval_grid(spec, data, xs[i:i + 1])[0], i
 
     @pytest.mark.parametrize("family", ["maxprod", "maxmin"])
     @pytest.mark.parametrize("mode", ["sampling", "kantorovich"])
@@ -645,6 +739,14 @@ class TestEvalGrid:
         assert np.all(np.abs(got - want) <= 2.0**-52 + 2.0**-45 * np.abs(want))
 
 
+def _denoising_data(spec):
+    """The denoising sweep's node data for ``spec``: the step sampled 16
+    times a cell with noise of deviation 0.05 (seed 0), averaged by
+    riemann:16."""
+    base = sample_function(step_test_function(), UNIT, spec.n * 16)
+    return node_data(add_gaussian_noise(base, 0.05, 0), spec, QuadratureRule("riemann", 16))
+
+
 def _windowed_mask(spec, data, xs):
     """eval_grid's outputs on an ascending grid of distinct points, and which
     rows it evaluated on windows; the others were flat or summed by parts."""
@@ -658,6 +760,35 @@ def _windowed_mask(spec, data, xs):
     with mock.patch.object(operators, "_eval_chunk", recording):
         out = eval_grid(spec, data, xs)
     return out, np.isin(xs, np.concatenate(rows or [[]]))
+
+
+def _chunk_starts(spec, data, xs):
+    """eval_grid's outputs on an ascending grid of distinct points, the first
+    row of each chunk its node-value rule took, and the first row of each
+    window chunk of the first pass, whose rows are views of the grid (a
+    retry's are a copy)."""
+    rules, windows = [], []
+    flat, by_parts, chunk = operators._eval_flat, operators._eval_by_parts, operators._eval_chunk
+
+    def flat_rule(flats, t, y):
+        rules.append(len(t))
+        return flat(flats, t, y)
+
+    def by_parts_rule(data, parts, t, width, y):
+        rules.append(len(t))
+        return by_parts(data, parts, t, width, y)
+
+    def recording(spec, data, rows, half):
+        if np.shares_memory(rows, xs):
+            windows.append(rows[0])
+        return chunk(spec, data, rows, half)
+
+    with mock.patch.object(operators, "_eval_flat", flat_rule), \
+            mock.patch.object(operators, "_eval_by_parts", by_parts_rule), \
+            mock.patch.object(operators, "_eval_chunk", recording):
+        out = eval_grid(spec, data, xs)
+    starts = np.cumsum([0, *rules[:-1]]).tolist()
+    return out, starts, sorted(set(np.searchsorted(xs, windows).tolist()))
 
 
 def _clear(values, k_lo, c, radius):
