@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .kernels import DegenerateKernelError, Kernel, absolute_moment, phi_floor
+from .kernels import _CHUNK, DegenerateKernelError, Kernel, absolute_moment, phi_floor
 from .operators import Domain
 
 
@@ -44,15 +44,32 @@ def lp_error(g, h, p: float, domain: Domain, grid_points: int = 100_000) -> floa
     experiments is piecewise smooth with O(n) kinks, which 1e5 cells resolve
     to published precision.  p = inf: the max of |g - h| over the inclusive
     uniform grid of ``grid_points`` points, end points included.
+
+    g is called once, on the whole grid; h is called on consecutive chunks
+    of it, of at most ``_CHUNK // 8`` points, so h must be pointwise (its
+    value at a point may not depend on the other points it is given).  The
+    grid array is reused for |g - h|, each chunk written after h has read
+    it, so besides what g and h allocate the norm holds 16 B a point: the
+    grid and g's values, then |g - h| and its p-th power.
     """
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     _check_grid(grid_points)
     if math.isinf(p):
-        xs = np.linspace(domain.a, domain.b, grid_points)
-    else:
-        xs = domain.a + (np.arange(grid_points) + 0.5) * (domain.width / grid_points)
-    diff = np.abs(np.asarray(g(xs), dtype=float) - np.asarray(h(xs), dtype=float))
+        diff = np.linspace(domain.a, domain.b, grid_points)
+    else:  # a + (k + 1/2) (b - a) / N, built in place
+        diff = np.arange(grid_points, dtype=float)
+        diff += 0.5
+        diff *= domain.width / grid_points
+        diff += domain.a
+    # a g of one value (a 0-d array) stands for it at every point
+    gs = np.broadcast_to(np.asarray(g(diff), dtype=float), diff.shape)
+    step = _CHUNK // 8
+    for start in range(0, grid_points, step):
+        xs = diff[start:start + step]
+        np.subtract(gs[start:start + step], np.asarray(h(xs), dtype=float), out=xs)
+        np.abs(xs, out=xs)
+    del gs  # before the p-th power takes its array
     if math.isinf(p):
         return float(diff.max())
     return _lp_norm(diff, p, domain.width / grid_points)

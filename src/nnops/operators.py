@@ -39,12 +39,14 @@ three steps (all below).  First one node-value rule fills the rows it can
 without a window, in chunks of 2^13 rows (eight row arrays to 2^16
 elements): the max families' flat rows, or linear rows summed by parts.
 Its rows lie together in ascending x, so it leaves the others as stretches
-of consecutive rows (a call without a rule is one stretch).  Then each
-stretch takes its windows in chunks of as many rows as 2^16 weights hold
-at the cap, a max-min or max-product window chunk first narrowing h.  A
-row's result depends only on its own x, so neither the order nor the
-chunks move a bit; the order keeps each chunk's reach near its rows, where
-a chunk of a shuffled grid would reach nearly every node.
+of consecutive rows, a linear stretch that reaches a rule chunk's end
+running on into the next chunk's (a call without a rule, or a linear call
+whose rule fills no row, is one stretch).  Then each stretch takes its
+windows in chunks of as many rows as 2^16 weights hold at the cap, a
+max-min or max-product window chunk first narrowing h.  A row's result
+depends only on its own x, so neither the order nor the chunks move a bit;
+the order keeps each chunk's reach near its rows, where a chunk of a
+shuffled grid would reach nearly every node.
 
 A max-min or max-product window chunk whose rows reach fewer than 2^16
 nodes at the cap narrows h to the smallest h with phi(h) <= v_floor phi(2),
@@ -200,7 +202,13 @@ rows share, and combines them through a transposed view, so each row's sum
 stays a pairwise sum over contiguous memory.  Summed
 in the (nodes, rows) layout it would run one node at a time in a chunk of
 many rows but pairwise in a chunk of one, and a row's result would depend on
-the chunk it fell into.
+the chunk it fell into.  Each chunk builds the kernel's argument n x - k in
+its own array.  The rows of a window chunk that all start at one node (on
+the error table at n = 10, where every window is all 10 nodes) read that
+window's node values as one column broadcast over them, where a gather
+would copy it to every row: the elementwise products and the order of each
+sum are the gather's, so no bit moves, and the chunk holds one (nodes, rows)
+array fewer.
 """
 
 from __future__ import annotations
@@ -587,8 +595,10 @@ def _eval_windows(spec, data, xs):
     of one chunk of windows (see the module docstring).  The rule fills its
     rows, none of which fails, and leaves stretches of rows, which take
     their windows through :func:`_certified`, where only a window's
-    certificate can fail; a call without a rule is one stretch.  Returns the
-    outputs, NaN at a row whose weights all vanish.
+    certificate can fail; a linear stretch that reaches a rule chunk's end
+    is joined with one that starts the next chunk, so that a rule that fills
+    no row cuts no window chunk short, and a call without a rule is one
+    stretch.  Returns the outputs, NaN at a row whose weights all vanish.
     """
     nodes = len(data.values)
     half = _half_width(spec, nodes)
@@ -606,6 +616,12 @@ def _eval_windows(spec, data, xs):
                 flat = _dominant_nodes(data, halves, phis)
     step = _CHUNK // 8 if flat is not None or parts else len(xs)
     out = np.empty(len(xs))
+    # the windowed rows not yet taken, joined with each stretch that touches
+    # them, so that a linear stretch runs on across the ends of rule chunks;
+    # a max-family window chunk narrows by the nodes its own rows reach, and
+    # one cut short at a rule chunk's end may narrow further, so the max
+    # families join none
+    held = (0, 0)
     start = 0
     while start < len(xs):
         rows = xs[start:start + step]
@@ -622,8 +638,13 @@ def _eval_windows(spec, data, xs):
             rows = rows[:len(t)]
             windowed = _eval_by_parts(data, parts, t, width, out[start:start + len(t)])
         for a, b in windowed:
-            _certified(spec, data, rows[a:b], half, out[start + a:start + b], narrow)
+            if start + a > held[1] or narrow is not None:
+                _certified(spec, data, xs[slice(*held)], half, out[slice(*held)], narrow)
+                held = start + a, start + b
+            else:
+                held = held[0], start + b
         start += len(rows)
+    _certified(spec, data, xs[slice(*held)], half, out[slice(*held)], narrow)
     return out
 
 
@@ -676,30 +697,32 @@ def _eval_chunk(spec, data, xs, half):
     """
     k_lo, k_hi, values = data.k_lo, data.k_hi, data.values
     width = min(2 * half + 2, len(values))
-    # row i is the window of nodes k_lo + i onwards, a view of the node values
-    # built without sliding_window_view's Python overhead, paid every chunk
-    windows = np.ndarray((len(values) - width + 1, width), float, values,
-                         strides=values.strides * 2)
     t = spec.n * xs
     lo = np.clip(np.floor(t) - half, k_lo, k_hi - width + 1)
     key, heads = _runs(t, lo)
-    th, loh = t[heads], lo[heads]
     j = np.arange(width, dtype=float)
     # node k = lo + j is exact in float64, so each weight is phi(n*x - k) to
-    # the bit, as in the dense evaluation
+    # the bit, as in the dense evaluation; n*x - k is built in place, and t
+    # is dropped before the kernel runs
     if spec.family == "linear":
-        w = eval_kernel(spec.kernel, th[:, None] - np.add.outer(loh, j)).T
+        w = np.add.outer(lo[heads], j)
+        w = np.subtract(t[heads, None], w, out=w)
     else:
-        w = eval_kernel(spec.kernel, th - np.add.outer(j, loh))
+        w = np.add.outer(j, lo[heads])
+        w = np.subtract(t[heads], w, out=w)
+    del t
+    w = eval_kernel(spec.kernel, w)
+    if spec.family == "linear":
+        w = w.T
     # a bound on every dropped weight: the window's edge weight on that side
     edge = np.maximum(np.where(lo > k_lo, w[0][key], 0.0),
                       np.where(lo + width - 1 < k_hi, w[-1][key], 0.0))
     denom = w.sum(axis=0) if spec.family == "linear" else w.max(axis=0)
     safe = np.where(denom > 0.0, denom, np.nan)
     if spec.family == "linear":
-        v = windows[(lo - k_lo).astype(np.int64)].T
         w = w.T[key].T  # each row's weights stay contiguous (see the module docstring)
-        y = np.multiply(w, v, out=w).sum(axis=0) / safe[key]
+        np.multiply(w, _node_windows(values, k_lo, lo, width), out=w)
+        y = w.sum(axis=0) / safe[key]
         passed = len(values) * edge <= 2.0**-53 * denom[key]
     else:
         # the heads' table is dropped before the node values are gathered
@@ -707,9 +730,24 @@ def _eval_chunk(spec, data, xs, half):
         r = np.divide(w, safe, out=w)[:, key]
         del w
         op = np.minimum if spec.family == "maxmin" else np.multiply
-        y = op(windows[(lo - k_lo).astype(np.int64)].T, r, out=r).max(axis=0)
+        y = op(_node_windows(values, k_lo, lo, width), r, out=r).max(axis=0)
         passed = y >= edge / safe[key]
     return y, np.flatnonzero(~(passed | (denom[key] <= 0.0)))
+
+
+def _node_windows(values: np.ndarray, k_lo: int, lo: np.ndarray, width: int):
+    """The (width, rows) node values of the windows of ascending rows that
+    start at nodes ``lo``: one column, broadcast over the rows, where they
+    all start at one node, as on the error table at n = 10, where every
+    window is all nodes."""
+    if lo[0] == lo[-1]:
+        return values[int(lo[0]) - k_lo:][:width, None]
+    # row i is the window of nodes k_lo + i onwards, a view of the node
+    # values built without sliding_window_view's Python overhead, paid
+    # every chunk
+    windows = np.ndarray((len(values) - width + 1, width), float, values,
+                         strides=values.strides * 2)
+    return windows[(lo - k_lo).astype(np.int64)].T
 
 
 def _runs(t: np.ndarray, lo: np.ndarray):

@@ -17,8 +17,11 @@ from nnops import (
     modulus_of_continuity,
     phi_floor,
     rate_exponent_holder,
+    step_test_function,
 )
+from nnops import metrics
 from nnops.experiments import rate_sweep
+from helpers import traced_peak
 
 UNIT = Domain(0.0, 1.0)
 TANH = make_kernel("tanh")
@@ -26,6 +29,19 @@ TANH = make_kernel("tanh")
 
 def _const(c):
     return lambda xs: np.full_like(np.asarray(xs, dtype=float), c)
+
+
+def _one_shot(g, h, p, domain, grid_points):
+    """The norm with g and h each called once on the whole grid, and |g - h|
+    in an array of its own."""
+    if math.isinf(p):
+        xs = np.linspace(domain.a, domain.b, grid_points)
+    else:
+        xs = domain.a + (np.arange(grid_points) + 0.5) * (domain.width / grid_points)
+    diff = np.abs(np.asarray(g(xs), dtype=float) - np.asarray(h(xs), dtype=float))
+    if math.isinf(p):
+        return float(diff.max())
+    return metrics._lp_norm(diff, p, domain.width / grid_points)
 
 
 class TestNorms:
@@ -74,6 +90,54 @@ class TestNorms:
         g = lambda xs: np.where(np.asarray(xs) == 1.0, 0.75, 0.5)
         assert lp_error(g, _const(0.5), math.inf, UNIT, 100) == 0.25
         assert lp_error(g, _const(0.5), 1.0, UNIT, 100) == 0.0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 1e3, 1e4, 1e300, math.inf])
+    def test_chunked_norm_bitwise_equal_to_one_shot(self, p):
+        # g is called once on the whole grid, h on consecutive chunks of at
+        # most _CHUNK // 8 points, and |g - h| is written back into the
+        # grid; every sum sees the array the one-shot formula builds, on
+        # grids around a chunk's end and of several chunks.  A NaN of g
+        # stays NaN.  At p = 1e300, |g - h| > 1 overflows the plain sum,
+        # which the norm then factors (numpy warns of the overflow)
+        domain = Domain(-0.3, 1.7)
+        h = step_test_function(domain)
+        gs = {"constant": _const(0.37), "sine": np.sin, "identity": lambda xs: xs,
+              "nan": lambda xs: np.where(xs > 0.9, np.nan, xs)}
+        chunk = metrics._CHUNK // 8
+        for points in (2, 3, 4095, 4096, 4097, chunk - 1, chunk, chunk + 1, 10**4, 10**5):
+            for name, g in gs.items():
+                calls = []
+
+                def chunked(xs):
+                    calls.append((xs[0], len(xs)))
+                    return h(xs)
+
+                with np.errstate(over="ignore"):
+                    got = lp_error(g, chunked, p, domain, points)
+                    want = _one_shot(g, h, p, domain, points)
+                assert got == want or (math.isnan(got) and math.isnan(want)), (name, points)
+                sizes = [size for _, size in calls]
+                assert sizes == [chunk] * (len(sizes) - 1) + [points - chunk * (len(sizes) - 1)]
+                assert calls[0][0] == (domain.a if math.isinf(p)
+                                       else domain.a + 0.5 * domain.width / points)
+
+    def test_norm_holds_16_bytes_a_point(self, step):
+        # besides what g and h allocate, the norm holds the grid and g's
+        # values, then |g - h| in the grid's array and its p-th power: 16 B a
+        # point; four arrays of 8 B a point would take 32 MB at 1e6 points
+        points = 10**6
+        for p in (1.0, 2.0, math.inf):
+            got, peak = traced_peak(lambda: lp_error(np.sin, step, p, UNIT, points))
+            assert got == _one_shot(np.sin, step, p, UNIT, points), p
+            assert peak <= 16 * points + 2**20, p
+
+    def test_one_value_broadcasts(self):
+        # a g or h that returns one value, a 0-d array, stands for that value
+        # at every point
+        for p in (1.0, 2.0, math.inf):
+            want = lp_error(_const(0.75), _const(0.5), p, UNIT, 10**4)
+            assert lp_error(lambda xs: np.array(0.75), _const(0.5), p, UNIT, 10**4) == want
+            assert lp_error(_const(0.75), lambda xs: np.array(0.5), p, UNIT, 10**4) == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),

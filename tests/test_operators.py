@@ -536,6 +536,52 @@ class TestEvalGrid:
         assert out.tobytes() == want.tobytes()
         assert peak < 2 * max(blocks) + 64 * 2**10
 
+    @pytest.mark.parametrize("family, bound", [("linear", 2.0e6), ("maxprod", 1.961e6),
+                                               ("maxmin", 1.961e6)])
+    def test_shared_first_node_read_as_one_column(self, step, family, bound):
+        # the error table at n = 10 on 1e5 midpoints: every window at the
+        # cap is all 10 nodes, so the rows of a window chunk share their
+        # first node and read the node values as one column broadcast over
+        # them, where a gather would copy that column to each of 6553 rows.
+        # Beside the output a call then holds at most the kernel's argument
+        # and its weights, two (nodes, rows) arrays, and a few arrays of 8 B
+        # a row (a gathered table as well: 2.344 MB for linear)
+        spec = _spec(family=family, n=10)
+        data = cell_averages_exact(step, UNIT, 10)
+        xs = (np.arange(10**5) + 0.5) * 1e-5
+        columns = []
+        node_windows = operators._node_windows
+
+        def gathered(values, k_lo, lo, width):
+            columns.append(node_windows(values, k_lo, lo, width).shape[1] == 1)
+            windows = np.lib.stride_tricks.sliding_window_view(values, width)
+            return windows[(lo - k_lo).astype(np.int64)].T
+
+        with mock.patch.object(operators, "_node_windows", gathered):
+            want = eval_grid(spec, data, xs)
+        out, peak = traced_peak(lambda: eval_grid(spec, data, xs))
+        assert out.tobytes() == want.tobytes()
+        assert peak <= bound
+        assert all(columns) if family == "linear" else any(columns)
+
+    def test_windowed_stretch_runs_across_rule_chunks(self, step):
+        # linear at n = 10 may be summed by parts (m = 1 < width / 8), but no
+        # row costs less by parts than on its window of all 10 nodes, so
+        # every rule chunk of _CHUNK // 8 rows leaves its rows to windows;
+        # the stretch runs on across the rule chunks' ends and takes its
+        # windows in chunks of _CHUNK // 10 rows, 16 on 1e5 points rather
+        # than the 25 of window chunks cut at each rule chunk's end
+        spec = _spec(family="linear", n=10)
+        data = cell_averages_exact(step, UNIT, 10)
+        xs = (np.arange(10**5) + 0.5) * 1e-5
+        assert not _by_parts_rows(spec, data, xs)[0].any()
+        out, rules, windows = _chunk_starts(spec, data, xs)
+        assert rules == list(range(0, len(xs), operators._CHUNK // 8))
+        assert windows == list(range(0, len(xs), operators._CHUNK // 10))
+        assert len(windows) == 16
+        for i in {*rules, *windows, *(i - 1 for i in [*rules, *windows] if i)}:
+            assert out[i] == eval_grid(spec, data, xs[i:i + 1])[0], i
+
     def test_noisy_rows_test_summation_by_parts_once_a_rule_chunk(self, monkeypatch):
         # logistic at scale 0.1 (m = 10) on noisy node data at n = 2000: no
         # row but those near the ends costs less summed by parts than on its
